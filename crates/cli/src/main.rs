@@ -60,8 +60,6 @@ usage:
                      [--threads T] [--seed S] [--p-online P] --out FILE
   pgrid trace replay --in FILE [--chains N]
   pgrid trace diff --a FILE --b FILE
-  pgrid soak [--peers N] [--workers W] [--secs S] [--seed SEED]
-             [--maxl L] [--thread-per-peer] [--max-extra-threads K]
   pgrid list
 
 experiments:
@@ -99,7 +97,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some("grid") => grid_command(&mut it),
         Some("trace") => trace_command(&mut it),
-        Some("soak") => soak_command(&mut it),
         Some("exp") => {
             let id = it.next().ok_or("missing experiment id")?.clone();
             let mut opts = Options {
@@ -132,71 +129,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some(other) => Err(format!("unknown command {other:?}")),
         None => Err("missing command".into()),
     }
-}
-
-/// `pgrid soak` — bounded loopback soak over the socket transport (or the
-/// thread-per-peer baseline), printing one JSON report line. With
-/// `--max-extra-threads K` the run fails when the process's peak thread
-/// count exceeds `baseline + workers + K` — the CI guard that the event
-/// loop multiplexes peers instead of spawning threads.
-fn soak_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
-    use pgrid_node::{os_thread_count, run_soak, SoakConfig, SoakMode};
-
-    let mut config = SoakConfig {
-        peers: 128,
-        workers: 2,
-        secs: 10,
-        seed: 7,
-        maxl: 3,
-        ..SoakConfig::default()
-    };
-    let mut max_extra_threads: Option<u64> = None;
-    while let Some(flag) = it.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            let v = it.next().ok_or_else(|| format!("{name} needs a value"))?;
-            v.parse().map_err(|_| format!("bad {name} value {v:?}"))
-        };
-        match flag.as_str() {
-            "--peers" => config.peers = num("--peers")? as usize,
-            "--workers" => config.workers = num("--workers")? as usize,
-            "--secs" => config.secs = num("--secs")?,
-            "--seed" => config.seed = num("--seed")?,
-            "--maxl" => config.maxl = num("--maxl")? as usize,
-            "--thread-per-peer" => config.mode = SoakMode::ThreadPerPeer,
-            "--max-extra-threads" => max_extra_threads = Some(num("--max-extra-threads")?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    let baseline_threads = os_thread_count();
-    let report = run_soak(config);
-    out(&format!(
-        "{{\"mode\":\"{}\",\"peers\":{},\"workers\":{},\"secs\":{:.2},\"messages\":{},\"msgs_per_sec\":{:.0},\"queries\":{},\"query_hits\":{},\"inserts\":{},\"peak_threads\":{},\"baseline_threads\":{},\"conn_established\":{},\"conn_lost\":{}}}",
-        report.mode,
-        report.peers,
-        report.workers,
-        report.secs_elapsed,
-        report.messages,
-        report.msgs_per_sec,
-        report.queries,
-        report.query_hits,
-        report.inserts,
-        report.peak_threads,
-        baseline_threads,
-        report.conn_established,
-        report.conn_lost,
-    ));
-    if let Some(extra) = max_extra_threads {
-        let budget = baseline_threads + report.workers as u64 + extra;
-        if baseline_threads == 0 {
-            out("thread-count guard skipped: /proc/self/status unavailable");
-        } else if report.peak_threads > budget {
-            return Err(format!(
-                "thread budget exceeded: peak {} > baseline {} + workers {} + slack {extra}",
-                report.peak_threads, baseline_threads, report.workers
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn grid_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {

@@ -5,9 +5,8 @@
 //! hop dominates the per-query cost once a workload replays millions of
 //! descents, so every [`crate::Ctx`] carries one [`Scratch`] arena whose
 //! buffers are cleared — never freed — between operations. A warm context
-//! therefore runs queries without touching the allocator at all (measured
-//! by `engine_bench --features count-allocs`; see DESIGN.md "Hot-path
-//! memory discipline").
+//! therefore runs queries without touching the allocator at all (asserted
+//! by `tests/alloc_free.rs`; see DESIGN.md "Hot-path memory discipline").
 //!
 //! Buffer discipline: re-entrant code (the iterative search, the exchange
 //! recursion, the BFS update sweep) shares a single growable arena and

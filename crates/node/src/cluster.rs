@@ -3,21 +3,20 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use pgrid_keys::Key;
 use pgrid_net::{NetStats, PeerId};
-use pgrid_wire::{decode_frame, encode_frame, Message, WireEntry};
+use pgrid_store::StorageSpec;
+use pgrid_trace::NullTracer;
+use pgrid_wire::{encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use pgrid_store::StorageSpec;
-
 use crate::{
-    reseed_from_journal, spawn_node, spawn_node_with_storage, FaultPlan, Frame, LocalTransport,
-    NodeConfig, NodeState, DEFAULT_MAILBOX_DEPTH,
+    reseed_from_journal, FaultPlan, LocalTransport, NodeConfig, NodeState, TcpTransport,
+    TcpTransportConfig, Transport, DEFAULT_MAILBOX_DEPTH,
 };
 
 /// Shape of a live cluster.
@@ -37,7 +36,8 @@ pub struct ClusterConfig {
     pub ttl: u16,
     /// RNG seed (thread scheduling still makes runs non-deterministic).
     pub seed: u64,
-    /// Mailbox depth per node (`0` = unbounded).
+    /// Mailbox depth per node — over sockets, the per-connection write
+    /// queue depth (`0` = unbounded).
     pub mailbox_depth: usize,
     /// Client-level query attempts, each from a *different* random entry
     /// node (the paper's remedy for dead-ended randomized searches).
@@ -66,17 +66,19 @@ impl Default for ClusterConfig {
     }
 }
 
-/// A running community of actor nodes plus a client mailbox for issuing
-/// queries.
-pub struct Cluster {
-    transport: LocalTransport,
+/// A running community of live nodes over transport `T`, plus a client
+/// endpoint for issuing queries: spawns the peers, drives meetings, inserts
+/// and queries with failover, crashes and restarts peers, and snapshots
+/// convergence. Everything here is deployment-independent; what differs
+/// between mailboxes and sockets lives behind [`Transport`].
+pub struct Community<T: Transport> {
+    transport: T,
     states: Vec<Arc<Mutex<NodeState>>>,
-    handles: Vec<Option<std::thread::JoinHandle<()>>>,
     /// Crash markers (parallel to `states`): a crashed node keeps its
-    /// durable state but has no thread or mailbox until restarted.
+    /// durable state but has no shell or endpoint until restarted.
     crashed: Vec<bool>,
     client_id: PeerId,
-    client_rx: Receiver<Frame>,
+    client_rx: Receiver<(PeerId, Message)>,
     next_query_id: u64,
     rng: StdRng,
     config: ClusterConfig,
@@ -85,75 +87,89 @@ pub struct Cluster {
     storage: Option<StorageSpec>,
 }
 
-impl Cluster {
+/// The in-process community: one actor thread per peer, frames through
+/// [`LocalTransport`] mailboxes.
+pub type Cluster = Community<LocalTransport>;
+
+/// The socket community: every frame crosses a real loopback TCP
+/// connection and the peers are multiplexed on [`TcpTransport`]'s
+/// event-loop workers, so the OS footprint is the worker pool, not `n`
+/// threads.
+pub type TcpCluster = Community<TcpTransport>;
+
+impl Community<LocalTransport> {
     /// Spawns `config.n` node threads (index custody stays in RAM).
     pub fn spawn(config: ClusterConfig) -> Self {
-        Cluster::spawn_inner(config, None)
+        Self::over(Self::mailboxes(&config), config, None)
     }
 
-    /// Spawns `config.n` node threads, each journaling the index entries
-    /// it takes custody of into a per-slot backend opened from `storage`
-    /// (slot `i` → `storage.open_for(i)`). Backends that already hold
-    /// records — a previous run's journals — are reseeded into the fresh
-    /// protocol states before the threads start, so a cold-started
-    /// community re-announces everything it durably owned.
+    /// [`Cluster::spawn`] with durable per-node journals (see
+    /// [`TcpCluster::spawn_with_storage`] for the contract).
     ///
     /// # Panics
     /// If a backend fails to open or refuses to load (real corruption).
     pub fn spawn_with_storage(config: ClusterConfig, storage: StorageSpec) -> Self {
-        Cluster::spawn_inner(config, Some(storage))
+        Self::over(Self::mailboxes(&config), config, Some(storage))
     }
 
-    fn spawn_inner(config: ClusterConfig, storage: Option<StorageSpec>) -> Self {
+    fn mailboxes(config: &ClusterConfig) -> LocalTransport {
+        LocalTransport::with_mailbox_depth(config.mailbox_depth)
+    }
+}
+
+impl Community<TcpTransport> {
+    /// Spawns the community on a fresh loopback transport with `workers`
+    /// event-loop threads (index custody stays in RAM).
+    ///
+    /// # Panics
+    /// If the loopback listener cannot bind.
+    pub fn spawn(config: ClusterConfig, workers: usize) -> Self {
+        Self::over(Self::loopback(&config, workers), config, None)
+    }
+
+    /// [`TcpCluster::spawn`] with durable per-node journals: slot `i`
+    /// opens `storage.open_for(i)`, and every index entry a node takes
+    /// custody of is appended. Backends that already hold records — a
+    /// previous run's journals — are reseeded into the fresh protocol
+    /// states before the shells start, so a cold-started community
+    /// re-announces everything it durably owned.
+    ///
+    /// # Panics
+    /// If the listener cannot bind, a backend fails to open, or a backend
+    /// refuses to load (real corruption).
+    pub fn spawn_with_storage(config: ClusterConfig, workers: usize, storage: StorageSpec) -> Self {
+        Self::over(Self::loopback(&config, workers), config, Some(storage))
+    }
+
+    fn loopback(config: &ClusterConfig, workers: usize) -> TcpTransport {
+        TcpTransport::bind(TcpTransportConfig {
+            workers,
+            write_queue_depth: config.mailbox_depth,
+            seed: config.seed,
+            ..TcpTransportConfig::default()
+        })
+        .expect("bind loopback listener")
+    }
+}
+
+impl<T: Transport> Community<T> {
+    /// Hosts `config.n` fresh peers on `transport`, then opens the client
+    /// endpoint — in that order, which fixes socket worker placement.
+    fn over(transport: T, config: ClusterConfig, storage: Option<StorageSpec>) -> Self {
         assert!(config.n >= 2, "a cluster needs at least two nodes");
-        let transport = LocalTransport::with_mailbox_depth(config.mailbox_depth);
         if let Some(plan) = config.faults {
             transport.inject_faults(plan);
         }
-        let mut states = Vec::with_capacity(config.n);
-        let mut handles = Vec::with_capacity(config.n);
-        for i in 0..config.n {
-            let id = PeerId::from_index(i);
-            let rx = transport.register(id);
-            let state = Arc::new(Mutex::new(NodeState::new(
-                id,
-                config.maxl,
-                config.refmax,
-                config.recfanout,
-            )));
-            let seed = config.seed ^ ((i as u64) << 20);
-            let handle = match &storage {
-                Some(spec) => {
-                    let journal = spec.open_for(i).expect("open storage backend");
-                    reseed_from_journal(&state, &journal);
-                    spawn_node_with_storage(
-                        Arc::clone(&state),
-                        node_config(&config),
-                        transport.clone(),
-                        rx,
-                        seed,
-                        journal,
-                    )
-                }
-                None => spawn_node(
-                    Arc::clone(&state),
-                    node_config(&config),
-                    transport.clone(),
-                    rx,
-                    seed,
-                ),
-            };
-            states.push(state);
-            handles.push(Some(handle));
-        }
-        // The client mailbox sits far above any plausible node id so nodes
+        let states = (0..config.n)
+            .map(|i| Self::host_fresh(&transport, &config, storage.as_ref(), i))
+            .collect();
+        // The client endpoint sits far above any plausible node id so nodes
         // added later never collide with it.
         let client_id = PeerId(u32::MAX - 1);
-        let client_rx = transport.register(client_id);
-        Cluster {
+        let client_rx = transport.open_client(client_id);
+        Community {
             transport,
             states,
-            handles,
             crashed: vec![false; config.n],
             client_id,
             client_rx,
@@ -162,6 +178,56 @@ impl Cluster {
             config,
             storage,
         }
+    }
+
+    /// Hosts a shell for `state` seeded with `seed`. With storage, the
+    /// peer's journal is (re)opened first and whatever it holds is reseeded
+    /// into `state` — idempotent on state that survived a crash. The
+    /// previous shell, if any, was evicted, so its journal handle is
+    /// flushed and closed.
+    fn host(
+        transport: &T,
+        config: &ClusterConfig,
+        storage: Option<&StorageSpec>,
+        state: &Arc<Mutex<NodeState>>,
+        seed: u64,
+    ) {
+        let journal = storage.map(|spec| {
+            let slot = state.lock().id.index();
+            let journal = spec.open_for(slot).expect("open storage backend");
+            reseed_from_journal(state, &journal);
+            journal
+        });
+        let node_config = NodeConfig {
+            recmax: config.recmax,
+            ttl: config.ttl,
+            ..NodeConfig::default()
+        };
+        transport.host(
+            Arc::clone(state),
+            node_config,
+            seed,
+            journal,
+            Box::new(NullTracer),
+        );
+    }
+
+    /// Hosts a brand-new peer in slot `idx` (empty path).
+    fn host_fresh(
+        transport: &T,
+        config: &ClusterConfig,
+        storage: Option<&StorageSpec>,
+        idx: usize,
+    ) -> Arc<Mutex<NodeState>> {
+        let state = Arc::new(Mutex::new(NodeState::new(
+            PeerId::from_index(idx),
+            config.maxl,
+            config.refmax,
+            config.recfanout,
+        )));
+        let seed = config.seed ^ ((idx as u64) << 20);
+        Self::host(transport, config, storage, &state, seed);
+        state
     }
 
     /// Number of nodes (live, crashed, or killed).
@@ -175,7 +241,7 @@ impl Cluster {
     }
 
     /// The shared transport (fault injection, counters).
-    pub fn transport(&self) -> &LocalTransport {
+    pub fn transport(&self) -> &T {
         &self.transport
     }
 
@@ -210,25 +276,34 @@ impl Cluster {
             if j >= i {
                 j += 1;
             }
-            let frame = encode_frame(&Message::Meet { with: live[j] });
-            self.transport.send_control(self.client_id, live[i], frame);
+            self.meet(live[i], live[j]);
         }
         self.settle();
     }
 
     /// Introduces `node` to `with`: one deterministic meeting instruction
-    /// (the scripted counterpart of [`Cluster::build`]'s random meetings).
-    /// The instruction travels as a control frame; the exchange it
-    /// triggers uses the (possibly faulty) links. Call
-    /// [`Cluster::settle`] to wait the exchange out.
+    /// (the scripted counterpart of [`Community::build`]'s random
+    /// meetings). The instruction travels as a control frame; the exchange
+    /// it triggers uses the (possibly faulty) links. Call
+    /// [`Community::settle`] to wait the exchange out.
     pub fn meet(&self, node: PeerId, with: PeerId) {
         let frame = encode_frame(&Message::Meet { with });
         self.transport.send_control(self.client_id, node, frame);
     }
 
+    /// Routes an index insertion into the grid (fire-and-forget, like a
+    /// real insert; call [`Community::settle`] before querying it back).
+    pub fn insert(&mut self, key: Key, entry: WireEntry) {
+        let live = self.live_nodes();
+        if live.is_empty() {
+            return;
+        }
+        let entry_node = live[self.rng.gen_range(0..live.len())];
+        self.insert_at(key, entry, entry_node);
+    }
+
     /// Routes an index insertion into the grid entering at a *chosen* node
-    /// (the scripted counterpart of [`Cluster::insert`]; call
-    /// [`Cluster::settle`] before querying it back).
+    /// (the scripted counterpart of [`Community::insert`]).
     pub fn insert_at(&mut self, key: Key, entry: WireEntry, entry_node: PeerId) {
         let seq = self.next_query_id;
         self.next_query_id += 1;
@@ -237,13 +312,14 @@ impl Cluster {
     }
 
     /// Waits until no frames have been delivered (and none are held back
-    /// in flight) for a few polling rounds. Also drains the client mailbox,
-    /// acking stray answers so their senders stop retransmitting.
+    /// or queued in flight) for a few polling rounds. Also drains the
+    /// client endpoint, acking stray answers so their senders stop
+    /// retransmitting.
     pub fn settle(&self) {
         let mut last = self.transport.delivered();
         let mut stable_rounds = 0;
         while stable_rounds < 5 {
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(T::SETTLE_POLL);
             self.drain_client();
             let now = self.transport.delivered();
             if now == last && self.transport.in_flight() == 0 {
@@ -255,17 +331,14 @@ impl Cluster {
         }
     }
 
-    /// Acks (and discards) everything sitting in the client mailbox —
+    /// Acks (and discards) everything sitting in the client endpoint —
     /// answers to queries that already timed out at the client still need
     /// acks, or their senders retransmit to nobody.
     fn drain_client(&self) {
-        while let Ok(frame) = self.client_rx.try_recv() {
-            let mut buf = BytesMut::from(&frame.bytes[..]);
-            if let Ok(Some(Message::QueryOk { id, .. } | Message::QueryFail { id })) =
-                decode_frame(&mut buf)
-            {
+        while let Ok((from, msg)) = self.client_rx.try_recv() {
+            if let Message::QueryOk { id, .. } | Message::QueryFail { id } = msg {
                 let ack = encode_frame(&Message::Ack { seq: id });
-                let _ = self.transport.send_control(self.client_id, frame.from, ack);
+                let _ = self.transport.send_control(self.client_id, from, ack);
             }
         }
     }
@@ -281,7 +354,7 @@ impl Cluster {
         live.iter().sum::<usize>() as f64 / live.len().max(1) as f64
     }
 
-    /// Snapshot of every node's path.
+    /// `(id, path)` of every node (crashed and killed included).
     pub fn paths(&self) -> Vec<(PeerId, String)> {
         self.states
             .iter()
@@ -295,7 +368,38 @@ impl Cluster {
     /// Checks every node's structural invariants plus the cross-node
     /// reference property (references point to the other side of the level).
     pub fn check_invariants(&self) -> Result<(), String> {
-        check_states_invariants(&self.states)
+        let snapshot: Vec<NodeState> = self.states.iter().map(|s| s.lock().clone()).collect();
+        for node in &snapshot {
+            if node.maxl == 0 {
+                continue; // killed
+            }
+            node.check()?;
+            for (i, slot) in node.refs.iter().enumerate() {
+                let level = i + 1;
+                for r in slot {
+                    let other = &snapshot[r.index()];
+                    if other.maxl == 0 {
+                        continue; // stale reference to a departed peer
+                    }
+                    if other.path.len() < level {
+                        return Err(format!(
+                            "{}: ref {} at level {level} has short path",
+                            node.id, r
+                        ));
+                    }
+                    if level <= node.path.len()
+                        && (other.path.prefix(level - 1) != node.path.prefix(level - 1)
+                            || other.path.bit(level - 1) == node.path.bit(level - 1))
+                    {
+                        return Err(format!(
+                            "{}: ref {} at level {level} violates the side property",
+                            node.id, r
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Issues a query, failing over across up to `query_attempts`
@@ -318,16 +422,6 @@ impl Cluster {
         None
     }
 
-    /// One single query attempt from one random entry node.
-    pub fn query_once(&mut self, key: &Key) -> Option<(PeerId, Vec<WireEntry>)> {
-        let live = self.live_nodes();
-        if live.is_empty() {
-            return None;
-        }
-        let entry_node = live[self.rng.gen_range(0..live.len())];
-        self.query_once_at(key, entry_node)
-    }
-
     /// One single query attempt entering at `entry_node`.
     pub fn query_once_at(
         &mut self,
@@ -347,30 +441,29 @@ impl Cluster {
             return None;
         }
         let deadline = Instant::now() + Duration::from_millis(self.config.query_timeout_ms);
-        while let Ok(frame) = self
+        while let Ok((from, msg)) = self
             .client_rx
             .recv_timeout(deadline.saturating_duration_since(Instant::now()))
         {
-            let mut buf = BytesMut::from(&frame.bytes[..]);
-            match decode_frame(&mut buf) {
-                Ok(Some(Message::QueryOk {
+            match msg {
+                Message::QueryOk {
                     id,
                     responsible,
                     entries,
-                })) if id == qid => {
-                    self.ack_answer(frame.from, id);
+                } if id == qid => {
+                    self.ack_answer(from, id);
                     return Some((responsible, entries));
                 }
-                Ok(Some(Message::QueryFail { id })) if id == qid => {
-                    self.ack_answer(frame.from, id);
+                Message::QueryFail { id } if id == qid => {
+                    self.ack_answer(from, id);
                     return None;
                 }
-                Ok(Some(Message::QueryOk { id, .. } | Message::QueryFail { id })) => {
+                Message::QueryOk { id, .. } | Message::QueryFail { id } => {
                     // Stale answer from an earlier timed-out attempt (or a
                     // retransmit that crossed our ack): ack it and move on.
-                    self.ack_answer(frame.from, id);
+                    self.ack_answer(from, id);
                 }
-                _ => {} // acks to the client, garbage — ignore
+                _ => {} // acks to the client, strays — ignore
             }
         }
         None
@@ -384,17 +477,6 @@ impl Cluster {
         let _ = self.transport.send(self.client_id, to, ack);
     }
 
-    /// Routes an index insertion into the grid (fire-and-forget, like a
-    /// real insert; call [`Cluster::settle`] before querying it back).
-    pub fn insert(&mut self, key: Key, entry: WireEntry) {
-        let live = self.live_nodes();
-        if live.is_empty() {
-            return;
-        }
-        let entry_node = live[self.rng.gen_range(0..live.len())];
-        self.insert_at(key, entry, entry_node);
-    }
-
     /// Installs an entry directly at every responsible node (oracle seed
     /// for tests).
     pub fn seed_index(&self, key: Key, entry: WireEntry) {
@@ -406,10 +488,10 @@ impl Cluster {
         }
     }
 
-    /// Kills one node abruptly and permanently: its mailbox disappears
-    /// (in-flight and future frames to it are dropped) and its thread
-    /// exits. Models a permanent departure without any goodbye protocol —
-    /// for the recoverable variant see [`Cluster::crash_node`].
+    /// Kills one node abruptly and permanently: its endpoint disappears
+    /// (in-flight and future frames to it are dropped) and its shell is
+    /// gone. Models a permanent departure without any goodbye protocol —
+    /// for the recoverable variant see [`Community::crash_node`].
     ///
     /// # Panics
     /// If the node was already killed or is currently crashed.
@@ -419,22 +501,16 @@ impl Cluster {
             self.states[id.index()].lock().maxl != 0,
             "node {id} already killed"
         );
-        // Stop the thread, then remove the mailbox so nobody can reach it.
-        let frame = encode_frame(&Message::Shutdown);
-        self.transport.send_control(self.client_id, id, frame);
-        self.transport.unregister(id);
-        if let Some(h) = self.handles[id.index()].take() {
-            let _ = h.join();
-        }
+        self.transport.evict(id);
         // Mark the state as dead for invariant checks (maxl 0 is otherwise
         // unconstructible).
         self.states[id.index()].lock().maxl = 0;
     }
 
-    /// Crashes a node: mailbox and thread die (all volatile protocol state
+    /// Crashes a node: endpoint and shell die (all volatile protocol state
     /// — pending retransmits, dedup caches — is lost), but the node's
     /// durable state (path, references, index) survives for a later
-    /// [`Cluster::restart_node`]. Peers that contact it meanwhile see a
+    /// [`Community::restart_node`]. Peers that contact it meanwhile see a
     /// departed peer and prune their references; the restarted node re-
     /// integrates through ordinary meetings.
     ///
@@ -443,91 +519,47 @@ impl Cluster {
     pub fn crash_node(&mut self, id: PeerId) {
         assert!(!self.crashed[id.index()], "node {id} already crashed");
         assert!(self.states[id.index()].lock().maxl != 0, "node {id} is dead");
-        // No goodbye: the mailbox vanishes, the thread drains what it
-        // already received and exits on the disconnected channel.
-        self.transport.unregister(id);
-        if let Some(h) = self.handles[id.index()].take() {
-            let _ = h.join();
-        }
+        self.transport.evict(id);
         self.crashed[id.index()] = true;
     }
 
     /// Restarts a crashed node on its surviving durable state with a fresh
-    /// mailbox, thread, and RNG stream.
+    /// shell and RNG stream.
     ///
     /// # Panics
     /// If the node is not currently crashed.
     pub fn restart_node(&mut self, id: PeerId) {
         assert!(self.crashed[id.index()], "node {id} is not crashed");
-        let rx = self.transport.register(id);
         // A distinct seed stream for the reincarnation: correlation ids
         // must not repeat those of the previous life.
-        let seed = self.config.seed ^ ((u64::from(id.0)) << 20) ^ 0xDEAD_BEEF;
-        let handle = match &self.storage {
-            Some(spec) => {
-                // The crashed shell was joined, so its journal handle is
-                // closed and flushed; reopen recovers whatever survived
-                // and reseeds it (idempotent on the surviving state).
-                let journal = spec.open_for(id.index()).expect("reopen storage backend");
-                reseed_from_journal(&self.states[id.index()], &journal);
-                spawn_node_with_storage(
-                    Arc::clone(&self.states[id.index()]),
-                    node_config(&self.config),
-                    self.transport.clone(),
-                    rx,
-                    seed,
-                    journal,
-                )
-            }
-            None => spawn_node(
-                Arc::clone(&self.states[id.index()]),
-                node_config(&self.config),
-                self.transport.clone(),
-                rx,
-                seed,
-            ),
-        };
-        self.handles[id.index()] = Some(handle);
+        let seed = self.config.seed ^ (u64::from(id.0) << 20) ^ 0xDEAD_BEEF;
+        Self::host(
+            &self.transport,
+            &self.config,
+            self.storage.as_ref(),
+            &self.states[id.index()],
+            seed,
+        );
         self.crashed[id.index()] = false;
     }
 
     /// Spawns one additional node and returns its id. The newcomer joins
     /// with the empty path and integrates through ordinary meetings (drive
-    /// [`Cluster::build`] afterwards).
+    /// [`Community::build`] afterwards).
+    ///
+    /// # Panics
+    /// If the node's storage backend fails to open or refuses to load
+    /// (real corruption) — an operator error at the local filesystem, not
+    /// anything a remote peer can trigger.
     pub fn add_node(&mut self) -> PeerId {
         let id = PeerId::from_index(self.states.len());
         debug_assert_ne!(id, self.client_id);
-        let rx = self.transport.register(id);
-        let state = Arc::new(Mutex::new(NodeState::new(
-            id,
-            self.config.maxl,
-            self.config.refmax,
-            self.config.recfanout,
-        )));
-        let seed = self.config.seed ^ ((u64::from(id.0)) << 20);
-        let handle = match &self.storage {
-            Some(spec) => {
-                let journal = spec.open_for(id.index()).expect("open storage backend");
-                reseed_from_journal(&state, &journal);
-                spawn_node_with_storage(
-                    Arc::clone(&state),
-                    node_config(&self.config),
-                    self.transport.clone(),
-                    rx,
-                    seed,
-                    journal,
-                )
-            }
-            None => spawn_node(
-                Arc::clone(&state),
-                node_config(&self.config),
-                self.transport.clone(),
-                rx,
-                seed,
-            ),
-        };
-        self.states.push(state);
-        self.handles.push(Some(handle));
+        self.states.push(Self::host_fresh(
+            &self.transport,
+            &self.config,
+            self.storage.as_ref(),
+            id.index(),
+        ));
         self.crashed.push(false);
         id
     }
@@ -545,13 +577,60 @@ impl Cluster {
     /// Captures the live community into a [`pgrid_core::GridSnapshot`], the
     /// bridge from the asynchronous deployment into the deterministic
     /// analysis tooling (`GridMetrics`, invariant checks, simulator search,
-    /// JSON persistence).
+    /// JSON persistence). Snapshots of the same community over different
+    /// transports compare equal.
     ///
     /// # Panics
     /// If any node has been killed — snapshots require a dense, live
     /// community (restore numbers peers densely).
     pub fn to_snapshot(&self) -> pgrid_core::GridSnapshot {
-        states_snapshot(&self.states, &self.config)
+        use pgrid_core::{GridSnapshot, IndexEntry, PeerSnapshot};
+        use pgrid_store::{ItemId, Version};
+        let peers = self
+            .states
+            .iter()
+            .map(|s| {
+                let g = s.lock();
+                assert!(g.maxl != 0, "cannot snapshot a cluster with killed nodes");
+                PeerSnapshot {
+                    id: g.id,
+                    path: g.path,
+                    refs: g.refs.clone(),
+                    index: g
+                        .index
+                        .iter()
+                        .map(|(k, entries)| {
+                            (
+                                *k,
+                                entries
+                                    .iter()
+                                    .map(|e| IndexEntry {
+                                        item: ItemId(e.item),
+                                        holder: e.holder,
+                                        version: Version(e.version),
+                                    })
+                                    .collect(),
+                            )
+                        })
+                        .collect(),
+                    buddies: g.buddies.clone(),
+                    // Live nodes journal index custody, not payload hosting;
+                    // the hosted set exists only in the sequential simulator.
+                    hosted: Vec::new(),
+                    misplaced: g.misplaced,
+                }
+            })
+            .collect();
+        GridSnapshot {
+            config: pgrid_core::PGridConfig {
+                maxl: self.config.maxl,
+                refmax: self.config.refmax,
+                recmax: u32::from(self.config.recmax),
+                recfanout: Some(self.config.recfanout),
+                ..pgrid_core::PGridConfig::default()
+            },
+            peers,
+        }
     }
 
     /// Debug helper: every `(owner, referenced peer)` edge in the cluster —
@@ -569,170 +648,93 @@ impl Cluster {
         out
     }
 
-    /// Debug helper: every `(holder, holder_path, misplaced_flag, entry)`
-    /// tuple in the cluster — test diagnostics only.
-    pub fn debug_dump_entries(&self) -> Vec<(PeerId, String, bool, WireEntry)> {
-        let mut out = Vec::new();
-        for s in &self.states {
-            let g = s.lock();
-            for (key, entries) in &g.index {
-                let _ = key;
-                for e in entries {
-                    out.push((g.id, g.path.to_string(), g.misplaced, *e));
-                }
-            }
-        }
-        out
-    }
-
-    /// Shuts every node down and joins the threads.
+    /// Shuts every node down and joins the transport's threads.
     pub fn shutdown(self) {
-        for i in 0..self.states.len() {
-            self.transport.send_control(
-                self.client_id,
-                PeerId::from_index(i),
-                encode_frame(&Message::Shutdown),
-            );
-        }
-        for h in self.handles.into_iter().flatten() {
-            let _ = h.join();
-        }
-    }
-}
-
-pub(crate) fn node_config(config: &ClusterConfig) -> NodeConfig {
-    NodeConfig {
-        recmax: config.recmax,
-        ttl: config.ttl,
-        ..NodeConfig::default()
-    }
-}
-
-/// Shared invariant check over a community's shared state handles —
-/// per-node structural validity plus the cross-node side property. Used by
-/// both [`Cluster`] and [`crate::TcpCluster`] so the two harnesses can
-/// never drift in what "valid" means.
-pub(crate) fn check_states_invariants(states: &[Arc<Mutex<NodeState>>]) -> Result<(), String> {
-    let snapshot: Vec<NodeState> = states.iter().map(|s| s.lock().clone()).collect();
-    for node in &snapshot {
-        if node.maxl == 0 {
-            continue; // killed
-        }
-        node.check()?;
-        for (i, slot) in node.refs.iter().enumerate() {
-            let level = i + 1;
-            for r in slot {
-                let other = &snapshot[r.index()];
-                if other.maxl == 0 {
-                    continue; // stale reference to a departed peer
-                }
-                if other.path.len() < level {
-                    return Err(format!(
-                        "{}: ref {} at level {level} has short path",
-                        node.id, r
-                    ));
-                }
-                if level <= node.path.len()
-                    && (other.path.prefix(level - 1) != node.path.prefix(level - 1)
-                        || other.path.bit(level - 1) == node.path.bit(level - 1))
-                {
-                    return Err(format!(
-                        "{}: ref {} at level {level} violates the side property",
-                        node.id, r
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Shared snapshot capture (see [`Cluster::to_snapshot`] for semantics).
-///
-/// # Panics
-/// If any node has been killed — snapshots require a dense, live community.
-pub(crate) fn states_snapshot(
-    states: &[Arc<Mutex<NodeState>>],
-    config: &ClusterConfig,
-) -> pgrid_core::GridSnapshot {
-    use pgrid_core::{GridSnapshot, IndexEntry, PeerSnapshot};
-    use pgrid_store::{ItemId, Version};
-    let peers = states
-        .iter()
-        .map(|s| {
-            let g = s.lock();
-            assert!(g.maxl != 0, "cannot snapshot a cluster with killed nodes");
-            PeerSnapshot {
-                id: g.id,
-                path: g.path,
-                refs: g.refs.clone(),
-                index: g
-                    .index
-                    .iter()
-                    .map(|(k, entries)| {
-                        (
-                            *k,
-                            entries
-                                .iter()
-                                .map(|e| IndexEntry {
-                                    item: ItemId(e.item),
-                                    holder: e.holder,
-                                    version: Version(e.version),
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-                buddies: g.buddies.clone(),
-                // Live nodes journal index custody, not payload hosting;
-                // the hosted set exists only in the sequential simulator.
-                hosted: Vec::new(),
-                misplaced: g.misplaced,
-            }
-        })
-        .collect();
-    GridSnapshot {
-        config: pgrid_core::PGridConfig {
-            maxl: config.maxl,
-            refmax: config.refmax,
-            recmax: u32::from(config.recmax),
-            recfanout: Some(config.recfanout),
-            ..pgrid_core::PGridConfig::default()
-        },
-        peers,
+        self.transport.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! One body per behaviour, generic over the transport; the macro at the
+    //! bottom instantiates every body for mailboxes and for sockets.
+
     use super::*;
     use pgrid_keys::BitPath;
+    use pgrid_store::BackendKind;
 
-    #[test]
-    fn cluster_converges_and_answers_queries() {
-        let mut cluster = Cluster::spawn(ClusterConfig {
-            n: 48,
-            maxl: 4,
-            refmax: 3,
-            seed: 11,
-            ..ClusterConfig::default()
-        });
-        // Drive meetings in waves until converged (or give up).
-        for _ in 0..40 {
-            cluster.build(200);
-            if cluster.avg_path_len() >= 3.5 {
+    /// How the suite spawns a community over each transport.
+    trait Spawn: Transport {
+        /// Whether frames cross real connections.
+        const SOCKETS: bool;
+        fn spawn(config: ClusterConfig, storage: Option<StorageSpec>) -> Community<Self>;
+    }
+
+    impl Spawn for LocalTransport {
+        const SOCKETS: bool = false;
+        fn spawn(config: ClusterConfig, storage: Option<StorageSpec>) -> Cluster {
+            Cluster::over(Cluster::mailboxes(&config), config, storage)
+        }
+    }
+
+    impl Spawn for TcpTransport {
+        const SOCKETS: bool = true;
+        fn spawn(config: ClusterConfig, storage: Option<StorageSpec>) -> TcpCluster {
+            TcpCluster::over(TcpCluster::loopback(&config, 2), config, storage)
+        }
+    }
+
+    /// Drives meetings in waves until the mean path length reaches `target`
+    /// (or gives up after `waves`).
+    fn build_until<T: Transport>(
+        cluster: &mut Community<T>,
+        waves: usize,
+        meetings: usize,
+        target: f64,
+    ) {
+        for _ in 0..waves {
+            cluster.build(meetings);
+            if cluster.avg_path_len() >= target {
                 break;
             }
         }
+    }
+
+    /// A fresh, empty log-backend directory unique to `tag`, the transport
+    /// and this process.
+    fn log_spec<T: Spawn>(tag: &str) -> (std::path::PathBuf, StorageSpec) {
+        let dir = std::env::temp_dir().join(format!(
+            "pgrid-{tag}-{}-{}",
+            if T::SOCKETS { "sockets" } else { "mailboxes" },
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = StorageSpec::of_kind(BackendKind::Log, &dir);
+        (dir, spec)
+    }
+
+    fn converges_and_answers_queries<T: Spawn>() {
+        let mut cluster = T::spawn(
+            ClusterConfig {
+                n: 24,
+                maxl: 3,
+                refmax: 3,
+                seed: 11,
+                ..ClusterConfig::default()
+            },
+            None,
+        );
+        build_until(&mut cluster, 40, 100, 2.8);
         assert!(
-            cluster.avg_path_len() >= 3.0,
+            cluster.avg_path_len() >= 2.25,
             "live construction should converge: avg = {}",
             cluster.avg_path_len()
         );
         cluster.check_invariants().unwrap();
 
         // Seed an entry and query it through the protocol.
-        let key = BitPath::from_str_lossy("0110");
+        let key = BitPath::from_str_lossy("011");
         let entry = WireEntry {
             item: 5,
             holder: PeerId(1),
@@ -754,21 +756,18 @@ mod tests {
         cluster.shutdown();
     }
 
-    #[test]
-    fn protocol_insert_reaches_a_responsible_node() {
-        let mut cluster = Cluster::spawn(ClusterConfig {
-            n: 32,
-            maxl: 3,
-            refmax: 3,
-            seed: 23,
-            ..ClusterConfig::default()
-        });
-        for _ in 0..30 {
-            cluster.build(150);
-            if cluster.avg_path_len() >= 2.8 {
-                break;
-            }
-        }
+    fn protocol_insert_reaches_a_responsible_node<T: Spawn>() {
+        let mut cluster = T::spawn(
+            ClusterConfig {
+                n: 16,
+                maxl: 3,
+                refmax: 3,
+                seed: 23,
+                ..ClusterConfig::default()
+            },
+            None,
+        );
+        build_until(&mut cluster, 30, 80, 2.8);
         let key = BitPath::from_str_lossy("101");
         let entry = WireEntry {
             item: 1,
@@ -780,38 +779,35 @@ mod tests {
         let stored = cluster
             .states
             .iter()
-            .filter(|s| {
-                let g = s.lock();
-                g.index_lookup(&key).contains(&entry)
-            })
+            .filter(|s| s.lock().index_lookup(&key).contains(&entry))
             .count();
         assert!(stored >= 1, "the insert must land at a responsible node");
         cluster.shutdown();
     }
 
-    #[test]
-    fn shutdown_joins_cleanly() {
-        let cluster = Cluster::spawn(ClusterConfig {
-            n: 8,
-            ..ClusterConfig::default()
-        });
+    fn shutdown_joins_cleanly<T: Spawn>() {
+        let cluster = T::spawn(
+            ClusterConfig {
+                n: 8,
+                ..ClusterConfig::default()
+            },
+            None,
+        );
         cluster.shutdown();
     }
 
-    #[test]
-    fn clean_run_reports_no_fault_counters() {
-        let mut cluster = Cluster::spawn(ClusterConfig {
-            n: 16,
-            seed: 31,
-            ..ClusterConfig::default()
-        });
-        for _ in 0..10 {
-            cluster.build(80);
-            if cluster.avg_path_len() >= 3.5 {
-                break;
-            }
-        }
-        let key = BitPath::from_str_lossy("0101");
+    fn clean_run_reports_no_fault_counters<T: Spawn>() {
+        let mut cluster = T::spawn(
+            ClusterConfig {
+                n: 12,
+                maxl: 3,
+                seed: 31,
+                ..ClusterConfig::default()
+            },
+            None,
+        );
+        build_until(&mut cluster, 10, 60, 2.5);
+        let key = BitPath::from_str_lossy("010");
         let entry = WireEntry {
             item: 2,
             holder: PeerId(3),
@@ -822,33 +818,39 @@ mod tests {
             let _ = cluster.query(&key);
         }
         cluster.settle();
+        // Read stats BEFORE shutdown: tearing a socket pool down can
+        // surface benign EPIPEs that are not part of the run under test.
         let stats = cluster.net_stats();
         assert!(
             stats.is_fault_free(),
-            "no phantom retries on a clean run: {stats}"
+            "no phantom retries or lost frames on a clean run: {stats}"
+        );
+        assert_eq!(
+            stats.conn_established > 0,
+            T::SOCKETS,
+            "real connections are made exactly over sockets: {stats}"
         );
         cluster.shutdown();
     }
 
-    #[test]
-    fn crash_and_restart_cycle() {
-        let mut cluster = Cluster::spawn(ClusterConfig {
-            n: 12,
-            seed: 41,
-            ..ClusterConfig::default()
-        });
-        for _ in 0..10 {
-            cluster.build(80);
-            if cluster.avg_path_len() >= 3.5 {
-                break;
-            }
-        }
+    fn crash_and_restart_cycle<T: Spawn>() {
+        let mut cluster = T::spawn(
+            ClusterConfig {
+                n: 12,
+                maxl: 3,
+                refmax: 3,
+                seed: 41,
+                ..ClusterConfig::default()
+            },
+            None,
+        );
+        build_until(&mut cluster, 10, 60, 2.5);
         let victim = PeerId(3);
         let path_before = cluster.states[victim.index()].lock().path;
         cluster.crash_node(victim);
         assert!(!cluster.live_nodes().contains(&victim));
         // The community keeps answering while the node is down.
-        let key = BitPath::from_str_lossy("1001");
+        let key = BitPath::from_str_lossy("100");
         let entry = WireEntry {
             item: 9,
             holder: PeerId(5),
@@ -872,15 +874,8 @@ mod tests {
     /// With a log-structured journal attached, a protocol-level insert
     /// survives a FULL cold restart of the community: fresh protocol
     /// states, index entries recovered purely from the per-node journals.
-    #[test]
-    fn storage_journal_survives_cold_restart() {
-        let dir = std::env::temp_dir().join(format!(
-            "pgrid-cluster-journal-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = pgrid_store::StorageSpec::of_kind(pgrid_store::BackendKind::Log, &dir);
+    fn storage_journal_survives_cold_restart<T: Spawn>() {
+        let (dir, spec) = log_spec::<T>("cluster-journal");
         let config = ClusterConfig {
             n: 8,
             maxl: 3,
@@ -895,22 +890,17 @@ mod tests {
             version: 3,
         };
         {
-            let mut cluster = Cluster::spawn_with_storage(config, spec.clone());
-            for _ in 0..10 {
-                cluster.build(60);
-                if cluster.avg_path_len() >= 2.5 {
-                    break;
-                }
-            }
+            let mut cluster = T::spawn(config, Some(spec.clone()));
+            build_until(&mut cluster, 10, 60, 2.5);
             // A protocol insert: whoever takes custody emits StoreWrite
             // and therefore journals the entry (responsible or misplaced).
             cluster.insert(key, entry);
             cluster.settle();
-            cluster.shutdown(); // joins every thread → journals flushed
+            cluster.shutdown(); // drops every shell → journals flushed
         }
         // Cold restart on the same directory: nothing but the journals
         // carries state across, and reseeding happens before any meeting.
-        let cluster = Cluster::spawn_with_storage(config, spec);
+        let cluster = T::spawn(config, Some(spec));
         let reseeded = cluster
             .states
             .iter()
@@ -931,17 +921,10 @@ mod tests {
     /// snapshot carries it, and on the restored grid `replicas_of` /
     /// `replica_groups` exclude the custody holder while `audit()` stays
     /// clean instead of misreading custody as corruption.
-    #[test]
-    fn reseeded_misplaced_custody_agrees_with_replica_ground_truth() {
+    fn reseeded_misplaced_custody_agrees_with_replica_ground_truth<T: Spawn>() {
         use pgrid_store::{DataItem, ItemId, StorageBackend, Version};
 
-        let dir = std::env::temp_dir().join(format!(
-            "pgrid-cluster-misplaced-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = pgrid_store::StorageSpec::of_kind(pgrid_store::BackendKind::Log, &dir);
+        let (dir, spec) = log_spec::<T>("cluster-misplaced");
         let config = ClusterConfig {
             n: 8,
             maxl: 3,
@@ -949,13 +932,8 @@ mod tests {
             seed: 29,
             ..ClusterConfig::default()
         };
-        let mut cluster = Cluster::spawn_with_storage(config, spec.clone());
-        for _ in 0..10 {
-            cluster.build(60);
-            if cluster.avg_path_len() >= 2.0 {
-                break;
-            }
-        }
+        let mut cluster = T::spawn(config, Some(spec.clone()));
+        build_until(&mut cluster, 10, 60, 2.0);
         cluster.check_invariants().unwrap();
         let victim = cluster
             .states
@@ -973,8 +951,8 @@ mod tests {
             version: 1,
         };
 
-        // Crash the victim (joining the thread closes and flushes its
-        // journal handle), then append custody of the foreign key to the
+        // Crash the victim (eviction drops the shell, which closes and
+        // flushes its journal handle), then append custody of the foreign key to the
         // journal — state from a previous life, before the path
         // specialized past the key.
         cluster.crash_node(victim);
@@ -1046,4 +1024,26 @@ mod tests {
         cluster.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// Instantiates every generic body above once per transport.
+    macro_rules! for_both_transports {
+        ($($body:ident),* $(,)?) => {
+            mod mailboxes {
+                $(#[test] fn $body() { super::$body::<super::LocalTransport>(); })*
+            }
+            mod sockets {
+                $(#[test] fn $body() { super::$body::<super::TcpTransport>(); })*
+            }
+        };
+    }
+
+    for_both_transports!(
+        converges_and_answers_queries,
+        protocol_insert_reaches_a_responsible_node,
+        shutdown_joins_cleanly,
+        clean_run_reports_no_fault_counters,
+        crash_and_restart_cycle,
+        storage_journal_survives_cold_restart,
+        reseeded_misplaced_custody_agrees_with_replica_ground_truth,
+    );
 }

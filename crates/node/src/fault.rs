@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the in-process transport.
+//! Deterministic fault injection, shared by every transport.
 //!
 //! A [`FaultPlan`] describes *which* faults a link may exhibit — message
 //! drop, duplication, reordering, and delay — with per-frame probabilities.
@@ -7,13 +7,27 @@
 //! independent of thread scheduling: whether node A's 3rd frame to node B
 //! is dropped depends only on `(seed, A, B, 3)`.
 //!
-//! Peer crash/restart is a *cluster*-level fault (a mailbox disappears and
-//! later reappears); see `Cluster::crash_node` / `Cluster::restart_node`.
+//! Peer crash/restart is a *cluster*-level fault (an endpoint disappears
+//! and later reappears); see `Community::crash_node` / `restart_node`.
+//!
+//! The [`FaultGate`] is the one place a frame's fate is applied: both
+//! transports send through [`dispatch`], which rolls the plan, counts the
+//! outcome, and either drops the frame, hands it (and a duplicate) to the
+//! transport's `deliver_now`, or parks it in the holdback heap until the
+//! transport's releaser calls [`FaultGate::release`].
 
-use pgrid_net::PeerId;
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use parking_lot::Mutex;
+use pgrid_net::{NetStats, PeerId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+
+use crate::transport::{SendStatus, Transport};
 
 /// Per-link fault probabilities, all driven by one seed.
 ///
@@ -146,10 +160,6 @@ impl FaultEngine {
         }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Rolls the fate of one frame travelling `from → to`.
     pub(crate) fn decide(&mut self, from: PeerId, to: PeerId) -> FaultDecision {
         let plan = self.plan;
@@ -187,6 +197,168 @@ impl FaultEngine {
             reordered: hold_ms.is_some() && !delay,
         }
     }
+}
+
+/// A frame held back by an injected delay or reorder.
+pub(crate) struct Held {
+    pub(crate) due: Instant,
+    seq: u64,
+    pub(crate) from: PeerId,
+    pub(crate) to: PeerId,
+    pub(crate) bytes: Bytes,
+}
+
+impl PartialEq for Held {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl Eq for Held {}
+impl PartialOrd for Held {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Held {
+    /// Reversed so the `BinaryHeap` (a max-heap) pops the *earliest* due
+    /// frame first; ties broken by submission order.
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        other
+            .due
+            .cmp(&self.due)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// Fault/robustness counters, shared by a transport and the node shells it
+/// carries (shells report protocol-level events — retries, timeouts, decode
+/// failures, evictions — into the same sink the transport feeds).
+#[derive(Default)]
+pub struct Counters {
+    pub(crate) dropped: AtomicU64,
+    pub(crate) duplicated: AtomicU64,
+    pub(crate) reordered: AtomicU64,
+    pub(crate) delayed: AtomicU64,
+    pub(crate) retries: AtomicU64,
+    pub(crate) timeouts: AtomicU64,
+    pub(crate) rejected: AtomicU64,
+    pub(crate) malformed: AtomicU64,
+    pub(crate) evictions: AtomicU64,
+}
+
+impl Counters {
+    pub(crate) fn snapshot(&self) -> NetStats {
+        let mut s = NetStats::new();
+        s.dropped = self.dropped.load(Ordering::Relaxed);
+        s.duplicated = self.duplicated.load(Ordering::Relaxed);
+        s.reordered = self.reordered.load(Ordering::Relaxed);
+        s.delayed = self.delayed.load(Ordering::Relaxed);
+        s.retries = self.retries.load(Ordering::Relaxed);
+        s.timeouts = self.timeouts.load(Ordering::Relaxed);
+        s.rejected = self.rejected.load(Ordering::Relaxed);
+        s.malformed = self.malformed.load(Ordering::Relaxed);
+        s.evictions = self.evictions.load(Ordering::Relaxed);
+        s
+    }
+}
+
+/// Per-transport fault state: the installed plan, the holdback heap of
+/// delayed/reordered frames, and the counters. Crate-internal API — it is
+/// public only because [`Transport::gate`] names it.
+#[derive(Default)]
+pub struct FaultGate {
+    engine: Mutex<Option<FaultEngine>>,
+    /// Held frames, earliest due on top. Crate-visible so a releaser can
+    /// wait on it with a condvar.
+    pub(crate) holdback: Mutex<BinaryHeap<Held>>,
+    held_seq: AtomicU64,
+    pub(crate) counters: Counters,
+}
+
+impl FaultGate {
+    pub(crate) fn install(&self, plan: Option<FaultPlan>) {
+        *self.engine.lock() = plan.map(FaultEngine::new);
+    }
+
+    /// Frames currently held back.
+    pub(crate) fn held(&self) -> usize {
+        self.holdback.lock().len()
+    }
+
+    /// When the earliest held frame comes due.
+    pub(crate) fn next_due(&self) -> Option<Instant> {
+        self.holdback.lock().peek().map(|h| h.due)
+    }
+
+    /// Hands every held frame due by `now` (`None`: every held frame) to
+    /// `deliver`, in due order. A late delivery that finds its target gone
+    /// or saturated counts as a drop. Returns whether anything was released.
+    pub(crate) fn release(
+        &self,
+        now: Option<Instant>,
+        deliver: impl Fn(Held) -> SendStatus,
+    ) -> bool {
+        let mut progress = false;
+        loop {
+            // Peek-then-pop under one lock hold, released before delivery.
+            let held = {
+                let mut heap = self.holdback.lock();
+                match heap.peek() {
+                    Some(h) if now.is_none_or(|now| h.due <= now) => heap.pop(),
+                    _ => None,
+                }
+            };
+            let Some(held) = held else { return progress };
+            if deliver(held) != SendStatus::Delivered {
+                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            progress = true;
+        }
+    }
+}
+
+/// Sends one frame through `transport`'s fault gate: roll the plan, then
+/// drop, duplicate, hold back, or deliver. The body of
+/// [`Transport::dispatch`].
+pub(crate) fn dispatch<T: Transport>(
+    transport: &T,
+    from: PeerId,
+    to: PeerId,
+    bytes: Bytes,
+) -> SendStatus {
+    let gate = transport.gate();
+    let decision = match gate.engine.lock().as_mut() {
+        Some(engine) => engine.decide(from, to),
+        None => FaultDecision::DELIVER,
+    };
+    let counters = &gate.counters;
+    if decision.drop {
+        counters.dropped.fetch_add(1, Ordering::Relaxed);
+        return SendStatus::Dropped;
+    }
+    if decision.duplicate {
+        counters.duplicated.fetch_add(1, Ordering::Relaxed);
+        // The extra copy is delivered immediately; when the original is
+        // also held back, the copies additionally arrive out of order.
+        let _ = transport.deliver_now(from, to, bytes.clone());
+    }
+    let Some(ms) = decision.hold_ms else {
+        return transport.deliver_now(from, to, bytes);
+    };
+    if decision.reordered {
+        counters.reordered.fetch_add(1, Ordering::Relaxed);
+    } else {
+        counters.delayed.fetch_add(1, Ordering::Relaxed);
+    }
+    gate.holdback.lock().push(Held {
+        due: Instant::now() + Duration::from_millis(ms),
+        seq: gate.held_seq.fetch_add(1, Ordering::Relaxed),
+        from,
+        to,
+        bytes,
+    });
+    transport.wake_holdback();
+    SendStatus::Delivered
 }
 
 #[cfg(test)]
@@ -264,6 +436,6 @@ mod tests {
     fn probabilities_are_clamped() {
         let plan = FaultPlan::new(1).with_drop(7.5);
         let eng = FaultEngine::new(plan);
-        assert_eq!(eng.plan().drop, 1.0);
+        assert_eq!(eng.plan.drop, 1.0);
     }
 }

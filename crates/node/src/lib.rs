@@ -13,11 +13,13 @@
 //!   [`pgrid_proto::ProtocolPeer`]: all decision logic (Fig. 2 routing,
 //!   Fig. 3 exchange cases, dedup, anti-entropy) lives in the sans-I/O
 //!   core crate, shared with the deterministic simulator;
-//! * [`spawn_node`] — the actor event loop: a pure I/O shell decoding
-//!   frames into events, encoding effects into frames, and owning the
-//!   retransmission / failover machinery;
-//! * [`Cluster`] — spawns a community, drives random meetings, issues
-//!   queries from a client mailbox, and snapshots convergence.
+//! * [`Transport::host`] — the one way a peer goes live: a pure I/O shell
+//!   decoding frames into events, encoding effects into frames, and owning
+//!   the retransmission / failover machinery, run on an actor thread
+//!   (mailboxes) or an event-loop worker (sockets);
+//! * [`Community`] — spawns a community over either transport
+//!   ([`Cluster`], [`TcpCluster`]), drives random meetings, issues queries
+//!   from a client endpoint, and snapshots convergence.
 //!
 //! Unlike the inline simulator, the live cluster is asynchronous and
 //! therefore not bit-deterministic under concurrency; its tests assert
@@ -41,19 +43,15 @@
 mod cluster;
 mod fault;
 mod node;
-mod soak;
 mod state;
 mod tcp;
-mod tcp_cluster;
 mod transport;
 
-pub use cluster::{Cluster, ClusterConfig};
+pub use cluster::{Cluster, ClusterConfig, Community, TcpCluster};
 pub use fault::FaultPlan;
-pub use node::{reseed_from_journal, spawn_node, spawn_node_with_storage, NodeConfig, RetryPolicy};
-pub use soak::{os_thread_count, run_soak, SoakConfig, SoakMode, SoakReport};
+pub use node::{reseed_from_journal, NodeConfig, RetryPolicy};
 pub use state::{NodeState, OfferOutcome, RouteDecision, DEFAULT_SUSPECT_AFTER};
 pub use tcp::{TcpTransport, TcpTransportConfig};
-pub use tcp_cluster::TcpCluster;
 pub use transport::{
     Frame, LocalTransport, RegisterError, SendStatus, Transport, DEFAULT_MAILBOX_DEPTH,
 };

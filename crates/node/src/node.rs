@@ -34,7 +34,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
@@ -44,12 +43,12 @@ use pgrid_keys::BitPath;
 use pgrid_net::PeerId;
 use pgrid_proto::{Effect, Event, ProtoCtx, TimerToken};
 use pgrid_store::{AnyBackend, DataItem, ItemId, StorageBackend, Version};
-use pgrid_trace::{NullTracer, OpTag, TraceEvent, Tracer};
+use pgrid_trace::{OpTag, TraceEvent, Tracer};
 use pgrid_wire::{decode_frame, encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{Frame, LocalTransport, NodeState, SendStatus, Transport};
+use crate::{Frame, NodeState, SendStatus, Transport};
 
 /// How unacknowledged frames are retransmitted: `attempt` transmissions in
 /// total, the wait after the n-th doubling each time, plus uniform jitter
@@ -165,61 +164,6 @@ struct IoInsert {
     deadline: Instant,
 }
 
-/// Spawns a node thread processing frames from `rx` until it receives
-/// [`Message::Shutdown`]. The shared `state` handle lets the test harness
-/// snapshot the node after quiescence (a real deployment would expose the
-/// same data through an admin endpoint).
-pub fn spawn_node(
-    state: Arc<Mutex<NodeState>>,
-    config: NodeConfig,
-    transport: LocalTransport,
-    rx: Receiver<Frame>,
-    seed: u64,
-) -> JoinHandle<()> {
-    spawn_node_traced(state, config, transport, rx, seed, Box::new(NullTracer))
-}
-
-/// [`spawn_node`] with a flight recorder attached: the tracer observes
-/// every protocol decision and every retransmission/timeout of this node.
-/// Events are stamped with the node's own logical sequence (per-node
-/// streams; cross-node ordering is the analyzer's job). Pass a
-/// [`NullTracer`] boxed for the untraced behavior — observation never
-/// changes a decision or an RNG draw.
-pub fn spawn_node_traced(
-    state: Arc<Mutex<NodeState>>,
-    config: NodeConfig,
-    transport: LocalTransport,
-    rx: Receiver<Frame>,
-    seed: u64,
-    tracer: Box<dyn Tracer>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut rt = NodeRt::new(state, config, transport, seed);
-        rt.tracer = tracer;
-        rt.run(rx);
-    })
-}
-
-/// [`spawn_node`] with a durable journal attached: every
-/// [`Effect::StoreWrite`] the core emits (an index entry taken into
-/// custody) is appended to `journal`, and the journal is flushed when the
-/// shell shuts down. Recovery is the caller's move: reopen the backend and
-/// [`reseed_from_journal`] *before* spawning the reincarnation.
-pub fn spawn_node_with_storage(
-    state: Arc<Mutex<NodeState>>,
-    config: NodeConfig,
-    transport: LocalTransport,
-    rx: Receiver<Frame>,
-    seed: u64,
-    journal: AnyBackend,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let mut rt = NodeRt::new(state, config, transport, seed);
-        rt.set_journal(journal);
-        rt.run(rx);
-    })
-}
-
 /// How one leaf-index entry is journaled as a [`DataItem`]: the item id
 /// keys the record (so a newer version of the same item overwrites in
 /// place), the holder rides in the payload as 4 LE bytes, and the entry's
@@ -304,8 +248,9 @@ pub(crate) struct NodeRt<T: Transport> {
     /// and the shell's own retransmit/timeout events. Observation only.
     tracer: Box<dyn Tracer>,
     /// Optional durable journal: [`Effect::StoreWrite`] appends here,
-    /// flushed when the shell is dropped. `None` (the default) keeps the
-    /// index purely in memory, as before.
+    /// flushed when the shell is dropped. `None` keeps the index purely in
+    /// memory. Journaling is observation of the core's effect stream — it
+    /// never changes a protocol decision or an RNG draw.
     journal: Option<AnyBackend>,
 }
 
@@ -331,6 +276,8 @@ impl<T: Transport> NodeRt<T> {
         config: NodeConfig,
         transport: T,
         seed: u64,
+        journal: Option<AnyBackend>,
+        tracer: Box<dyn Tracer>,
     ) -> Self {
         let id = {
             let mut guard = state.lock();
@@ -353,22 +300,9 @@ impl<T: Transport> NodeRt<T> {
             pending_forwards: HashMap::new(),
             pending_answers: HashMap::new(),
             pending_inserts: HashMap::new(),
-            tracer: Box::new(NullTracer),
-            journal: None,
+            tracer,
+            journal,
         }
-    }
-
-    /// Attaches a flight recorder (observation only; never changes a
-    /// decision or an RNG draw).
-    pub(crate) fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracer = tracer;
-    }
-
-    /// Attaches a durable journal backend. Journaling is observation of
-    /// the core's [`Effect::StoreWrite`] stream — it never changes a
-    /// protocol decision or an RNG draw.
-    pub(crate) fn set_journal(&mut self, journal: AnyBackend) {
-        self.journal = Some(journal);
     }
 
     /// Records a shell-side event; the closure runs only when a real
@@ -380,7 +314,9 @@ impl<T: Transport> NodeRt<T> {
         }
     }
 
-    fn run(mut self, rx: Receiver<Frame>) {
+    /// The actor loop of a thread-hosted shell: frames from `rx` until
+    /// [`Message::Shutdown`] arrives or the mailbox disappears.
+    pub(crate) fn run(mut self, rx: Receiver<Frame>) {
         loop {
             match rx.recv_timeout(TICK) {
                 Ok(frame) => {

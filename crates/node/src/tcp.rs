@@ -34,7 +34,7 @@
 //!
 //! # Fault injection and the two-RNG rule
 //!
-//! The deterministic [`FaultPlan`] engine sits *in front of* the socket:
+//! The deterministic [`FaultPlan`](crate::FaultPlan) engine sits *in front of* the socket:
 //! drop/duplicate/reorder/delay decisions are taken per directed link from
 //! the plan's seeded streams before bytes are queued, so the chaos suite
 //! exercises the real socket path with the same reproducible fault schedule
@@ -43,8 +43,7 @@
 //! any protocol stream — so socket timing cannot perturb protocol draws
 //! (the same two-RNG rule the node shell follows).
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,12 +55,13 @@ use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use pgrid_net::{NetStats, PeerId};
+use pgrid_store::AnyBackend;
 use pgrid_trace::{NullTracer, TraceEvent, Tracer};
 use pgrid_wire::{decode_frame, Message};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault::{link_seed, FaultDecision, FaultEngine, FaultPlan};
+use crate::fault::{link_seed, FaultGate};
 use crate::node::NodeRt;
 use crate::transport::{SendStatus, Transport, DEFAULT_MAILBOX_DEPTH};
 use crate::{NodeConfig, NodeState};
@@ -107,7 +107,7 @@ pub struct TcpTransportConfig {
     /// Cooloff before a dead connection may be revived by fresh traffic.
     pub reconnect_cooloff_ms: u64,
     /// Outbound-connection budget; exceeding it evicts the least recently
-    /// used idle connection (FD discipline for thousand-peer soaks).
+    /// used idle connection (FD discipline for thousand-peer communities).
     pub max_conns: usize,
 }
 
@@ -186,48 +186,9 @@ struct Conn {
     state: Mutex<ConnState>,
 }
 
-/// A frame held back by injected delay/reorder (worker 0 releases these).
-struct TcpHeld {
-    due: Instant,
-    seq: u64,
-    from: PeerId,
-    to: PeerId,
-    bytes: Bytes,
-}
-
-impl PartialEq for TcpHeld {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for TcpHeld {}
-impl PartialOrd for TcpHeld {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TcpHeld {
-    // Reversed: the max-heap pops the earliest due frame first.
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Counter block mirroring `LocalTransport`'s, plus the socket-path five.
+/// The socket-path counters (the shared nine live in the fault gate).
 #[derive(Default)]
 struct TcpCounters {
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    reordered: AtomicU64,
-    delayed: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    rejected: AtomicU64,
-    malformed: AtomicU64,
-    evictions: AtomicU64,
     conn_established: AtomicU64,
     conn_lost: AtomicU64,
     writes_queued: AtomicU64,
@@ -237,7 +198,9 @@ struct TcpCounters {
 
 enum WorkerMsg {
     AddShell(Box<NodeRt<TcpTransport>>),
-    RemoveShell(PeerId),
+    /// The sender is only held: dropping it tells the evictor this worker
+    /// is done.
+    RemoveShell(PeerId, Sender<()>),
     /// An accepted inbound connection routed to the worker owning its
     /// target endpoint.
     AdoptIn(InConn),
@@ -284,9 +247,8 @@ struct TcpInner {
     /// registered via [`TcpTransport::register_remote`]).
     registry: RwLock<HashMap<PeerId, SocketAddr>>,
     conns: Mutex<HashMap<(PeerId, PeerId), Arc<Conn>>>,
-    holdback: Mutex<BinaryHeap<TcpHeld>>,
-    held_seq: AtomicU64,
-    faults: Mutex<Option<FaultEngine>>,
+    /// Fault plan, holdback heap (worker 0 releases it), shared counters.
+    gate: FaultGate,
     counters: TcpCounters,
     /// Frames decoded and handed to a shell or client queue.
     delivered: AtomicU64,
@@ -329,7 +291,7 @@ impl TcpInner {
     fn fail_queue(&self, st: &mut ConnState) {
         let n = st.wq.len() as u64;
         if n > 0 {
-            self.counters.dropped.fetch_add(n, Ordering::Relaxed);
+            self.gate.counters.dropped.fetch_add(n, Ordering::Relaxed);
             self.pending_writes.fetch_sub(n, Ordering::Relaxed);
         }
         st.wq.clear();
@@ -484,30 +446,10 @@ impl TcpInner {
         }
         false
     }
-
-    fn net_stats_snapshot(&self) -> NetStats {
-        let c = &self.counters;
-        let mut s = NetStats::new();
-        s.dropped = c.dropped.load(Ordering::Relaxed);
-        s.duplicated = c.duplicated.load(Ordering::Relaxed);
-        s.reordered = c.reordered.load(Ordering::Relaxed);
-        s.delayed = c.delayed.load(Ordering::Relaxed);
-        s.retries = c.retries.load(Ordering::Relaxed);
-        s.timeouts = c.timeouts.load(Ordering::Relaxed);
-        s.rejected = c.rejected.load(Ordering::Relaxed);
-        s.malformed = c.malformed.load(Ordering::Relaxed);
-        s.evictions = c.evictions.load(Ordering::Relaxed);
-        s.conn_established = c.conn_established.load(Ordering::Relaxed);
-        s.conn_lost = c.conn_lost.load(Ordering::Relaxed);
-        s.writes_queued = c.writes_queued.load(Ordering::Relaxed);
-        s.writes_shed = c.writes_shed.load(Ordering::Relaxed);
-        s.partial_frames = c.partial_frames.load(Ordering::Relaxed);
-        s
-    }
 }
 
 /// A socket transport driven by a fixed pool of event-loop workers. See
-/// the [module docs](self) for the connection/backpressure/fault model.
+/// DESIGN.md §14 for the connection/backpressure/fault model.
 ///
 /// Cloning shares the transport. **Call [`TcpTransport::shutdown`] when
 /// done** — the worker threads hold the transport alive until told to stop.
@@ -540,9 +482,7 @@ impl TcpTransport {
             locals: RwLock::new(HashMap::new()),
             registry: RwLock::new(HashMap::new()),
             conns: Mutex::new(HashMap::new()),
-            holdback: Mutex::new(BinaryHeap::new()),
-            held_seq: AtomicU64::new(0),
-            faults: Mutex::new(None),
+            gate: FaultGate::default(),
             counters: TcpCounters::default(),
             delivered: AtomicU64::new(0),
             pending_writes: AtomicU64::new(0),
@@ -576,64 +516,6 @@ impl TcpTransport {
         self.inner.workers.len()
     }
 
-    /// Hosts a protocol shell on this transport: registers the peer,
-    /// assigns it round-robin to a worker, and hands the shell over. The
-    /// shared `state` handle stays with the caller for snapshots.
-    pub fn add_node(
-        &self,
-        state: Arc<Mutex<NodeState>>,
-        config: NodeConfig,
-        seed: u64,
-    ) {
-        self.add_node_with_storage(state, config, seed, None);
-    }
-
-    /// [`TcpTransport::add_node`] with an optional durable journal
-    /// attached: the shell appends every index entry it takes custody of
-    /// to `journal` and flushes it when the worker drops the shell.
-    /// Recovery is the caller's move (reopen + `reseed_from_journal`
-    /// before re-adding).
-    pub fn add_node_with_storage(
-        &self,
-        state: Arc<Mutex<NodeState>>,
-        config: NodeConfig,
-        seed: u64,
-        journal: Option<pgrid_store::AnyBackend>,
-    ) {
-        let mut rt = NodeRt::new(state, config, self.clone(), seed);
-        if let Some(journal) = journal {
-            rt.set_journal(journal);
-        }
-        let id = rt.peer_id();
-        let worker = self.inner.next_worker.fetch_add(1, Ordering::Relaxed)
-            % self.inner.workers.len();
-        self.inner
-            .locals
-            .write()
-            .insert(id, LocalEndpoint::Shell { worker });
-        self.inner.registry.write().insert(id, self.inner.addr);
-        self.revive_conns_toward(id);
-        let _ = self.inner.workers[worker]
-            .tx
-            .send(WorkerMsg::AddShell(Box::new(rt)));
-        self.inner.wake(worker);
-    }
-
-    /// Registers a harness client endpoint: decoded messages addressed to
-    /// `id` arrive on the returned channel as `(sender, message)`.
-    pub fn add_client(&self, id: PeerId) -> Receiver<(PeerId, Message)> {
-        let (tx, rx) = unbounded();
-        let worker = self.inner.next_worker.fetch_add(1, Ordering::Relaxed)
-            % self.inner.workers.len();
-        self.inner
-            .locals
-            .write()
-            .insert(id, LocalEndpoint::Client { worker, tx });
-        self.inner.registry.write().insert(id, self.inner.addr);
-        self.revive_conns_toward(id);
-        rx
-    }
-
     /// Maps a peer id to a *remote* transport's address (multi-process
     /// deployments; every local peer is registered automatically).
     pub fn register_remote(&self, id: PeerId, addr: SocketAddr) {
@@ -659,12 +541,86 @@ impl TcpTransport {
         }
     }
 
-    /// Removes a peer (departure or crash): its endpoint and address
-    /// vanish, its outbound connections are torn down, and connections
-    /// toward it fail fast (senders see [`SendStatus::NoRoute`], the
-    /// socket counterpart of a vanished mailbox). Durable state stays with
-    /// the caller; re-add with [`TcpTransport::add_node`] to restart.
-    pub fn remove_peer(&self, id: PeerId) {
+    /// Frames decoded and handed to a shell or client so far (the
+    /// inherent twin of [`Transport::delivered`], callable without the
+    /// trait in scope).
+    pub fn delivered(&self) -> u64 {
+        self.inner.delivered.load(Ordering::Relaxed)
+    }
+
+    /// Attaches a flight recorder to the transport's connection-lifecycle
+    /// events (`ConnEstablished`/`ConnLost`/`WriteShed`/`PartialFrame`).
+    pub fn set_tracer(&self, tracer: Box<dyn Tracer>) {
+        let on = tracer.enabled();
+        *self.inner.tracer.lock() = tracer;
+        self.inner.trace_on.store(on, Ordering::Relaxed);
+    }
+
+    /// Registers a locally hosted endpoint on the next worker, round-robin
+    /// in registration order.
+    fn add_local(&self, id: PeerId, endpoint: impl FnOnce(usize) -> LocalEndpoint) -> usize {
+        let worker =
+            self.inner.next_worker.fetch_add(1, Ordering::Relaxed) % self.inner.workers.len();
+        self.inner.locals.write().insert(id, endpoint(worker));
+        self.inner.registry.write().insert(id, self.inner.addr);
+        self.revive_conns_toward(id);
+        worker
+    }
+}
+
+impl Transport for TcpTransport {
+    /// A touch longer than a mailbox round: a frame is "in flight" until
+    /// the kernel-to-kernel hop *and* the receiving worker's decode sweep
+    /// complete.
+    const SETTLE_POLL: Duration = Duration::from_millis(4);
+
+    fn gate(&self) -> &FaultGate {
+        &self.inner.gate
+    }
+
+    fn deliver_now(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus {
+        self.inner.enqueue(from, to, bytes, false)
+    }
+
+    fn wake_holdback(&self) {
+        self.inner.wake(0); // worker 0 owns holdback release
+    }
+
+    fn send_control(&self, from: PeerId, to: PeerId, bytes: Bytes) -> bool {
+        self.inner.enqueue(from, to, bytes, true) == SendStatus::Delivered
+    }
+
+    fn delivered(&self) -> u64 {
+        TcpTransport::delivered(self)
+    }
+
+    fn in_flight(&self) -> usize {
+        self.inner.gate.held() + self.inner.pending_writes.load(Ordering::Relaxed) as usize
+    }
+
+    /// Registers the peer, assigns it round-robin to a worker, and hands
+    /// the shell over.
+    fn host(
+        &self,
+        state: Arc<Mutex<NodeState>>,
+        config: NodeConfig,
+        seed: u64,
+        journal: Option<AnyBackend>,
+        tracer: Box<dyn Tracer>,
+    ) {
+        let rt = NodeRt::new(state, config, self.clone(), seed, journal, tracer);
+        let worker = self.add_local(rt.peer_id(), |worker| LocalEndpoint::Shell { worker });
+        let _ = self.inner.workers[worker]
+            .tx
+            .send(WorkerMsg::AddShell(Box::new(rt)));
+        self.inner.wake(worker);
+    }
+
+    /// The endpoint and address vanish, the peer's outbound connections
+    /// are torn down, and connections toward it fail fast (the socket
+    /// counterpart of a vanished mailbox) until a later
+    /// [`Transport::host`] revives them.
+    fn evict(&self, id: PeerId) {
         self.inner.locals.write().remove(&id);
         self.inner.registry.write().remove(&id);
         let now = Instant::now();
@@ -694,127 +650,26 @@ impl TcpTransport {
         });
         drop(conns);
         // Tell every worker: the shell (if any) and inbound connections
-        // targeting the departed peer must go.
+        // targeting the departed peer must go. The shell's owner answers
+        // once it has dropped it.
+        let (gone_tx, gone_rx) = unbounded();
         for h in &self.inner.workers {
-            let _ = h.tx.send(WorkerMsg::RemoveShell(id));
+            let _ = h.tx.send(WorkerMsg::RemoveShell(id, gone_tx.clone()));
         }
+        drop(gone_tx);
         self.inner.wake_all();
+        // Nothing is ever sent: this returns once every clone is dropped.
+        let _ = gone_rx.recv();
     }
 
-    /// Sends `bytes` from `from` to `to` over the socket path; `false` on
-    /// no-route/backpressure (injected loss still reports `true`).
-    pub fn send(&self, from: PeerId, to: PeerId, bytes: Bytes) -> bool {
-        matches!(
-            self.dispatch(from, to, bytes),
-            SendStatus::Delivered | SendStatus::Dropped
-        )
+    fn open_client(&self, id: PeerId) -> Receiver<(PeerId, Message)> {
+        let (tx, rx) = unbounded();
+        self.add_local(id, |worker| LocalEndpoint::Client { worker, tx });
+        rx
     }
 
-    /// Sends with the precise outcome, applying the fault plan first —
-    /// exactly [`LocalTransport::dispatch`](crate::LocalTransport::dispatch)
-    /// semantics over real sockets.
-    pub fn dispatch(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus {
-        let decision = {
-            let mut guard = self.inner.faults.lock();
-            match guard.as_mut() {
-                Some(engine) => engine.decide(from, to),
-                None => FaultDecision::DELIVER,
-            }
-        };
-        let counters = &self.inner.counters;
-        if decision.drop {
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return SendStatus::Dropped;
-        }
-        if decision.duplicate {
-            counters.duplicated.fetch_add(1, Ordering::Relaxed);
-            let _ = self.inner.enqueue(from, to, bytes.clone(), false);
-        }
-        match decision.hold_ms {
-            Some(ms) => {
-                if decision.reordered {
-                    counters.reordered.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    counters.delayed.fetch_add(1, Ordering::Relaxed);
-                }
-                let held = TcpHeld {
-                    due: Instant::now() + Duration::from_millis(ms),
-                    seq: self.inner.held_seq.fetch_add(1, Ordering::Relaxed),
-                    from,
-                    to,
-                    bytes,
-                };
-                self.inner.holdback.lock().push(held);
-                self.inner.wake(0); // worker 0 owns holdback release
-                SendStatus::Delivered
-            }
-            None => self.inner.enqueue(from, to, bytes, false),
-        }
-    }
-
-    /// Sends a harness control frame, bypassing fault injection and the
-    /// write-queue bound. Returns `false` when `to` is unreachable.
-    pub fn send_control(&self, from: PeerId, to: PeerId, bytes: Bytes) -> bool {
-        self.inner.enqueue(from, to, bytes, true) == SendStatus::Delivered
-    }
-
-    /// Installs a fault plan on the socket path.
-    pub fn inject_faults(&self, plan: FaultPlan) {
-        *self.inner.faults.lock() = Some(FaultEngine::new(plan));
-    }
-
-    /// Removes the fault plan and releases every held-back frame at once.
-    pub fn clear_faults(&self) {
-        *self.inner.faults.lock() = None;
-        let drained: Vec<TcpHeld> = {
-            let mut heap = self.inner.holdback.lock();
-            std::mem::take(&mut *heap).into_sorted_vec()
-        };
-        // Sorted vec of a reversed Ord is latest-due first; iterate in
-        // release order anyway — immediate release makes order moot.
-        for held in drained.into_iter().rev() {
-            if self.inner.enqueue(held.from, held.to, held.bytes, false)
-                != SendStatus::Delivered
-            {
-                self.inner.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.faults.lock().as_ref().map(|e| *e.plan())
-    }
-
-    /// Frames not yet handed to their destination: held back by injected
-    /// delay, or queued behind a socket (quiescence detection waits for
-    /// both).
-    pub fn in_flight(&self) -> usize {
-        self.inner.holdback.lock().len()
-            + self.inner.pending_writes.load(Ordering::Relaxed) as usize
-    }
-
-    /// Frames decoded and handed to a shell or client so far.
-    pub fn delivered(&self) -> u64 {
-        self.inner.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Attaches a flight recorder to the transport's connection-lifecycle
-    /// events (`ConnEstablished`/`ConnLost`/`WriteShed`/`PartialFrame`).
-    pub fn set_tracer(&self, tracer: Box<dyn Tracer>) {
-        let on = tracer.enabled();
-        *self.inner.tracer.lock() = tracer;
-        self.inner.trace_on.store(on, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the transport's counters (socket counters included).
-    pub fn net_stats(&self) -> NetStats {
-        self.inner.net_stats_snapshot()
-    }
-
-    /// Stops the worker pool and joins it. Shells are dropped (their
-    /// shared state handles survive with the caller); sockets close.
-    pub fn shutdown(&self) {
+    /// Stops the worker pool and joins it; sockets close.
+    fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.wake_all();
         let joins: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.handles.lock());
@@ -822,31 +677,16 @@ impl TcpTransport {
             let _ = h.join();
         }
     }
-}
-
-impl Transport for TcpTransport {
-    fn dispatch(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus {
-        TcpTransport::dispatch(self, from, to, bytes)
-    }
-
-    fn record_retry(&self) {
-        self.inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_timeout(&self) {
-        self.inner.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_malformed(&self) {
-        self.inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_eviction(&self) {
-        self.inner.counters.evictions.fetch_add(1, Ordering::Relaxed);
-    }
 
     fn net_stats(&self) -> NetStats {
-        self.inner.net_stats_snapshot()
+        let c = &self.inner.counters;
+        let mut s = self.inner.gate.counters.snapshot();
+        s.conn_established = c.conn_established.load(Ordering::Relaxed);
+        s.conn_lost = c.conn_lost.load(Ordering::Relaxed);
+        s.writes_queued = c.writes_queued.load(Ordering::Relaxed);
+        s.writes_shed = c.writes_shed.load(Ordering::Relaxed);
+        s.partial_frames = c.partial_frames.load(Ordering::Relaxed);
+        s
     }
 }
 
@@ -901,7 +741,11 @@ impl Worker {
             let now = Instant::now();
             if self.idx == 0 {
                 progress |= self.accept_sweep();
-                progress |= self.flush_holdback(now);
+                // Worker 0 only: release held-back frames that have come due.
+                let inner = &self.inner;
+                progress |= inner
+                    .gate
+                    .release(Some(now), |h| inner.enqueue(h.from, h.to, h.bytes, false));
             }
             progress |= self.preamble_sweep();
             let (out_progress, out_hint) = self.write_sweep(now);
@@ -920,8 +764,8 @@ impl Worker {
                     deadline = deadline.min(hint);
                 }
                 if self.idx == 0 {
-                    if let Some(h) = self.inner.holdback.lock().peek() {
-                        deadline = deadline.min(h.due);
+                    if let Some(due) = self.inner.gate.next_due() {
+                        deadline = deadline.min(due);
                     }
                 }
                 let wait = deadline.saturating_duration_since(Instant::now());
@@ -940,7 +784,7 @@ impl Worker {
                 WorkerMsg::AddShell(rt) => {
                     self.shells.insert(rt.peer_id(), rt);
                 }
-                WorkerMsg::RemoveShell(id) => {
+                WorkerMsg::RemoveShell(id, _done) => {
                     self.shells.remove(&id);
                     self.in_conns.retain(|(_, local), _| *local != id);
                 }
@@ -1021,7 +865,11 @@ impl Worker {
                     // clean connect-then-close (zero bytes) is just a
                     // departed dialer, not a malformed frame.
                     if p.got > 0 {
-                        self.inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                        self.inner
+                            .gate
+                            .counters
+                            .malformed
+                            .fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 Some(true) => {
@@ -1036,7 +884,11 @@ impl Worker {
 
     fn route_preamble(&mut self, p: PendingPreamble) {
         if &p.buf[..4] != MAGIC {
-            self.inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
+            self.inner
+                .gate
+                .counters
+                .malformed
+                .fetch_add(1, Ordering::Relaxed);
             return; // socket dropped
         }
         let remote = PeerId(u32::from_le_bytes([p.buf[4], p.buf[5], p.buf[6], p.buf[7]]));
@@ -1068,30 +920,6 @@ impl Worker {
             let _ = self.inner.workers[worker].tx.send(WorkerMsg::AdoptIn(conn));
             self.inner.wake(worker);
         }
-    }
-
-    /// Worker 0 only: release held-back frames that have come due.
-    fn flush_holdback(&mut self, now: Instant) -> bool {
-        let mut progress = false;
-        loop {
-            // Peek-then-pop under one lock hold; the pop cannot panic even
-            // if the guard and the pop ever disagree.
-            let held = {
-                let mut heap = self.inner.holdback.lock();
-                match heap.peek() {
-                    Some(h) if h.due <= now => heap.pop(),
-                    _ => None,
-                }
-            };
-            let Some(held) = held else { break };
-            if self.inner.enqueue(held.from, held.to, held.bytes, false)
-                != SendStatus::Delivered
-            {
-                self.inner.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            progress = true;
-        }
-        progress
     }
 
     /// Drive every owned outbound connection: connect, greet, flush.
@@ -1166,7 +994,7 @@ impl Worker {
                 }
             }
             // Phase::Open: flush preamble, then frames.
-            let (wrote, failed) = flush_conn(&inner, conn, &mut st);
+            let (wrote, failed) = flush_conn(&inner, &mut st);
             progress |= wrote;
             if failed {
                 // Socket-level failure: reconnect with backoff, keeping the
@@ -1289,7 +1117,11 @@ impl Worker {
                         }
                         Err(_) => {
                             // Framing lost: the stream is unrecoverable.
-                            inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                            inner
+                                .gate
+                                .counters
+                                .malformed
+                                .fetch_add(1, Ordering::Relaxed);
                             dead = true;
                             break;
                         }
@@ -1325,7 +1157,7 @@ fn reconnect_backoff(config: &TcpTransportConfig, attempt: u32, rng: &mut StdRng
 
 /// Flushes the preamble then as many queued frames as the socket accepts.
 /// Returns `(wrote_any_frame_or_bytes, socket_failed)`.
-fn flush_conn(inner: &TcpInner, conn: &Conn, st: &mut ConnState) -> (bool, bool) {
+fn flush_conn(inner: &TcpInner, st: &mut ConnState) -> (bool, bool) {
     let Some(sock) = st.sock.as_mut() else {
         return (false, false);
     };
@@ -1365,6 +1197,7 @@ fn flush_conn(inner: &TcpInner, conn: &Conn, st: &mut ConnState) -> (bool, bool)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultPlan;
     use pgrid_wire::encode_frame;
 
     fn transport() -> TcpTransport {
@@ -1374,8 +1207,8 @@ mod tests {
     #[test]
     fn client_to_client_over_real_socket() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
-        let rx_b = t.add_client(PeerId(2));
+        let _rx_a = t.open_client(PeerId(1));
+        let rx_b = t.open_client(PeerId(2));
         assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 7 })));
         let (from, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(from, PeerId(1));
@@ -1389,8 +1222,8 @@ mod tests {
     #[test]
     fn many_frames_survive_tcp_segmentation() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
-        let rx_b = t.add_client(PeerId(2));
+        let _rx_a = t.open_client(PeerId(1));
+        let rx_b = t.open_client(PeerId(2));
         for nonce in 0..500u64 {
             assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce })));
         }
@@ -1407,7 +1240,7 @@ mod tests {
     #[test]
     fn dispatch_to_unknown_peer_is_no_route() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
+        let _rx_a = t.open_client(PeerId(1));
         assert_eq!(
             t.dispatch(PeerId(1), PeerId(99), encode_frame(&Message::Ping { nonce: 0 })),
             SendStatus::NoRoute
@@ -1423,8 +1256,8 @@ mod tests {
     #[test]
     fn injected_drops_are_silent_and_counted() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
-        let rx_b = t.add_client(PeerId(2));
+        let _rx_a = t.open_client(PeerId(1));
+        let rx_b = t.open_client(PeerId(2));
         t.inject_faults(FaultPlan::new(3).with_drop(1.0));
         assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 1 })));
         assert!(rx_b.recv_timeout(Duration::from_millis(100)).is_err());
@@ -1438,8 +1271,8 @@ mod tests {
     #[test]
     fn injected_delay_holds_then_delivers_over_socket() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
-        let rx_b = t.add_client(PeerId(2));
+        let _rx_a = t.open_client(PeerId(1));
+        let rx_b = t.open_client(PeerId(2));
         t.inject_faults(FaultPlan::new(3).with_delay(1.0, 30));
         assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 9 })));
         let (_, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1451,8 +1284,8 @@ mod tests {
     #[test]
     fn control_frames_bypass_faults() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
-        let rx_b = t.add_client(PeerId(2));
+        let _rx_a = t.open_client(PeerId(1));
+        let rx_b = t.open_client(PeerId(2));
         t.inject_faults(FaultPlan::new(3).with_drop(1.0));
         assert!(t.send_control(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 5 })));
         let (_, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1463,17 +1296,17 @@ mod tests {
     #[test]
     fn removed_peer_fails_fast_then_revives_on_readd() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
-        let rx_b = t.add_client(PeerId(2));
+        let _rx_a = t.open_client(PeerId(1));
+        let rx_b = t.open_client(PeerId(2));
         assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 1 })));
         assert!(rx_b.recv_timeout(Duration::from_secs(5)).is_ok());
-        t.remove_peer(PeerId(2));
+        t.evict(PeerId(2));
         assert_eq!(
             t.dispatch(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 2 })),
             SendStatus::NoRoute
         );
         // Restart: re-adding clears the dead latch immediately.
-        let rx_b2 = t.add_client(PeerId(2));
+        let rx_b2 = t.open_client(PeerId(2));
         assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 3 })));
         let (_, msg) = rx_b2.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(msg, Message::Ping { nonce: 3 }));
@@ -1487,7 +1320,7 @@ mod tests {
             ..TcpTransportConfig::default()
         })
         .unwrap();
-        let _rx_a = t.add_client(PeerId(1));
+        let _rx_a = t.open_client(PeerId(1));
         // Target registered at an address that never completes a preamble
         // handshake from our side: a bound listener we never accept on.
         let sink = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -1526,7 +1359,7 @@ mod tests {
     #[test]
     fn truncated_preamble_is_counted_not_fatal() {
         let t = transport();
-        let _rx_a = t.add_client(PeerId(1));
+        let _rx_a = t.open_client(PeerId(1));
         // Hostile dial: half a greeting, then a hard kill. The transport
         // must count it and keep serving — never panic or wedge a worker.
         let mut s = TcpStream::connect(t.local_addr()).unwrap();
@@ -1538,7 +1371,7 @@ mod tests {
             t.net_stats()
         );
         // The acceptor is still alive: a real client round-trips after it.
-        let rx_b = t.add_client(PeerId(2));
+        let rx_b = t.open_client(PeerId(2));
         assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 4 })));
         let (_, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(msg, Message::Ping { nonce: 4 }));
@@ -1548,7 +1381,7 @@ mod tests {
     #[test]
     fn mid_write_socket_kill_is_counted_conn_lost() {
         let t = transport();
-        let rx = t.add_client(PeerId(1));
+        let rx = t.open_client(PeerId(1));
         // A well-greeted foreign dialer that dies mid-frame.
         let mut s = TcpStream::connect(t.local_addr()).unwrap();
         let mut hello = Vec::with_capacity(PREAMBLE_LEN);
@@ -1574,8 +1407,14 @@ mod tests {
     fn node_shell_answers_ping_over_socket() {
         let t = transport();
         let state = Arc::new(Mutex::new(NodeState::new(PeerId(0), 4, 2, 2)));
-        t.add_node(Arc::clone(&state), NodeConfig::default(), 77);
-        let rx = t.add_client(PeerId(9));
+        t.host(
+            Arc::clone(&state),
+            NodeConfig::default(),
+            77,
+            None,
+            Box::new(NullTracer),
+        );
+        let rx = t.open_client(PeerId(9));
         assert!(t.send(PeerId(9), PeerId(0), encode_frame(&Message::Ping { nonce: 31 })));
         let (from, msg) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(from, PeerId(0));
@@ -1593,7 +1432,13 @@ mod tests {
         assert_eq!(t.worker_count(), 2);
         for i in 0..64 {
             let state = Arc::new(Mutex::new(NodeState::new(PeerId(i), 4, 2, 2)));
-            t.add_node(state, NodeConfig::default(), u64::from(i));
+            t.host(
+                state,
+                NodeConfig::default(),
+                u64::from(i),
+                None,
+                Box::new(NullTracer),
+            );
         }
         // The transport spawned exactly `workers` threads at bind time and
         // none since — adding shells only grows per-worker maps.

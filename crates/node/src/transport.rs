@@ -1,18 +1,23 @@
-//! In-process transport: mailboxes keyed by peer id, with optional
-//! deterministic fault injection (see [`crate::fault::FaultPlan`]).
+//! The transport seam, and its in-process implementation: mailboxes keyed
+//! by peer id, one actor thread per hosted peer.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex, RwLock};
 use pgrid_net::{NetStats, PeerId};
+use pgrid_store::AnyBackend;
+use pgrid_trace::Tracer;
+use pgrid_wire::{decode_frame, Message};
 
-use crate::fault::{FaultDecision, FaultEngine, FaultPlan};
+use crate::fault::{self, FaultGate, FaultPlan};
+use crate::node::NodeRt;
+use crate::{NodeConfig, NodeState};
 
 /// One delivered frame: the sender and the encoded bytes.
 #[derive(Clone, Debug)]
@@ -29,8 +34,8 @@ pub enum SendStatus {
     /// Accepted for delivery (possibly held back by an injected delay).
     Delivered,
     /// Discarded in flight by injected loss — the *sender cannot see this*;
-    /// [`LocalTransport::send`] reports it as success, exactly like a lossy
-    /// socket. Only [`LocalTransport::dispatch`] exposes it, for tests.
+    /// [`Transport::send`] reports it as success, exactly like a lossy
+    /// socket. Only [`Transport::dispatch`] exposes it, for tests.
     Dropped,
     /// Refused because the target mailbox is full (backpressure).
     Rejected,
@@ -38,19 +43,91 @@ pub enum SendStatus {
     NoRoute,
 }
 
-/// The transport seam shared by every I/O shell.
+/// The transport seam: everything that differs between deployments.
 ///
-/// [`LocalTransport`] (in-process mailboxes) and [`crate::TcpTransport`]
-/// (real sockets behind an event-loop driver) both implement it; the node
-/// runtime is generic over this trait, so the sans-I/O
+/// [`LocalTransport`] (in-process mailboxes, one actor thread per peer) and
+/// [`crate::TcpTransport`] (real sockets behind an event-loop worker pool)
+/// both implement it. The node shell and the [`Community`](crate::Community)
+/// harness are generic over this trait, so the sans-I/O
 /// [`ProtocolPeer`](pgrid_proto::ProtocolPeer) runs byte-identically over
-/// either. Fault injection ([`FaultPlan`]) lives *behind* this seam: a
-/// transport applies drop/dup/reorder/delay before the bytes reach the wire
-/// (or mailbox), so the chaos suite exercises both paths unchanged.
+/// either. A deployment says how a frame moves ([`Transport::deliver_now`],
+/// [`Transport::send_control`]), how a peer shell is hosted and evicted,
+/// how the harness client receives, and how to tell the network is quiet;
+/// fault injection ([`FaultPlan`]) and the counters are shared, provided
+/// here over [`Transport::gate`].
+///
+/// The trait names crate-internal types, so it cannot be implemented
+/// outside this crate.
 pub trait Transport: Clone + Send + Sync + 'static {
-    /// Sends `bytes` from `from` to `to`, reporting the precise outcome
-    /// (including injected loss, which [`Transport::send`] hides).
-    fn dispatch(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus;
+    /// Quiescence polling round of [`Community::settle`](crate::Community::settle):
+    /// long enough that a frame handed to the transport is counted as
+    /// delivered (or still in flight) one round later.
+    const SETTLE_POLL: Duration;
+
+    /// This transport's fault plan, holdback heap, and counters.
+    fn gate(&self) -> &FaultGate;
+
+    /// Moves a frame past the fault gate: into the target's mailbox or
+    /// write queue, bounded by backpressure.
+    fn deliver_now(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus;
+
+    /// A frame was just put on hold: wakes whoever calls
+    /// `FaultGate::release` so it re-derives its deadline.
+    fn wake_holdback(&self);
+
+    /// Sends a harness control frame (`Meet`, `Shutdown`, client acks while
+    /// draining), bypassing fault injection and backpressure: the test
+    /// driver's steering wheel must work even on a fully faulty network.
+    /// Returns `false` when `to` is unreachable.
+    fn send_control(&self, from: PeerId, to: PeerId, bytes: Bytes) -> bool;
+
+    /// Total frames handed to a shell or client so far (quiescence
+    /// detection; the benchmark's `msgs_per_op`).
+    fn delivered(&self) -> u64;
+
+    /// Frames accepted but not yet handed over — held back by an injected
+    /// delay or queued behind a socket (quiescence detection waits for them).
+    fn in_flight(&self) -> usize;
+
+    /// Hosts a peer shell: from now on frames addressed to the peer in
+    /// `state` drive its protocol core, seeded with `seed`. The shell
+    /// appends every index entry the peer takes custody of to `journal`
+    /// (flushed when the shell goes away; recovery is the caller's move —
+    /// reopen and [`reseed_from_journal`](crate::reseed_from_journal)
+    /// before hosting again) and reports every protocol decision and
+    /// retransmission to `tracer` (pass a boxed
+    /// [`NullTracer`](pgrid_trace::NullTracer) for none; observation never
+    /// changes a decision or an RNG draw). The shared `state` handle stays
+    /// with the caller for snapshots.
+    fn host(
+        &self,
+        state: Arc<Mutex<NodeState>>,
+        config: NodeConfig,
+        seed: u64,
+        journal: Option<AnyBackend>,
+        tracer: Box<dyn Tracer>,
+    );
+
+    /// Evicts a hosted peer or client (departure or crash): its endpoint
+    /// vanishes, its shell is dropped with all volatile state, and senders
+    /// see [`SendStatus::NoRoute`]. Returns once the shell is gone, so its
+    /// journal is flushed and closed. Durable state stays with the caller.
+    fn evict(&self, id: PeerId);
+
+    /// Opens the harness client endpoint: messages addressed to `id`
+    /// arrive decoded on the returned channel as `(sender, message)`.
+    fn open_client(&self, id: PeerId) -> Receiver<(PeerId, Message)>;
+
+    /// Stops every hosted shell and joins the transport's threads. State
+    /// handles survive with the caller.
+    fn shutdown(&self);
+
+    /// Sends `bytes` from `from` to `to` through the fault gate, reporting
+    /// the precise outcome (including injected loss, which
+    /// [`Transport::send`] hides).
+    fn dispatch(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus {
+        fault::dispatch(self, from, to, bytes)
+    }
 
     /// Sends `bytes` from `from` to `to`. Returns `false` when the target is
     /// unreachable (departed) or saturated. A frame discarded by *injected
@@ -63,20 +140,52 @@ pub trait Transport: Clone + Send + Sync + 'static {
         )
     }
 
-    /// Records a protocol-level retransmission (reported by node loops).
-    fn record_retry(&self);
+    /// Installs a fault plan: subsequent frames are subjected to its drop /
+    /// duplicate / reorder / delay rolls, deterministically from its seed.
+    fn inject_faults(&self, plan: FaultPlan) {
+        self.gate().install(Some(plan));
+    }
 
-    /// Records an exhausted retransmit budget (reported by node loops).
-    fn record_timeout(&self);
+    /// Removes the fault plan and delivers every held-back frame at once.
+    fn clear_faults(&self) {
+        self.gate().install(None);
+        self.gate()
+            .release(None, |h| self.deliver_now(h.from, h.to, h.bytes));
+    }
 
-    /// Records a frame that failed to decode (reported by node loops).
-    fn record_malformed(&self);
+    /// Records a protocol-level retransmission (reported by node shells).
+    fn record_retry(&self) {
+        self.gate().counters.retries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records an exhausted retransmit budget (reported by node shells).
+    fn record_timeout(&self) {
+        self.gate()
+            .counters
+            .timeouts
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a frame that failed to decode (reported by node shells).
+    fn record_malformed(&self) {
+        self.gate()
+            .counters
+            .malformed
+            .fetch_add(1, Ordering::Relaxed);
+    }
 
     /// Records a routing-table eviction after repeated failures.
-    fn record_eviction(&self);
+    fn record_eviction(&self) {
+        self.gate()
+            .counters
+            .evictions
+            .fetch_add(1, Ordering::Relaxed);
+    }
 
     /// Snapshot of the transport's fault/robustness counters.
-    fn net_stats(&self) -> NetStats;
+    fn net_stats(&self) -> NetStats {
+        self.gate().counters.snapshot()
+    }
 }
 
 /// Why a registration was refused.
@@ -101,50 +210,12 @@ impl std::error::Error for RegisterError {}
 /// bound.
 pub const DEFAULT_MAILBOX_DEPTH: usize = 4096;
 
-/// A frame held back by an injected delay or reorder.
-struct Held {
-    due: Instant,
-    seq: u64,
-    to: PeerId,
-    frame: Frame,
-}
-
-impl PartialEq for Held {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Held {}
-impl PartialOrd for Held {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Held {
-    /// Reversed so the `BinaryHeap` (a max-heap) pops the *earliest* due
-    /// frame first; ties broken by submission order.
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Fault/robustness counters, shared by the transport and the node event
-/// loops (nodes report protocol-level events — retries, timeouts, decode
-/// failures, evictions — into the same sink the transport feeds).
-#[derive(Default)]
-struct Counters {
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    reordered: AtomicU64,
-    delayed: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    rejected: AtomicU64,
-    malformed: AtomicU64,
-    evictions: AtomicU64,
+/// Where a registered peer id terminates.
+enum Mailbox {
+    /// Raw frames, decoded by whoever holds the receiver (a peer shell).
+    Frames(Sender<Frame>),
+    /// The harness client has no shell: its frames are decoded on arrival.
+    Client(Sender<(PeerId, Message)>),
 }
 
 /// State shared between the transport and its holdback pump thread. Lives in
@@ -153,8 +224,10 @@ struct Counters {
 /// flips `closed` and notifies, so the pump exits promptly when the last
 /// transport handle goes away.
 struct PumpShared {
-    state: Mutex<PumpState>,
+    gate: FaultGate,
+    /// Paired with `gate.holdback`'s mutex.
     cv: Condvar,
+    closed: AtomicBool,
     /// Times the pump thread woke from its wait. A deadline-driven pump holds
     /// this constant while the transport is idle — pinned by the
     /// `idle_pump_makes_no_spurious_wakeups` regression test (the old pump
@@ -162,70 +235,75 @@ struct PumpShared {
     wakeups: AtomicU64,
 }
 
-struct PumpState {
-    heap: BinaryHeap<Held>,
-    closed: bool,
-}
-
 struct Inner {
-    mailboxes: RwLock<HashMap<PeerId, Sender<Frame>>>,
+    mailboxes: RwLock<HashMap<PeerId, Mailbox>>,
+    /// Actor threads of hosted peers, joined on eviction and shutdown.
+    threads: Mutex<HashMap<PeerId, JoinHandle<()>>>,
     /// Bounded mailbox depth; `0` means unbounded.
     depth: usize,
     delivered: AtomicU64,
-    counters: Counters,
-    faults: Mutex<Option<FaultEngine>>,
     pump: Arc<PumpShared>,
-    held_seq: AtomicU64,
     pump_alive: AtomicBool,
 }
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.pump.state.lock().closed = true;
+        self.pump.closed.store(true, Ordering::SeqCst);
+        // Taking the lock orders the store before the pump's next check.
+        drop(self.pump.gate.holdback.lock());
         self.pump.cv.notify_all();
     }
 }
 
 impl Inner {
-    fn push(&self, to: PeerId, frame: Frame) -> SendStatus {
+    /// Puts a frame into `to`'s mailbox; `control` frames ignore the bound.
+    fn push(&self, from: PeerId, to: PeerId, bytes: Bytes, control: bool) -> SendStatus {
         let guard = self.mailboxes.read();
-        let Some(tx) = guard.get(&to) else {
-            return SendStatus::NoRoute;
+        let sent = match guard.get(&to) {
+            None => return SendStatus::NoRoute,
+            Some(Mailbox::Frames(tx)) if control => tx
+                .send(Frame { from, bytes })
+                .map_err(|e| TrySendError::Disconnected(e.0)),
+            Some(Mailbox::Frames(tx)) => tx.try_send(Frame { from, bytes }),
+            Some(Mailbox::Client(tx)) => {
+                let mut buf = BytesMut::from(&bytes[..]);
+                match decode_frame(&mut buf) {
+                    Ok(Some(msg)) => {
+                        let _ = tx.send((from, msg));
+                    }
+                    Ok(None) | Err(_) => {
+                        let malformed = &self.pump.gate.counters.malformed;
+                        malformed.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Ok(())
+            }
         };
-        match tx.try_send(frame) {
+        match sent {
             Ok(()) => {
                 self.delivered.fetch_add(1, Ordering::Relaxed);
                 SendStatus::Delivered
             }
             Err(TrySendError::Full(_)) => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                let rejected = &self.pump.gate.counters.rejected;
+                rejected.fetch_add(1, Ordering::Relaxed);
                 SendStatus::Rejected
             }
             Err(TrySendError::Disconnected(_)) => SendStatus::NoRoute,
         }
     }
 
-    /// Delivers every held frame that has come due. Late deliveries to a
-    /// since-departed peer count as drops.
-    fn flush_due(&self, now: Instant, flush_all: bool) {
-        loop {
-            let held = {
-                let mut st = self.pump.state.lock();
-                match st.heap.peek() {
-                    Some(h) if flush_all || h.due <= now => st.heap.pop().unwrap(),
-                    _ => return,
-                }
-            };
-            if self.push(held.to, held.frame) != SendStatus::Delivered {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    /// Delivers every held frame that has come due.
+    fn flush_due(&self, now: Instant) {
+        self.pump
+            .gate
+            .release(Some(now), |h| self.push(h.from, h.to, h.bytes, false));
     }
 }
 
 /// An in-process message router. Every registered peer owns a mailbox; a
-/// send clones nothing but the `Bytes` handle. A socket-based transport
-/// would implement the same operations.
+/// send clones nothing but the `Bytes` handle. Hosted peers each run on
+/// their own actor thread ([`Transport::host`]).
 ///
 /// Mailboxes are **bounded** (see [`DEFAULT_MAILBOX_DEPTH`]): a flooded
 /// node rejects further frames (counted in [`NetStats::rejected`]) instead
@@ -253,19 +331,15 @@ impl LocalTransport {
         LocalTransport {
             inner: Arc::new(Inner {
                 mailboxes: RwLock::new(HashMap::new()),
+                threads: Mutex::new(HashMap::new()),
                 depth,
                 delivered: AtomicU64::new(0),
-                counters: Counters::default(),
-                faults: Mutex::new(None),
                 pump: Arc::new(PumpShared {
-                    state: Mutex::new(PumpState {
-                        heap: BinaryHeap::new(),
-                        closed: false,
-                    }),
+                    gate: FaultGate::default(),
                     cv: Condvar::new(),
+                    closed: AtomicBool::new(false),
                     wakeups: AtomicU64::new(0),
                 }),
-                held_seq: AtomicU64::new(0),
                 pump_alive: AtomicBool::new(false),
             }),
         }
@@ -285,7 +359,7 @@ impl LocalTransport {
     /// disconnects. This is what makes crash/*restart* possible.
     pub fn register(&self, id: PeerId) -> Receiver<Frame> {
         let (tx, rx) = self.make_channel();
-        self.inner.mailboxes.write().insert(id, tx);
+        self.inner.mailboxes.write().insert(id, Mailbox::Frames(tx));
         rx
     }
 
@@ -298,7 +372,7 @@ impl LocalTransport {
             return Err(RegisterError::AlreadyRegistered(id));
         }
         let (tx, rx) = self.make_channel();
-        guard.insert(id, tx);
+        guard.insert(id, Mailbox::Frames(tx));
         Ok(rx)
     }
 
@@ -308,89 +382,12 @@ impl LocalTransport {
         self.inner.mailboxes.write().remove(&id);
     }
 
-    /// Sends `bytes` from `from` to `to`. Returns `false` when the target is
-    /// not registered (departed or never existed) or its mailbox is full —
-    /// the live-network equivalent of an offline or saturated peer. A frame
-    /// discarded by *injected loss* still returns `true`: the sender of a
-    /// lossy link cannot observe the loss.
-    pub fn send(&self, from: PeerId, to: PeerId, bytes: Bytes) -> bool {
-        matches!(
-            self.dispatch(from, to, bytes),
-            SendStatus::Delivered | SendStatus::Dropped
-        )
-    }
-
-    /// Sends `bytes` from `from` to `to`, reporting the precise outcome
-    /// (including injected loss, which [`LocalTransport::send`] hides).
-    pub fn dispatch(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus {
-        let decision = {
-            let mut guard = self.inner.faults.lock();
-            match guard.as_mut() {
-                Some(engine) => engine.decide(from, to),
-                None => FaultDecision::DELIVER,
-            }
-        };
-        let counters = &self.inner.counters;
-        if decision.drop {
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return SendStatus::Dropped;
-        }
-        let frame = Frame { from, bytes };
-        if decision.duplicate {
-            counters.duplicated.fetch_add(1, Ordering::Relaxed);
-            // The extra copy is delivered immediately; when the original is
-            // also held back, the copies additionally arrive out of order.
-            let _ = self.inner.push(to, frame.clone());
-        }
-        match decision.hold_ms {
-            Some(ms) => {
-                if decision.reordered {
-                    counters.reordered.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    counters.delayed.fetch_add(1, Ordering::Relaxed);
-                }
-                self.hold(to, frame, Duration::from_millis(ms));
-                SendStatus::Delivered
-            }
-            None => self.inner.push(to, frame),
-        }
-    }
-
-    /// Sends a harness control frame (`Meet`, `Shutdown`), bypassing fault
-    /// injection and mailbox bounds: the test driver's steering wheel must
-    /// work even on a fully faulty network. Returns `false` when `to` has
-    /// no mailbox.
-    pub fn send_control(&self, from: PeerId, to: PeerId, bytes: Bytes) -> bool {
-        let guard = self.inner.mailboxes.read();
-        let Some(tx) = guard.get(&to) else {
-            return false;
-        };
-        let ok = tx.send(Frame { from, bytes }).is_ok();
-        if ok {
-            self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-
-    fn hold(&self, to: PeerId, frame: Frame, for_ms: Duration) {
-        let held = Held {
-            due: Instant::now() + for_ms,
-            seq: self.inner.held_seq.fetch_add(1, Ordering::Relaxed),
-            to,
-            frame,
-        };
-        self.inner.pump.state.lock().heap.push(held);
-        // Wake the pump so it re-derives its deadline from the new heap top.
-        self.inner.pump.cv.notify_one();
-        self.ensure_pump();
-    }
-
     /// Spawns the holdback pump (at most one per transport): a thread that
     /// sleeps until the *next scheduled release* (not a fixed poll interval)
     /// and flushes everything due. An idle transport therefore burns no CPU:
-    /// with an empty heap the pump parks on the condvar until [`Self::hold`]
-    /// notifies it, and `Inner::drop` notifies `closed` so it exits with the
-    /// transport.
+    /// with an empty heap the pump parks on the condvar until
+    /// [`Transport::wake_holdback`] notifies it, and `Inner::drop` notifies
+    /// `closed` so it exits with the transport.
     fn ensure_pump(&self) {
         if self.inner.pump_alive.swap(true, Ordering::SeqCst) {
             return;
@@ -402,25 +399,24 @@ impl LocalTransport {
                 // Flush under a short-lived strong handle; holding it across
                 // the wait below would keep a dropped transport alive.
                 let Some(inner) = weak.upgrade() else { return };
-                inner.flush_due(Instant::now(), false);
+                inner.flush_due(Instant::now());
             }
-            let mut st = shared.state.lock();
-            if st.closed {
+            let mut heap = shared.gate.holdback.lock();
+            if shared.closed.load(Ordering::SeqCst) {
                 return;
             }
-            match st.heap.peek().map(|h| h.due) {
+            match heap.peek().map(|h| h.due) {
                 // Deadline-driven: wait exactly until the earliest release.
                 Some(due) if due > Instant::now() => {
-                    shared.cv.wait_until(&mut st, due);
+                    shared.cv.wait_until(&mut heap, due);
                 }
                 // Something is already due — loop around and flush it.
                 Some(_) => {}
-                // Nothing held: park until a hold() or shutdown notifies.
-                None => shared.cv.wait(&mut st),
+                // Nothing held: park until a hold or shutdown notifies.
+                None => shared.cv.wait(&mut heap),
             }
-            let closed = st.closed;
-            drop(st);
-            if closed {
+            drop(heap);
+            if shared.closed.load(Ordering::SeqCst) {
                 return;
             }
             shared.wakeups.fetch_add(1, Ordering::Relaxed);
@@ -434,34 +430,6 @@ impl LocalTransport {
         self.inner.pump.wakeups.load(Ordering::Relaxed)
     }
 
-    /// Installs a fault plan: subsequent frames are subjected to its drop /
-    /// duplicate / reorder / delay rolls, deterministically from its seed.
-    pub fn inject_faults(&self, plan: FaultPlan) {
-        *self.inner.faults.lock() = Some(FaultEngine::new(plan));
-    }
-
-    /// Removes the fault plan and delivers every held-back frame at once.
-    pub fn clear_faults(&self) {
-        *self.inner.faults.lock() = None;
-        self.inner.flush_due(Instant::now(), true);
-    }
-
-    /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.faults.lock().as_ref().map(|e| *e.plan())
-    }
-
-    /// Frames currently held back by injected delay/reorder (quiescence
-    /// detection must wait for these).
-    pub fn in_flight(&self) -> usize {
-        self.inner.pump.state.lock().heap.len()
-    }
-
-    /// Total frames delivered so far (used to detect quiescence).
-    pub fn delivered(&self) -> u64 {
-        self.inner.delivered.load(Ordering::Relaxed)
-    }
-
     /// Number of registered mailboxes.
     pub fn len(&self) -> usize {
         self.inner.mailboxes.read().len()
@@ -471,67 +439,77 @@ impl LocalTransport {
     pub fn is_empty(&self) -> bool {
         self.inner.mailboxes.read().is_empty()
     }
-
-    /// Records a protocol-level retransmission (reported by node loops).
-    pub fn record_retry(&self) {
-        self.inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an exhausted retransmit budget (reported by node loops).
-    pub fn record_timeout(&self) {
-        self.inner.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a frame that failed to decode (reported by node loops).
-    pub fn record_malformed(&self) {
-        self.inner.counters.malformed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a routing-table eviction after repeated failures.
-    pub fn record_eviction(&self) {
-        self.inner.counters.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the fault/robustness counters as a [`NetStats`].
-    pub fn net_stats(&self) -> NetStats {
-        let c = &self.inner.counters;
-        let mut s = NetStats::new();
-        s.dropped = c.dropped.load(Ordering::Relaxed);
-        s.duplicated = c.duplicated.load(Ordering::Relaxed);
-        s.reordered = c.reordered.load(Ordering::Relaxed);
-        s.delayed = c.delayed.load(Ordering::Relaxed);
-        s.retries = c.retries.load(Ordering::Relaxed);
-        s.timeouts = c.timeouts.load(Ordering::Relaxed);
-        s.rejected = c.rejected.load(Ordering::Relaxed);
-        s.malformed = c.malformed.load(Ordering::Relaxed);
-        s.evictions = c.evictions.load(Ordering::Relaxed);
-        s
-    }
 }
 
 impl Transport for LocalTransport {
-    fn dispatch(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus {
-        LocalTransport::dispatch(self, from, to, bytes)
+    /// A mailbox push is synchronous; 2 ms covers a node thread's turnaround.
+    const SETTLE_POLL: Duration = Duration::from_millis(2);
+
+    fn gate(&self) -> &FaultGate {
+        &self.inner.pump.gate
     }
 
-    fn record_retry(&self) {
-        LocalTransport::record_retry(self);
+    fn deliver_now(&self, from: PeerId, to: PeerId, bytes: Bytes) -> SendStatus {
+        self.inner.push(from, to, bytes, false)
     }
 
-    fn record_timeout(&self) {
-        LocalTransport::record_timeout(self);
+    fn wake_holdback(&self) {
+        self.inner.pump.cv.notify_one();
+        self.ensure_pump();
     }
 
-    fn record_malformed(&self) {
-        LocalTransport::record_malformed(self);
+    fn send_control(&self, from: PeerId, to: PeerId, bytes: Bytes) -> bool {
+        self.inner.push(from, to, bytes, true) == SendStatus::Delivered
     }
 
-    fn record_eviction(&self) {
-        LocalTransport::record_eviction(self);
+    fn delivered(&self) -> u64 {
+        self.inner.delivered.load(Ordering::Relaxed)
     }
 
-    fn net_stats(&self) -> NetStats {
-        LocalTransport::net_stats(self)
+    fn in_flight(&self) -> usize {
+        self.inner.pump.gate.held()
+    }
+
+    /// Registers the peer's mailbox and spawns its actor thread, which
+    /// processes frames until it receives [`Message::Shutdown`] or the
+    /// mailbox disappears.
+    fn host(
+        &self,
+        state: Arc<Mutex<NodeState>>,
+        config: NodeConfig,
+        seed: u64,
+        journal: Option<AnyBackend>,
+        tracer: Box<dyn Tracer>,
+    ) {
+        let rt = NodeRt::new(state, config, self.clone(), seed, journal, tracer);
+        let id = rt.peer_id();
+        let rx = self.register(id);
+        let handle = std::thread::spawn(move || rt.run(rx));
+        self.inner.threads.lock().insert(id, handle);
+    }
+
+    /// The mailbox vanishes without a goodbye; the thread drains what it
+    /// already received, exits on the disconnected channel, and is joined.
+    fn evict(&self, id: PeerId) {
+        self.unregister(id);
+        let thread = self.inner.threads.lock().remove(&id);
+        if let Some(thread) = thread {
+            let _ = thread.join();
+        }
+    }
+
+    fn open_client(&self, id: PeerId) -> Receiver<(PeerId, Message)> {
+        let (tx, rx) = unbounded();
+        self.inner.mailboxes.write().insert(id, Mailbox::Client(tx));
+        rx
+    }
+
+    fn shutdown(&self) {
+        self.inner.mailboxes.write().clear();
+        let threads = std::mem::take(&mut *self.inner.threads.lock());
+        for thread in threads.into_values() {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -587,8 +565,8 @@ mod tests {
         let t = LocalTransport::new();
         let _rx = t.try_register(PeerId(1)).unwrap();
         assert_eq!(
-            t.try_register(PeerId(1)).unwrap_err(),
-            RegisterError::AlreadyRegistered(PeerId(1))
+            t.try_register(PeerId(1)).err(),
+            Some(RegisterError::AlreadyRegistered(PeerId(1)))
         );
         t.unregister(PeerId(1));
         assert!(t.try_register(PeerId(1)).is_ok());

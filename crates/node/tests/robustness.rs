@@ -2,59 +2,57 @@
 //! frames, unsolicited protocol messages — none may crash or wedge a node.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use pgrid_keys::BitPath;
 use pgrid_net::PeerId;
-use pgrid_node::{spawn_node, LocalTransport, NodeConfig, NodeState};
-use pgrid_wire::{decode_frame, encode_frame, Message};
+use pgrid_node::{LocalTransport, NodeConfig, NodeState, Transport};
+use pgrid_trace::NullTracer;
+use pgrid_wire::{encode_frame, Message};
 
-/// Spawns one node plus a test mailbox.
+const NODE: PeerId = PeerId(0);
+const PROBE: PeerId = PeerId(1);
+
+/// Hosts one node plus a probe client endpoint.
 fn one_node() -> (
     LocalTransport,
     Arc<Mutex<NodeState>>,
-    std::thread::JoinHandle<()>,
-    crossbeam::channel::Receiver<pgrid_node::Frame>,
-    PeerId,
+    Receiver<(PeerId, Message)>,
 ) {
     let transport = LocalTransport::new();
-    let node_id = PeerId(0);
-    let rx = transport.register(node_id);
-    let state = Arc::new(Mutex::new(NodeState::new(node_id, 4, 2, 2)));
-    let handle = spawn_node(
+    let state = Arc::new(Mutex::new(NodeState::new(NODE, 4, 2, 2)));
+    transport.host(
         Arc::clone(&state),
         NodeConfig::default(),
-        transport.clone(),
-        rx,
         99,
+        None,
+        Box::new(NullTracer),
     );
-    let probe_id = PeerId(1);
-    let probe_rx = transport.register(probe_id);
-    (transport, state, handle, probe_rx, probe_id)
+    let probe_rx = transport.open_client(PROBE);
+    (transport, state, probe_rx)
 }
 
 /// The node answers a ping — proof it is still alive and processing.
-fn assert_alive(
-    transport: &LocalTransport,
-    probe_rx: &crossbeam::channel::Receiver<pgrid_node::Frame>,
-    probe_id: PeerId,
-    nonce: u64,
-) {
-    assert!(transport.send(probe_id, PeerId(0), encode_frame(&Message::Ping { nonce })));
-    let frame = probe_rx
-        .recv_timeout(std::time::Duration::from_secs(2))
+fn assert_alive(transport: &LocalTransport, probe_rx: &Receiver<(PeerId, Message)>, nonce: u64) {
+    assert!(transport.send(PROBE, NODE, encode_frame(&Message::Ping { nonce })));
+    let (from, msg) = probe_rx
+        .recv_timeout(Duration::from_secs(2))
         .expect("node must answer pings");
-    let mut buf = BytesMut::from(&frame.bytes[..]);
-    assert_eq!(
-        decode_frame(&mut buf).unwrap(),
-        Some(Message::Pong { nonce })
-    );
+    assert_eq!((from, msg), (NODE, Message::Pong { nonce }));
+}
+
+/// Tells the node to shut down and joins its thread.
+fn stop(transport: &LocalTransport) {
+    transport.send(PROBE, NODE, encode_frame(&Message::Shutdown));
+    transport.evict(NODE);
 }
 
 #[test]
 fn survives_garbage_frames() {
-    let (transport, _state, handle, probe_rx, probe_id) = one_node();
+    let (transport, _state, probe_rx) = one_node();
 
     // Raw garbage of various shapes.
     for (i, payload) in [
@@ -66,32 +64,31 @@ fn survives_garbage_frames() {
     .into_iter()
     .enumerate()
     {
-        transport.send(probe_id, PeerId(0), payload);
-        assert_alive(&transport, &probe_rx, probe_id, i as u64);
+        transport.send(PROBE, NODE, payload);
+        assert_alive(&transport, &probe_rx, i as u64);
     }
 
     // A frame with a valid length prefix but an unknown tag.
     let mut evil = BytesMut::new();
     evil.put_u32_le(1);
     evil.put_u8(250);
-    transport.send(probe_id, PeerId(0), evil.freeze());
-    assert_alive(&transport, &probe_rx, probe_id, 100);
+    transport.send(PROBE, NODE, evil.freeze());
+    assert_alive(&transport, &probe_rx, 100);
 
     // A frame claiming a huge length (must be treated as incomplete and
     // dropped, not buffered forever or allocated eagerly).
     let mut huge = BytesMut::new();
     huge.put_u32_le(u32::MAX);
     huge.put_u8(0);
-    transport.send(probe_id, PeerId(0), huge.freeze());
-    assert_alive(&transport, &probe_rx, probe_id, 101);
+    transport.send(PROBE, NODE, huge.freeze());
+    assert_alive(&transport, &probe_rx, 101);
 
-    transport.send(probe_id, PeerId(0), encode_frame(&Message::Shutdown));
-    handle.join().unwrap();
+    stop(&transport);
 }
 
 #[test]
 fn ignores_unsolicited_protocol_messages() {
-    let (transport, state, handle, probe_rx, probe_id) = one_node();
+    let (transport, state, probe_rx) = one_node();
 
     // An answer to an exchange the node never initiated must not mutate it.
     let bogus_answer = Message::ExchangeAnswer {
@@ -101,15 +98,15 @@ fn ignores_unsolicited_protocol_messages() {
         adopt_refs: vec![(1, vec![PeerId(9)])],
         recurse_with: vec![PeerId(9)],
     };
-    transport.send(probe_id, PeerId(0), encode_frame(&bogus_answer));
+    transport.send(PROBE, NODE, encode_frame(&bogus_answer));
     // Stray query results are likewise dropped.
     let stray_ok = Message::QueryOk {
         id: 7,
         responsible: PeerId(9),
         entries: vec![],
     };
-    transport.send(probe_id, PeerId(0), encode_frame(&stray_ok));
-    assert_alive(&transport, &probe_rx, probe_id, 0);
+    transport.send(PROBE, NODE, encode_frame(&stray_ok));
+    assert_alive(&transport, &probe_rx, 0);
 
     let guard = state.lock();
     assert!(guard.path.is_empty(), "unsolicited answer must not extend the path");
@@ -119,32 +116,32 @@ fn ignores_unsolicited_protocol_messages() {
     );
     drop(guard);
 
-    transport.send(probe_id, PeerId(0), encode_frame(&Message::Shutdown));
-    handle.join().unwrap();
+    stop(&transport);
 }
 
 #[test]
 fn query_to_fresh_node_answers_locally() {
-    let (transport, _state, handle, probe_rx, probe_id) = one_node();
+    let (transport, _state, probe_rx) = one_node();
     // A fresh node has the empty path: it is responsible for everything.
     let q = Message::Query {
         id: 5,
-        origin: probe_id,
+        origin: PROBE,
         key: BitPath::from_str_lossy("0101"),
         matched: 0,
         ttl: 8,
     };
-    transport.send(probe_id, PeerId(0), encode_frame(&q));
-    let frame = probe_rx
-        .recv_timeout(std::time::Duration::from_secs(2))
-        .expect("answer");
-    let mut buf = BytesMut::from(&frame.bytes[..]);
-    match decode_frame(&mut buf).unwrap() {
-        Some(Message::QueryOk { id: 5, responsible, .. }) => {
-            assert_eq!(responsible, PeerId(0));
-        }
+    transport.send(PROBE, NODE, encode_frame(&q));
+    match probe_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("answer")
+    {
+        (
+            _,
+            Message::QueryOk {
+                id: 5, responsible, ..
+            },
+        ) => assert_eq!(responsible, NODE),
         other => panic!("expected QueryOk, got {other:?}"),
     }
-    transport.send(probe_id, PeerId(0), encode_frame(&Message::Shutdown));
-    handle.join().unwrap();
+    stop(&transport);
 }

@@ -200,8 +200,8 @@ impl QueryRunOutcome {
 ///
 /// Per shard, the record buffer is reserved once up front and the searches
 /// run on the shard's warm scratch arena, so the steady-state per-query
-/// allocation count is zero (measured by `engine_bench` with the
-/// `count-allocs` feature).
+/// allocation count is zero (`tests/alloc_free.rs` asserts it for the
+/// underlying `search` and `search_batch`).
 pub fn run_query_plan(
     grid: &PGrid,
     plan: &QueryPlan,

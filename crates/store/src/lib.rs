@@ -16,9 +16,7 @@
 //! * [`TrieIndex`] — a binary-trie index with the prefix operations the
 //!   P-Grid algorithms need (prefix lookup, split-off on specialization);
 //! * [`prefix_range`] — the `BTreeMap`-range formulation of prefix lookup,
-//!   used where a flat ordered map is preferable to a linked trie;
-//! * [`DurableStore`] / [`WriteAheadLog`] — crash-safe persistence of the
-//!   hosted items via an append-only, compactable mutation log.
+//!   used where a flat ordered map is preferable to a linked trie.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +29,6 @@ mod log;
 mod memory;
 mod recfile;
 mod trie;
-mod wal;
 
 pub use backend::{AnyBackend, BackendKind, StorageBackend, StorageSpec, StoreError};
 pub use hashfile::HashFileBackend;
@@ -40,4 +37,3 @@ pub use local::LocalStore;
 pub use log::{LogBackend, LogOptions};
 pub use memory::MemoryBackend;
 pub use trie::{prefix_range, TrieIndex};
-pub use wal::{DurableStore, WalError, WalRecord, WriteAheadLog};

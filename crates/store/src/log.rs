@@ -55,8 +55,8 @@ struct Segment {
 /// highest-numbered — segment, sealing it and starting a new one past
 /// [`LogOptions::segment_bytes`]. Once dead bytes outweigh live bytes,
 /// every live record is rewritten, in id order, into a fresh segment via
-/// the scratch-tmp + `rename` + directory-fsync idiom the WAL uses, and
-/// the old segments are deleted.
+/// the scratch-tmp + `rename` + directory-fsync idiom, and the old
+/// segments are deleted.
 ///
 /// Recovery replays segments in ascending id order, so later records (and
 /// a compacted segment, which always carries the highest id) override

@@ -20,8 +20,7 @@
 //! The scanner distinguishes a **torn tail** (the bad bytes run to end of
 //! file — the signature of a crash mid-append; recovery truncates and
 //! carries on) from **mid-file corruption** (bad bytes with valid data
-//! after them — a real integrity fault; recovery refuses). This mirrors
-//! the WAL's torn-line rule.
+//! after them — a real integrity fault; recovery refuses).
 
 use std::fs::File;
 use std::io::{BufReader, Read};

@@ -1,8 +1,8 @@
-//! Crash-point coverage for the disk backends, mirroring the WAL crash
-//! tests: every simulated kill leaves files that recovery must either
-//! replay to a converged state (crash artifacts: torn tails, stale
-//! compaction scratch, undeleted pre-compaction segments) or refuse
-//! loudly (real corruption in the middle of sealed data).
+//! Crash-point coverage for the disk backends: every simulated kill leaves
+//! files that recovery must either replay to a converged state (crash
+//! artifacts: torn tails, stale compaction scratch, undeleted
+//! pre-compaction segments) or refuse loudly (real corruption in the middle
+//! of sealed data).
 
 use std::path::{Path, PathBuf};
 
@@ -37,7 +37,6 @@ fn contents(b: &dyn StorageBackend) -> Vec<DataItem> {
 
 /// Kill mid-append: for EVERY possible truncation point inside the last
 /// record, reopening drops exactly that record and keeps all earlier ones.
-/// This is the index-rebuild analogue of the WAL torn-final-line rule.
 #[test]
 fn hashfile_truncated_tail_is_dropped_not_an_error() {
     let dir = fresh_dir("hash-tail");

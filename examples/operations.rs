@@ -11,7 +11,7 @@
 use pgrid::core::{BuildOptions, Ctx, GridSnapshot, IndexEntry, PGrid, PGridConfig};
 use pgrid::keys::BitPath;
 use pgrid::net::{AlwaysOnline, EpochOnline, NetStats, PeerId};
-use pgrid::store::{DataItem, DurableStore, ItemId, Version};
+use pgrid::store::{DataItem, ItemId, StorageBackend, StorageSpec, Version};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,27 +75,30 @@ fn main() {
     grid.check_invariants().expect("restored grid is valid");
     println!("restored: invariants hold, {} peers back online", grid.len());
 
-    // --- 4. A peer's own items survive via its write-ahead log ----------
-    let wal_path = std::env::temp_dir().join("pgrid-operations-demo.wal");
-    let _ = std::fs::remove_file(&wal_path);
+    // --- 4. A peer's own items survive in its log-structured backend -----
+    let store_dir = std::env::temp_dir().join("pgrid-operations-demo.store");
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let spec = StorageSpec::Log {
+        dir: store_dir.clone(),
+        options: Default::default(),
+    };
     {
-        let mut durable = DurableStore::open(&wal_path).expect("open wal");
+        let mut durable = spec.open_for(0).expect("open log backend");
         for i in 0..10u64 {
-            durable
-                .insert(DataItem::new(
-                    ItemId(i),
-                    format!("local-{i}.dat"),
-                    BitPath::random(&mut rng, 12),
-                ))
-                .expect("log insert");
+            durable.put(DataItem::new(
+                ItemId(i),
+                format!("local-{i}.dat"),
+                BitPath::random(&mut rng, 12),
+            ));
         }
-        durable.set_version(ItemId(3), Version(2)).expect("log bump");
+        durable.apply_version(ItemId(3), Version(2));
+        durable.flush().expect("flush log backend");
     } // process "dies" here
-    let recovered = DurableStore::open(&wal_path).expect("replay wal");
+    let recovered = spec.open_for(0).expect("recover log backend");
     println!(
-        "wal replay: {} items recovered, item#3 at {}",
-        recovered.store().len(),
-        recovered.store().get(ItemId(3)).unwrap().version
+        "log recovery: {} items recovered, item#3 at {}",
+        recovered.len(),
+        recovered.get(ItemId(3)).unwrap().version
     );
 
     // --- 5. Mass failure, then self-repair ------------------------------
@@ -116,7 +119,7 @@ fn main() {
     );
 
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&wal_path).ok();
+    std::fs::remove_dir_all(&store_dir).ok();
 }
 
 fn measure(

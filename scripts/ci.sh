@@ -21,6 +21,9 @@ cargo build --release
 echo "==> tests"
 cargo test -q
 
+echo "==> offline safety net (root suites against the in-tree stand-ins, no registry)"
+bash scripts/offline-tests.sh quick
+
 echo "==> sim/live differential determinism (two fixed seeds)"
 cargo test --release --test differential_sim_node
 
@@ -65,9 +68,8 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "==> corruption-convergence suite (four corruption classes, three fixed seeds)"
     cargo test --release --test self_stabilization -- --nocapture
 
-    echo "==> loopback soak smoke (128 peers on 2 event-loop workers, 10s)"
-    cargo run --release -p pgrid-cli --bin pgrid -- soak --peers 128 --workers 2 \
-        --secs 10 --seed 7 --max-extra-threads 8
+    echo "==> repo benchmark smoke (four workloads, both trace modes, tiny sizes)"
+    bash benchmark/check.sh
 fi
 
 echo "CI green."

@@ -1,0 +1,123 @@
+//! Steady-state allocation gate (DESIGN §9): on a warm scratch arena a
+//! `search` and a batched query allocate nothing. Warm-up operations grow
+//! every scratch buffer to its high-water mark; the measured operations
+//! then run under a counting allocator and must leave the calling thread's
+//! count where it was. (`exchange` is not gated: it rewrites reference
+//! sets, which is peer state rather than scratch, and measures ≈0.18
+//! allocations per call on this fixture.)
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pgrid::core::{BatchQuery, BuildOptions, CompactRoutingTable, Ctx, PGrid, PGridConfig};
+use pgrid::keys::BitPath;
+use pgrid::net::{AlwaysOnline, NetStats};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+thread_local! {
+    /// Allocation events (fresh allocations and reallocations) of this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// System-allocator delegate that counts allocation events per thread, so
+/// the test harness's own threads cannot disturb a measurement.
+struct CountingAlloc;
+
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `op` `warm` times unmeasured, then `measure` times under the
+/// counter; returns the allocation events of the measured part.
+fn steady_state_allocs(warm: usize, measure: usize, mut op: impl FnMut()) -> u64 {
+    for _ in 0..warm {
+        op();
+    }
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..measure {
+        op();
+    }
+    ALLOCS.with(Cell::get) - before
+}
+
+fn converged_grid(seed: u64) -> PGrid {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut stats = NetStats::new();
+    let mut online = AlwaysOnline;
+    let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
+    let mut grid = PGrid::new(
+        256,
+        PGridConfig {
+            maxl: 4,
+            refmax: 4,
+            ..PGridConfig::default()
+        },
+    );
+    let report = grid.build(&BuildOptions::default(), &mut ctx);
+    assert!(report.reached_threshold, "fixture failed to converge");
+    grid
+}
+
+#[test]
+fn search_and_batched_query_do_not_allocate_when_warm() {
+    const SEED: u64 = 42;
+    let grid = converged_grid(SEED);
+    let mut owned = Ctx::fork_for_task(SEED, 0, Box::new(AlwaysOnline));
+    let mut sink = 0u64;
+
+    let search = steady_state_allocs(200, 1000, || {
+        let mut ctx = owned.ctx();
+        let key = BitPath::random(ctx.rng, 4);
+        let start = grid.random_peer(&mut ctx);
+        sink += grid.search(start, &key, &mut ctx).messages;
+    });
+    assert_eq!(search, 0, "search allocated on a warm arena");
+
+    // Through the frozen snapshot, like the engine's hot path; the batch
+    // and outcome buffers belong to the caller and are likewise reused.
+    const BATCH: usize = 64;
+    let table = CompactRoutingTable::build(&grid);
+    let mut batch = Vec::with_capacity(BATCH);
+    let mut outcomes = Vec::with_capacity(BATCH);
+    let batched = steady_state_allocs(50, 250, || {
+        let mut ctx = owned.ctx();
+        batch.clear();
+        outcomes.clear();
+        for _ in 0..BATCH {
+            batch.push(BatchQuery {
+                key: BitPath::random(ctx.rng, 4),
+                start: grid.random_peer(&mut ctx),
+                seed: ctx.rng.gen(),
+            });
+        }
+        grid.search_batch(Some(&table), &batch, &mut ctx, &mut outcomes);
+        sink += outcomes.iter().map(|o| o.messages).sum::<u64>();
+    });
+    assert_eq!(batched, 0, "batched query allocated on a warm arena");
+    assert!(sink > 0);
+}

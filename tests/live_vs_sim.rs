@@ -40,6 +40,7 @@ fn live_cluster(seed: u64) -> Cluster {
         recfanout: 2,
         ttl: 64,
         seed,
+        ..ClusterConfig::default()
     });
     for _ in 0..60 {
         cluster.build(250);
