@@ -84,7 +84,7 @@ experiments:
   variance  T3 replicated over several seeds (mean +/- std)
   mixed     end-to-end mixed read/write workload (break-even, empirical)
   ablation  design-knob ablations
-  engine    engine throughput: serial vs threaded vs batched lockstep
+  engine    engine throughput: serial vs threaded vs compact routing table
   store     storage backend equivalence + throughput (--backend picks one)
   all       every experiment in sequence (small presets unless --full)";
 
@@ -747,19 +747,7 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
-            let (report, table) = engine::run(&cfg);
-            emit(&table, opts.format);
-            if opts.format == Format::Text {
-                if let Some(best) = report.best_batched() {
-                    let unbatched = report.batch_rows.first().map_or(0.0, |r| r.qps);
-                    out(&format!(
-                        "best batched: batch {} at {:.0} qps ({:.2}x unbatched lockstep)",
-                        best.batch,
-                        best.qps,
-                        best.qps / unbatched.max(1e-9),
-                    ));
-                }
-            }
+            emit(&engine::run(&cfg).1, opts.format);
         }
         "store" => {
             let mut cfg = if small { store::Config::small() } else { store::Config::default() };

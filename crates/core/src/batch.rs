@@ -1,42 +1,30 @@
-//! Batched lockstep execution of Fig. 2 descents.
-//!
-//! The serial search (`PGrid::search`) runs one descent to completion at a
-//! time, so every hop's cache miss sits on the critical path. This module
-//! advances **many** descents together, one step per cursor per sweep —
-//! while cursor `k` routes, the slices cursor `k+1` will need next are
-//! prefetched — which amortizes memory latency across the whole batch (the
-//! FM-index "batch computed cursors" idiom; DESIGN.md §13).
+//! Batched execution of Fig. 2 descents over the frozen routing table.
 //!
 //! # Determinism contract
 //!
-//! Lockstep interleaving is incompatible with the legacy engine's *shared*
-//! per-shard RNG stream (query `i`'s draws start where `i-1`'s ended — any
-//! reordering changes them). The batched family therefore gives **every
-//! query its own RNG stream**, seeded by [`BatchQuery::seed`]: within a
-//! query, draws happen in exactly the serial descent's order (one shuffle
-//! per forwarding visit, one availability probe per contact), and across
-//! queries there is no shared state at all. Results, counters, and traces
-//! are thus byte-identical for *every* batch size and thread count — batch
-//! width 1 **is** the serial reference — pinned by the workspace
-//! `batch_determinism` suite. Trace events are buffered per cursor and
-//! flushed in query order, so recordings are interleaving-independent too.
+//! The sharded engine's plain plan runs every query of a shard on one
+//! *shared* RNG stream (query `i`'s draws start where `i-1`'s ended), so
+//! its results depend on how queries are grouped. The batched family gives
+//! **every query its own RNG stream**, seeded by [`BatchQuery::seed`]:
+//! within a query, draws happen in exactly [`PGrid::search`]'s order (one
+//! shuffle per forwarding visit, one availability probe per contact), and
+//! across queries there is no shared state at all. Results, counters, and
+//! traces are thus byte-identical for *every* chunking of a query list and
+//! every thread count — pinned by the workspace `batch_determinism` suite.
 
-use pgrid_keys::{BitPath, Key};
-use pgrid_net::{MsgKind, PeerId};
-use pgrid_proto::{route_step, RouteStep};
-use pgrid_trace::TraceEvent;
+use pgrid_keys::Key;
+use pgrid_net::PeerId;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::scratch::QueryFrame;
+use crate::search::descend;
 use crate::{CompactRoutingTable, Ctx, PGrid, SearchOutcome};
 
 /// One query of a batch: the Fig. 2 arguments plus a private RNG seed.
 ///
 /// Planners draw `seed` from their shard stream *in query order* (see
 /// `pgrid-sim`'s batched engine), which fixes each query's entire descent
-/// regardless of how descents are later interleaved.
+/// regardless of how the list is later chunked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchQuery {
     /// The key searched for.
@@ -47,278 +35,16 @@ pub struct BatchQuery {
     pub seed: u64,
 }
 
-/// Where a descent reads routing state from: the frozen succinct snapshot
-/// when it is fresh, the live peer structures otherwise.
-enum Source<'a> {
-    Live(&'a PGrid),
-    Compact(&'a CompactRoutingTable),
-}
-
-impl Source<'_> {
-    #[inline]
-    fn path(&self, p: PeerId) -> BitPath {
-        match self {
-            Source::Live(g) => g.peer(p).path(),
-            Source::Compact(t) => t.path(p),
-        }
-    }
-
-    #[inline]
-    fn refs(&self, p: PeerId, level: usize) -> &[PeerId] {
-        match self {
-            Source::Live(g) => g.peer(p).routing().level(level).as_slice(),
-            Source::Compact(t) => t.level_refs(p, level),
-        }
-    }
-
-    /// Starts pulling `p`'s routing state toward the cache (safe-code
-    /// software prefetch; see [`CompactRoutingTable::prefetch`]).
-    #[inline]
-    fn prefetch(&self, p: PeerId) {
-        match self {
-            Source::Live(g) => {
-                std::hint::black_box(g.peer(p).path());
-            }
-            Source::Compact(t) => t.prefetch(p),
-        }
-    }
-}
-
-/// One in-flight descent: the serial search's whole stack, parked.
-///
-/// Slots live in the scratch arena ([`BatchArena`]) and are reused across
-/// batches, so a warm context runs entire batched workloads without heap
-/// allocation (buffers are cleared, never freed — the `Scratch` rule).
-#[derive(Debug)]
-pub(crate) struct BatchSlot {
-    /// This query's private RNG stream (reseeded per query; no heap).
-    rng: StdRng,
-    /// Shuffled-reference arena, same layout as `Scratch::query_refs`.
-    arena: Vec<PeerId>,
-    /// Suspended levels, same layout as `Scratch::query_frames`.
-    frames: Vec<QueryFrame>,
-    /// Trace events buffered until the batch flushes in query order.
-    events: Vec<TraceEvent>,
-    /// First visit not yet performed (set at init, taken on first step).
-    pending_visit: Option<(PeerId, Key, usize, u32)>,
-    /// The peer this cursor will touch on its next step, for prefetch.
-    next_peer: Option<PeerId>,
-    /// Messages spent so far (successful contacts).
-    messages: u64,
-    /// Logical shuffle counter, mirroring the serial descent's `draws`.
-    draws: u64,
-    /// Filled when the descent terminates.
-    outcome: Option<SearchOutcome>,
-}
-
-impl Default for BatchSlot {
-    fn default() -> Self {
-        BatchSlot {
-            rng: StdRng::seed_from_u64(0),
-            arena: Vec::new(),
-            frames: Vec::new(),
-            events: Vec::new(),
-            pending_visit: None,
-            next_peer: None,
-            messages: 0,
-            draws: 0,
-            outcome: None,
-        }
-    }
-}
-
-impl BatchSlot {
-    /// Rearms the slot for `q`, keeping buffer capacity.
-    fn arm(&mut self, q: &BatchQuery) {
-        self.rng = StdRng::seed_from_u64(q.seed);
-        self.arena.clear();
-        self.frames.clear();
-        self.events.clear();
-        self.pending_visit = Some((q.start, q.key, 0, 0));
-        self.next_peer = Some(q.start);
-        self.messages = 0;
-        self.draws = 0;
-        self.outcome = None;
-    }
-
-    fn finish(&mut self, found: Option<(PeerId, u32)>, tracing: bool) {
-        let outcome = SearchOutcome {
-            responsible: found.map(|(peer, _)| peer),
-            messages: self.messages,
-            hops: found.map(|(_, depth)| depth).unwrap_or(0),
-        };
-        if tracing {
-            self.events.push(TraceEvent::QueryEnd {
-                responsible: outcome.responsible.map_or(-1, |p| i64::from(p.0)),
-                messages: outcome.messages,
-                hops: outcome.hops,
-            });
-        }
-        self.outcome = Some(outcome);
-        self.next_peer = None;
-    }
-
-    /// The peer the top-most non-exhausted frame will contact next.
-    fn compute_next_peer(&mut self) {
-        self.next_peer = self
-            .frames
-            .iter()
-            .rev()
-            .find(|f| f.cursor < f.end)
-            .map(|f| self.arena[f.cursor]);
-    }
-
-    /// One lockstep step: the initial visit, or contacts drained until one
-    /// succeeds and is visited (the serial loop body between two node
-    /// visits). Returns `true` when the descent terminated.
-    fn step(&mut self, source: &Source<'_>, ctx: &mut Ctx<'_>, tracing: bool) -> bool {
-        if let Some((a, p, l, depth)) = self.pending_visit.take() {
-            if let Some(found) = self.visit(source, a, p, l, depth, tracing) {
-                self.finish(Some(found), tracing);
-                return true;
-            }
-        } else {
-            loop {
-                let Some(top) = self.frames.last_mut() else {
-                    self.finish(None, tracing);
-                    return true;
-                };
-                if top.cursor == top.end {
-                    let base = top.base;
-                    self.frames.pop();
-                    self.arena.truncate(base);
-                    continue;
-                }
-                let r = self.arena[top.cursor];
-                top.cursor += 1;
-                let (from, querypath, child_l, child_depth) =
-                    (top.peer, top.querypath, top.child_l, top.child_depth);
-                // The serial path's `ctx.contact`, with the probe drawn
-                // from this query's own stream.
-                let ok = ctx.online.is_online(r, &mut self.rng);
-                ctx.stats.record_contact(ok);
-                if !ok {
-                    continue;
-                }
-                self.messages += 1;
-                ctx.stats.record(MsgKind::Query);
-                if tracing {
-                    self.events.push(TraceEvent::Message {
-                        kind: MsgKind::Query.into(),
-                    });
-                    self.events.push(TraceEvent::QueryHop {
-                        from: u64::from(from.0),
-                        to: u64::from(r.0),
-                        depth: child_depth,
-                    });
-                }
-                if let Some(found) =
-                    self.visit(source, r, querypath, child_l, child_depth, tracing)
-                {
-                    self.finish(Some(found), tracing);
-                    return true;
-                }
-                break;
-            }
-        }
-        if self.frames.is_empty() {
-            self.finish(None, tracing);
-            return true;
-        }
-        self.compute_next_peer();
-        false
-    }
-
-    /// One node visit — [`PGrid::search`]'s `query_visit`, reading through
-    /// `source` and drawing from the slot's private stream.
-    fn visit(
-        &mut self,
-        source: &Source<'_>,
-        a: PeerId,
-        p: Key,
-        l: usize,
-        depth: u32,
-        tracing: bool,
-    ) -> Option<(PeerId, u32)> {
-        let path = source.path(a);
-        let (consumed, level) = match route_step(&path, l, &p) {
-            RouteStep::Responsible => {
-                if tracing {
-                    self.events.push(TraceEvent::RouteStep {
-                        peer: u64::from(a.0),
-                        matched: l as u32,
-                        consumed: 0,
-                        level: 0,
-                        responsible: true,
-                        candidates: 0,
-                        draw: self.draws,
-                    });
-                }
-                return Some((a, depth));
-            }
-            RouteStep::Forward { consumed, level } => (consumed, level),
-        };
-        let querypath = p.suffix(consumed);
-        let base = self.arena.len();
-        self.arena.extend_from_slice(source.refs(a, level));
-        // Same draw semantics as `RefSet::shuffled_into`: shuffle the
-        // appended tail in place.
-        self.arena[base..].shuffle(&mut self.rng);
-        let draw = self.draws;
-        self.draws += 1;
-        if tracing {
-            self.events.push(TraceEvent::RouteStep {
-                peer: u64::from(a.0),
-                matched: l as u32,
-                consumed: consumed as u32,
-                level: level as u32,
-                responsible: false,
-                candidates: (self.arena.len() - base) as u32,
-                draw,
-            });
-        }
-        self.frames.push(QueryFrame {
-            peer: a,
-            querypath,
-            child_l: l + consumed,
-            child_depth: depth + 1,
-            base,
-            cursor: base,
-            end: self.arena.len(),
-        });
-        None
-    }
-}
-
-/// The scratch-arena home of the batch driver's reusable state.
-#[derive(Debug, Default)]
-pub(crate) struct BatchArena {
-    slots: Vec<BatchSlot>,
-    active: Vec<usize>,
-}
-
-impl BatchArena {
-    pub(crate) fn retained_capacity(&self) -> usize {
-        self.active.capacity()
-            + self
-                .slots
-                .iter()
-                .map(|s| s.arena.capacity() + s.frames.capacity() + s.events.capacity())
-                .sum::<usize>()
-    }
-}
-
 impl PGrid {
-    /// Runs every descent in `batch` to completion in lockstep, appending
-    /// one [`SearchOutcome`] per query (in query order) to `out`.
+    /// Runs every descent in `batch`, appending one [`SearchOutcome`] per
+    /// query (in query order) to `out`.
     ///
     /// Routing state is read from `table` when it is a fresh snapshot of
     /// this grid, and from the live structures otherwise (the stale-epoch
     /// fallback — results are identical either way, only latency differs).
-    /// Per sweep, every active cursor advances by one step while the next
-    /// cursor's slices are prefetched. A warm `ctx` runs entire batches
-    /// without heap allocation; trace events, when recording, are flushed
-    /// in query order so recordings are independent of batch width.
+    /// Each descent is [`PGrid::search`]'s, drawing from the query's own
+    /// stream; `ctx.rng` is left exactly where it was. A warm `ctx` runs
+    /// entire batches without heap allocation.
     pub fn search_batch(
         &self,
         table: Option<&CompactRoutingTable>,
@@ -326,113 +52,25 @@ impl PGrid {
         ctx: &mut Ctx<'_>,
         out: &mut Vec<SearchOutcome>,
     ) {
-        let source = match table {
-            Some(t) if t.is_fresh(self) => Source::Compact(t),
-            _ => Source::Live(self),
-        };
-        let tracing = ctx.tracer_mut().enabled();
-        // Detach the batch arena so `ctx` (rng/online/stats) stays usable.
-        let mut ba = std::mem::take(&mut ctx.scratch_mut().batch);
-        if ba.slots.len() < batch.len() {
-            ba.slots.resize_with(batch.len(), BatchSlot::default);
+        let table = table.filter(|t| t.is_fresh(self));
+        for q in batch {
+            let shard_rng = std::mem::replace(ctx.rng, StdRng::seed_from_u64(q.seed));
+            out.push(match table {
+                Some(t) => descend(t, q.start, &q.key, ctx),
+                None => descend(self, q.start, &q.key, ctx),
+            });
+            *ctx.rng = shard_rng;
         }
-        ba.active.clear();
-        for (i, q) in batch.iter().enumerate() {
-            ba.slots[i].arm(q);
-            if tracing {
-                ba.slots[i].events.push(TraceEvent::QueryStart {
-                    start: u64::from(q.start.0),
-                    key: q.key.to_bit_string(),
-                });
-            }
-            ba.active.push(i);
-        }
-        while !ba.active.is_empty() {
-            let mut k = 0;
-            while k < ba.active.len() {
-                // Overlap this cursor's work with the next one's miss.
-                if let Some(&nk) = ba.active.get(k + 1) {
-                    if let Some(np) = ba.slots[nk].next_peer {
-                        source.prefetch(np);
-                    }
-                }
-                let idx = ba.active[k];
-                if ba.slots[idx].step(&source, ctx, tracing) {
-                    ba.active.remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-        }
-        for (i, _) in batch.iter().enumerate() {
-            let slot = &mut ba.slots[i];
-            out.push(slot.outcome.expect("terminated descent has an outcome"));
-            if tracing {
-                let tracer = ctx.tracer_mut();
-                for e in slot.events.drain(..) {
-                    tracer.record(e);
-                }
-            }
-        }
-        ctx.scratch_mut().batch = ba;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::RefSet;
-    use crate::{CompactRoutingTable, PGridConfig};
-    use pgrid_net::{AlwaysOnline, BernoulliOnline, NetStats};
+    use crate::search::tests::fig1_grid;
+    use pgrid_keys::BitPath;
+    use pgrid_net::{AlwaysOnline, BernoulliOnline, MsgKind, NetStats};
     use rand::Rng;
-
-    /// The Fig. 1 example community (same construction as the search
-    /// tests), which exercises multi-hop routing at every batch width.
-    fn fig1_grid() -> PGrid {
-        let mut g = PGrid::new(
-            6,
-            PGridConfig {
-                maxl: 2,
-                refmax: 2,
-                ..PGridConfig::default()
-            },
-        );
-        let paths = ["00", "00", "01", "10", "11", "11"];
-        for (i, p) in paths.iter().enumerate() {
-            for b in BitPath::from_str_lossy(p).bits() {
-                g.extend_peer_path(PeerId(i as u32), b);
-            }
-        }
-        let side0 = [PeerId(0), PeerId(1), PeerId(2)];
-        let side1 = [PeerId(3), PeerId(4), PeerId(5)];
-        for (i, &a) in side0.iter().enumerate() {
-            g.peer_mut(a)
-                .routing_mut()
-                .set_level(1, RefSet::singleton(side1[i]));
-            g.peer_mut(side1[i])
-                .routing_mut()
-                .set_level(1, RefSet::singleton(a));
-        }
-        for (a, b) in [
-            (PeerId(0), PeerId(2)),
-            (PeerId(1), PeerId(2)),
-            (PeerId(3), PeerId(4)),
-            (PeerId(3), PeerId(5)),
-        ] {
-            g.peer_mut(a).routing_mut().level_mut(2).insert_bounded(
-                b,
-                2,
-                &mut StdRng::seed_from_u64(0),
-            );
-            g.peer_mut(b).routing_mut().level_mut(2).insert_bounded(
-                a,
-                2,
-                &mut StdRng::seed_from_u64(0),
-            );
-        }
-        g.check_invariants().unwrap();
-        g
-    }
 
     fn plan(n: usize, seed: u64) -> Vec<BatchQuery> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -525,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_batches_reuse_slot_buffers() {
+    fn warm_batches_reuse_the_scratch_buffers() {
         let g = fig1_grid();
         let queries = plan(32, 17);
         let mut owned = Ctx::fork_for_task(3, 0, Box::new(AlwaysOnline));
@@ -535,7 +173,7 @@ mod tests {
             g.search_batch(None, &queries, &mut ctx, &mut out);
         }
         let warmed = owned.scratch.retained_capacity();
-        assert!(warmed > 0, "a routed batch must warm the slot buffers");
+        assert!(warmed > 0, "a routed batch must warm the descent buffers");
         out.clear();
         let mut ctx = owned.ctx();
         g.search_batch(None, &queries, &mut ctx, &mut out);

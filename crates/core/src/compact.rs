@@ -220,24 +220,6 @@ impl CompactRoutingTable {
         }
     }
 
-    /// Software prefetch: forces the cache lines behind `id`'s frozen path
-    /// and occupancy slots to load now, so a batched reader that will
-    /// visit `id` on the *next* sweep step pays the miss in parallel with
-    /// other cursors' work. A safe-code stand-in for `prefetch` intrinsics
-    /// (`black_box` keeps the loads from being optimized away).
-    pub fn prefetch(&self, id: PeerId) {
-        let i = id.index();
-        match self.patch_of[i] {
-            UNPATCHED => {
-                std::hint::black_box(self.paths.touch(i));
-                std::hint::black_box(self.occupancy.touch(i * self.stride));
-            }
-            seg => {
-                std::hint::black_box(self.patch_paths[seg as usize]);
-            }
-        }
-    }
-
     /// Approximate heap footprint of the snapshot in bytes.
     pub fn bytes(&self) -> usize {
         self.paths.bytes()
@@ -317,9 +299,6 @@ mod tests {
         assert!(table.is_fresh(&g));
         assert_eq!(table.len(), 8);
         assert_mirrors(&table, &g);
-        for peer in g.peers() {
-            table.prefetch(peer.id());
-        }
         assert!(table.bytes() > 0);
     }
 
@@ -345,7 +324,6 @@ mod tests {
             .set_level(1, RefSet::from_ids([PeerId(5), PeerId(4)]));
         table.refresh(&g);
         assert_mirrors(&table, &g);
-        table.prefetch(PeerId(6));
     }
 
     #[test]

@@ -294,7 +294,6 @@ impl PGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::RefSet;
     use crate::{BuildOptions, Ctx, IndexEntry, PGridConfig};
     use pgrid_keys::BitPath;
     use pgrid_net::{AlwaysOnline, NetStats};

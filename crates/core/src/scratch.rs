@@ -17,8 +17,6 @@
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::PeerId;
 
-use crate::batch::BatchArena;
-
 /// One suspended level of the iterative search descent: the arguments a
 /// child visit needs plus a cursor over this level's shuffled references
 /// (stored in [`Scratch::query_refs`] at `base..end`).
@@ -64,8 +62,6 @@ pub struct Scratch {
     pub(crate) ref_arena: Vec<PeerId>,
     /// Prefix cover buffer of the range search (`range_cover_into`).
     pub(crate) range_cover: Vec<BitPath>,
-    /// Parked cursor state of the lockstep batch driver (`search_batch`).
-    pub(crate) batch: BatchArena,
 }
 
 impl Scratch {
@@ -85,7 +81,6 @@ impl Scratch {
             + self.seen.capacity()
             + self.ref_arena.capacity()
             + self.range_cover.capacity()
-            + self.batch.retained_capacity()
     }
 
     /// The three disjoint buffers the exchange mixing step needs.

@@ -12,14 +12,15 @@
 //! another peer" — i.e. each hop to an *online* peer is one message; the
 //! initial local call at the querying peer is free.
 
-use pgrid_keys::Key;
+use pgrid_keys::{BitPath, Key};
 use pgrid_net::{MsgKind, PeerId};
 use pgrid_proto::{route_step, RouteStep};
 use pgrid_store::Version;
 use pgrid_trace::TraceEvent;
+use rand::seq::SliceRandom;
 
 use crate::scratch::QueryFrame;
-use crate::{Ctx, PGrid};
+use crate::{CompactRoutingTable, Ctx, PGrid};
 
 /// Result of one randomized depth-first search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,103 +34,145 @@ pub struct SearchOutcome {
     pub hops: u32,
 }
 
-impl PGrid {
-    /// Searches for a peer responsible for `key`, starting at `start`
-    /// (paper: `query(a, p, 0)`).
-    ///
-    /// The starting peer is the querying user's own machine and is assumed
-    /// online; every further contact consults `ctx.online`.
-    ///
-    /// Fig. 2's recursion runs as an explicit iterative descent over frames
-    /// and reference lists borrowed from `ctx`'s scratch arena, so a warm
-    /// context executes the whole search without heap allocation. The RNG
-    /// draw order is byte-identical to the recursive formulation: each
-    /// visited peer shuffles its reference list exactly when the recursion
-    /// would have, and contacts interleave identically (preorder DFS).
-    pub fn search(&self, start: PeerId, key: &Key, ctx: &mut Ctx<'_>) -> SearchOutcome {
-        ctx.trace(|| TraceEvent::QueryStart {
-            start: u64::from(start.0),
-            key: key.to_bit_string(),
-        });
-        let mut messages = 0u64;
-        // Logical index of the next reference shuffle this descent will
-        // perform — the flight recorder's replayable stand-in for "which
-        // RNG draw decided this step".
-        let mut draws = 0u64;
-        // Move the buffers out of the scratch slot for the duration of the
-        // descent — `ctx` stays fully usable (contact/message/rng) while
-        // the arena and frame stack are independently `&mut`-borrowed.
-        let mut arena = std::mem::take(&mut ctx.scratch_mut().query_refs);
-        let mut frames = std::mem::take(&mut ctx.scratch_mut().query_frames);
-        arena.clear();
-        frames.clear();
-        let found = self.query_descent(
-            start,
-            *key,
-            &mut messages,
-            &mut draws,
-            &mut arena,
-            &mut frames,
-            ctx,
-        );
-        let scratch = ctx.scratch_mut();
-        scratch.query_refs = arena;
-        scratch.query_frames = frames;
-        let outcome = SearchOutcome {
-            responsible: found.map(|(peer, _)| peer),
-            messages,
-            hops: found.map(|(_, depth)| depth).unwrap_or(0),
-        };
-        ctx.trace(|| TraceEvent::QueryEnd {
-            responsible: outcome.responsible.map_or(-1, |p| i64::from(p.0)),
-            messages: outcome.messages,
-            hops: outcome.hops,
-        });
-        outcome
+/// Where the descent reads routing state from: the live peer structures or
+/// the frozen [`CompactRoutingTable`]. Both answer with the same slices in
+/// the same order (the descent's RNG consumes slice contents), so the
+/// source only decides how many cache lines a hop touches.
+pub(crate) trait RoutingSource {
+    /// The trie path of `peer`.
+    fn path(&self, peer: PeerId) -> BitPath;
+    /// The references of `peer` at `level` (empty when it has none).
+    fn refs(&self, peer: PeerId, level: usize) -> &[PeerId];
+}
+
+impl RoutingSource for PGrid {
+    #[inline]
+    fn path(&self, peer: PeerId) -> BitPath {
+        self.peer(peer).path()
     }
 
+    #[inline]
+    fn refs(&self, peer: PeerId, level: usize) -> &[PeerId] {
+        self.peer(peer).routing().level(level).as_slice()
+    }
+}
+
+impl RoutingSource for CompactRoutingTable {
+    #[inline]
+    fn path(&self, peer: PeerId) -> BitPath {
+        CompactRoutingTable::path(self, peer)
+    }
+
+    #[inline]
+    fn refs(&self, peer: PeerId, level: usize) -> &[PeerId] {
+        self.level_refs(peer, level)
+    }
+}
+
+/// Fig. 2's `query(start, key, 0)` over `source` — the one descent every
+/// search in this crate runs.
+///
+/// The starting peer is the querying user's own machine and is assumed
+/// online; every further contact consults `ctx.online`. All randomness is
+/// drawn from whatever stream `ctx.rng` currently holds, and events go
+/// straight into `ctx`'s tracer.
+///
+/// Fig. 2's recursion runs as an explicit iterative descent over frames
+/// and reference lists borrowed from `ctx`'s scratch arena, so a warm
+/// context executes the whole search without heap allocation. The RNG
+/// draw order is byte-identical to the recursive formulation: each
+/// visited peer shuffles its reference list exactly when the recursion
+/// would have, and contacts interleave identically (preorder DFS).
+pub(crate) fn descend<S: RoutingSource>(
+    source: &S,
+    start: PeerId,
+    key: &Key,
+    ctx: &mut Ctx<'_>,
+) -> SearchOutcome {
+    ctx.trace(|| TraceEvent::QueryStart {
+        start: u64::from(start.0),
+        key: key.to_bit_string(),
+    });
+    // Move the buffers out of the scratch slot for the duration of the
+    // descent — `ctx` stays fully usable (contact/message/rng) while
+    // the arena and frame stack are independently `&mut`-borrowed.
+    let mut descent = Descent {
+        messages: 0,
+        draws: 0,
+        arena: std::mem::take(&mut ctx.scratch_mut().query_refs),
+        frames: std::mem::take(&mut ctx.scratch_mut().query_frames),
+    };
+    descent.arena.clear();
+    descent.frames.clear();
+    let found = descent.run(source, start, *key, ctx);
+    let scratch = ctx.scratch_mut();
+    scratch.query_refs = descent.arena;
+    scratch.query_frames = descent.frames;
+    let outcome = SearchOutcome {
+        responsible: found.map(|(peer, _)| peer),
+        messages: descent.messages,
+        hops: found.map(|(_, depth)| depth).unwrap_or(0),
+    };
+    ctx.trace(|| TraceEvent::QueryEnd {
+        responsible: outcome.responsible.map_or(-1, |p| i64::from(p.0)),
+        messages: outcome.messages,
+        hops: outcome.hops,
+    });
+    outcome
+}
+
+/// Working state of one descent.
+struct Descent {
+    /// Messages spent so far (successful contacts).
+    messages: u64,
+    /// Logical index of the next reference shuffle this descent will
+    /// perform — the flight recorder's replayable stand-in for "which
+    /// RNG draw decided this step".
+    draws: u64,
+    /// Shuffled references of every suspended level, back to back.
+    arena: Vec<PeerId>,
+    /// Suspended levels, innermost last.
+    frames: Vec<QueryFrame>,
+}
+
+impl Descent {
     /// The iterative form of Fig. 2's `query(a, p, l)`: a preorder DFS over
     /// explicit [`QueryFrame`]s. Every suspended level keeps a cursor into
     /// the shared `arena` slice holding its shuffled references; exhausted
     /// levels pop and truncate the arena back to their base, exactly
     /// mirroring the recursive WHILE loop's backtracking.
-    fn query_descent(
-        &self,
+    fn run<S: RoutingSource>(
+        &mut self,
+        source: &S,
         start: PeerId,
         key: Key,
-        messages: &mut u64,
-        draws: &mut u64,
-        arena: &mut Vec<PeerId>,
-        frames: &mut Vec<QueryFrame>,
         ctx: &mut Ctx<'_>,
     ) -> Option<(PeerId, u32)> {
-        if let Some(found) = self.query_visit(start, key, 0, 0, draws, arena, frames, ctx) {
+        if let Some(found) = self.visit(source, start, key, 0, 0, ctx) {
             return Some(found);
         }
-        while let Some(top) = frames.last_mut() {
+        while let Some(top) = self.frames.last_mut() {
             if top.cursor == top.end {
                 // Every reference of this level tried: backtrack (the
                 // recursive formulation's `return None` to the caller).
                 let base = top.base;
-                frames.pop();
-                arena.truncate(base);
+                self.frames.pop();
+                self.arena.truncate(base);
                 continue;
             }
-            let r = arena[top.cursor];
+            let r = self.arena[top.cursor];
             top.cursor += 1;
             let (from, querypath, child_l, child_depth) =
                 (top.peer, top.querypath, top.child_l, top.child_depth);
             if ctx.contact(r) {
-                *messages += 1;
+                self.messages += 1;
                 ctx.message(MsgKind::Query);
                 ctx.trace(|| TraceEvent::QueryHop {
                     from: u64::from(from.0),
                     to: u64::from(r.0),
                     depth: child_depth,
                 });
-                if let Some(found) =
-                    self.query_visit(r, querypath, child_l, child_depth, draws, arena, frames, ctx)
-                {
+                if let Some(found) = self.visit(source, r, querypath, child_l, child_depth, ctx) {
                     return Some(found);
                 }
             }
@@ -140,19 +183,16 @@ impl PGrid {
     /// One node visit of the descent: either `a` is responsible (the Fig. 2
     /// base case) or its divergence-level references are shuffled into the
     /// arena and a frame is pushed for the main loop to drain.
-    fn query_visit(
-        &self,
+    fn visit<S: RoutingSource>(
+        &mut self,
+        source: &S,
         a: PeerId,
         p: Key,
         l: usize,
         depth: u32,
-        draws: &mut u64,
-        arena: &mut Vec<PeerId>,
-        frames: &mut Vec<QueryFrame>,
         ctx: &mut Ctx<'_>,
     ) -> Option<(PeerId, u32)> {
-        let path = self.peer(a).path();
-        debug_assert!(l <= path.len(), "matched prefix longer than path");
+        let path = source.path(a);
         // The routing decision itself is the shared sans-I/O kernel — the
         // same step the live node runs per received Query frame.
         let (consumed, level) = match route_step(&path, l, &p) {
@@ -164,40 +204,58 @@ impl PGrid {
                     level: 0,
                     responsible: true,
                     candidates: 0,
-                    draw: *draws,
+                    draw: self.draws,
                 });
                 return Some((a, depth));
             }
             RouteStep::Forward { consumed, level } => (consumed, level),
         };
+        // Progress rule (what `ttl` enforces in the live protocol): a
+        // level-`k` reference covers the query's bit `k`, so a forwarded
+        // visit always matches at least one more bit. One that matches
+        // none was reached through a wrong reference — a dead branch, or
+        // a reference cycle would push frames forever. Never fires on a
+        // grid that satisfies the reference property, and draws nothing.
+        if depth > 0 && consumed == 0 {
+            return None;
+        }
 
         // Divergence: forward the unmatched remainder to references at the
         // level just past the matched bits, in random order, skipping
         // offline peers (the DFS retry of Fig. 2's WHILE loop).
-        let querypath = p.suffix(consumed);
-        let base = arena.len();
-        self.peer(a).routing().level(level).shuffled_into(ctx.rng, arena);
-        let draw = *draws;
-        *draws += 1;
+        let base = self.arena.len();
+        self.arena.extend_from_slice(source.refs(a, level));
+        self.arena[base..].shuffle(ctx.rng);
+        let end = self.arena.len();
+        let draw = self.draws;
+        self.draws += 1;
         ctx.trace(|| TraceEvent::RouteStep {
             peer: u64::from(a.0),
             matched: l as u32,
             consumed: consumed as u32,
             level: level as u32,
             responsible: false,
-            candidates: (arena.len() - base) as u32,
+            candidates: (end - base) as u32,
             draw,
         });
-        frames.push(QueryFrame {
+        self.frames.push(QueryFrame {
             peer: a,
-            querypath,
+            querypath: p.suffix(consumed),
             child_l: l + consumed,
             child_depth: depth + 1,
             base,
             cursor: base,
-            end: arena.len(),
+            end,
         });
         None
+    }
+}
+
+impl PGrid {
+    /// Searches for a peer responsible for `key`, starting at `start`
+    /// (paper: `query(a, p, 0)`): the Fig. 2 descent over the live grid.
+    pub fn search(&self, start: PeerId, key: &Key, ctx: &mut Ctx<'_>) -> SearchOutcome {
+        descend(self, start, key, ctx)
     }
 
     /// Searches for `key` and reads the index entries at the responsible
@@ -247,7 +305,7 @@ impl PGrid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::routing::RefSet;
     use crate::PGridConfig;
@@ -260,8 +318,9 @@ mod tests {
     /// Builds the 6-peer example grid of the paper's Fig. 1:
     /// peers 1,2 → "00", peer 3 → "01" (path per figure: peer 3 at "01"),
     /// peer 4 → "10", peers 5,6 → "11", with the cross references drawn in
-    /// the figure. We use 0-based ids 0..6.
-    fn fig1_grid() -> PGrid {
+    /// the figure. We use 0-based ids 0..6. Multi-hop routing from every
+    /// peer, so the `search_batch` tests reuse it.
+    pub(crate) fn fig1_grid() -> PGrid {
         let mut g = PGrid::new(
             6,
             PGridConfig {
@@ -421,6 +480,46 @@ mod tests {
             let out = g.search(PeerId(0), &BitPath::from_str_lossy("1"), &mut ctx);
             assert_eq!(out.responsible, Some(PeerId(2)));
             assert_eq!(out.messages, 1);
+        }
+    }
+
+    #[test]
+    fn a_reference_cycle_of_wrong_refs_ends_the_branch() {
+        // Three peers on path "0" whose level-1 references — which should
+        // cover the "1" side — point at each other in a ring. No peer
+        // covers key "1", and without the progress rule the descent would
+        // chase 0 → 1 → 2 → 0 → … pushing a frame per hop.
+        let mut g = PGrid::new(
+            3,
+            PGridConfig {
+                maxl: 1,
+                refmax: 1,
+                ..PGridConfig::default()
+            },
+        );
+        for i in 0..3u32 {
+            g.extend_peer_path(PeerId(i), 0);
+            g.peer_mut(PeerId(i))
+                .routing_mut()
+                .set_level(1, RefSet::singleton(PeerId((i + 1) % 3)));
+        }
+        let key = BitPath::from_str_lossy("1");
+        let mut owned = owned_ctx();
+        let mut ctx = owned.ctx();
+        let serial = g.search(PeerId(0), &key, &mut ctx);
+        assert_eq!(serial.responsible, None);
+        assert_eq!(serial.messages, 1, "the first wrong hop is the last");
+
+        let table = CompactRoutingTable::build(&g);
+        let query = crate::BatchQuery {
+            key,
+            start: PeerId(0),
+            seed: 7,
+        };
+        for table in [None, Some(&table)] {
+            let mut out = Vec::new();
+            g.search_batch(table, &[query], &mut ctx, &mut out);
+            assert_eq!(out, vec![serial]);
         }
     }
 

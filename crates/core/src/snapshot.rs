@@ -269,12 +269,12 @@ mod tests {
         // A snapshot written before the flag existed still parses (and
         // defaults to unflagged).
         let grid = built_grid(5);
-        let mut json: serde_json::Value =
-            serde_json::from_str(&GridSnapshot::capture(&grid).to_json()).unwrap();
-        for p in json["peers"].as_array_mut().unwrap() {
-            p.as_object_mut().unwrap().remove("misplaced");
-        }
-        let old = GridSnapshot::from_json(&json.to_string()).expect("old snapshots parse");
+        let json = GridSnapshot::capture(&grid)
+            .to_json()
+            .replace(r#","misplaced":false"#, "")
+            .replace(r#","misplaced":true"#, "");
+        assert!(!json.contains("misplaced"), "{json}");
+        let old = GridSnapshot::from_json(&json).expect("old snapshots parse");
         assert!(old.peers.iter().all(|p| !p.misplaced));
     }
 

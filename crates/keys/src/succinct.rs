@@ -110,15 +110,6 @@ impl PathArena {
         }
         BitPath::from_raw(value, len as u8)
     }
-
-    /// The stream word holding bit `offsets[i]` — handed to `black_box` by
-    /// batched readers as a software prefetch of path `i`.
-    pub fn touch(&self, i: usize) -> u64 {
-        self.words
-            .get(self.offsets[i] as usize / 64)
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 impl FromIterator<BitPath> for PathArena {
@@ -229,12 +220,6 @@ impl RankBits {
             remaining -= 1;
         }
     }
-
-    /// The word holding bit `i` — a software-prefetch handle like
-    /// [`PathArena::touch`].
-    pub fn touch(&self, i: usize) -> u64 {
-        self.words.get(i / 64).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -299,14 +284,5 @@ mod tests {
             assert_eq!(rb.rank1(len), ones_seen);
             assert_eq!(rb.select1(ones_seen), None);
         }
-    }
-
-    #[test]
-    fn touch_is_total() {
-        let arena: PathArena = [BitPath::from_str_lossy("01")].into_iter().collect();
-        let _ = arena.touch(0);
-        let rb = RankBits::from_fn(3, |i| i == 1);
-        let _ = rb.touch(0);
-        let _ = rb.touch(2);
     }
 }

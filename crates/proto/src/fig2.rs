@@ -37,10 +37,10 @@ pub enum RouteStep {
 /// length, so a peer whose path shrank below a stale `matched` count still
 /// answers rather than panicking on malformed input.
 ///
-/// `#[inline]` matters here: the serial descent, the live node, and the
-/// lockstep batch driver (`pgrid-core::search_batch`) all call this kernel
-/// from other crates, and in the batched sweep it sits between two
-/// prefetch-sensitive loads — a call boundary would stall the overlap.
+/// `#[inline]` matters here: the simulator's descent (`pgrid-core`) and the
+/// live node call this kernel from other crates once per visited peer, and
+/// it is a handful of instructions — a call boundary would cost more than
+/// the step itself.
 #[inline]
 pub fn route_step(path: &BitPath, matched: usize, key: &BitPath) -> RouteStep {
     let matched = matched.min(path.len());

@@ -17,11 +17,10 @@
 //! "Hot-path memory discipline"). Scratch reuse is capacity-only — it never
 //! affects RNG draws or results.
 
-use pgrid_core::{BatchQuery, CompactRoutingTable, Ctx, OwnedCtx, PGrid};
-use pgrid_net::{NetStats, OnlineModel, PeerId};
+use pgrid_core::{BatchQuery, CompactRoutingTable, Ctx, OwnedCtx, PGrid, SearchOutcome};
+use pgrid_net::{NetStats, OnlineModel};
 use pgrid_trace::{merge_shards, RingTracer, Stamped};
 use rand::Rng;
-use serde::Serialize;
 
 use crate::workload::UniformKeys;
 
@@ -51,35 +50,37 @@ where
     T: Send,
     F: Fn(u64, &mut Ctx<'_>) -> T + Sync,
 {
-    let mut shards = fork_shards(master_seed, online, tasks);
-    let results = execute_shards(&mut shards, threads, &f);
-    let mut stats = NetStats::new();
-    for shard in &shards {
-        stats.merge(&shard.stats);
-    }
-    ShardedRun { results, stats }
+    run_shards(master_seed, online, tasks, threads, None, f).0
 }
 
-/// [`run_sharded`] with a flight recorder on every shard: each task records
-/// into a private ring of `shard_capacity` events, and the rings are drained
-/// and concatenated **in task order** — the trace-stream twin of the counter
+/// The one sharded runner. With `shard_capacity`, each task records into a
+/// private ring of that many events, and the rings are drained and
+/// concatenated **in task order** — the trace-stream twin of the counter
 /// merge, so the merged trace is as thread-count-invariant as the stats.
-pub fn run_sharded_traced<T, F>(
+/// Without it the returned trace is empty.
+fn run_shards<T, F>(
     master_seed: u64,
     online: &dyn OnlineModel,
     tasks: u64,
     threads: usize,
-    shard_capacity: usize,
+    shard_capacity: Option<usize>,
     f: F,
 ) -> (ShardedRun<T>, Vec<Stamped>)
 where
     T: Send,
     F: Fn(u64, &mut Ctx<'_>) -> T + Sync,
 {
-    let mut shards = fork_shards(master_seed, online, tasks);
-    for shard in &mut shards {
-        shard.set_tracer(Box::new(RingTracer::new(shard_capacity)));
-    }
+    // Fork every task context up front, on the calling thread, in task
+    // order — forking models like `EpochOnline` may consult shared state.
+    let mut shards: Vec<OwnedCtx> = (0..tasks)
+        .map(|t| {
+            let mut shard = Ctx::fork_for_task(master_seed, t, online.fork(t));
+            if let Some(capacity) = shard_capacity {
+                shard.set_tracer(Box::new(RingTracer::new(capacity)));
+            }
+            shard
+        })
+        .collect();
     let results = execute_shards(&mut shards, threads, &f);
     let mut stats = NetStats::new();
     for shard in &shards {
@@ -92,14 +93,6 @@ where
             .collect(),
     );
     (ShardedRun { results, stats }, events)
-}
-
-/// Forks every task context up front, on the calling thread, in task order —
-/// forking models like `EpochOnline` may consult shared state.
-fn fork_shards(master_seed: u64, online: &dyn OnlineModel, tasks: u64) -> Vec<OwnedCtx> {
-    (0..tasks)
-        .map(|t| Ctx::fork_for_task(master_seed, t, online.fork(t)))
-        .collect()
 }
 
 /// Runs `f` once per shard, on `threads` scoped workers (or inline). The
@@ -165,15 +158,7 @@ pub struct QueryPlan {
 }
 
 /// What one query did — comparable byte for byte across runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct QueryRecord {
-    /// Peer found responsible, if any.
-    pub responsible: Option<PeerId>,
-    /// Messages the search spent.
-    pub messages: u64,
-    /// Depth of the delegation chain.
-    pub hops: u32,
-}
+pub type QueryRecord = SearchOutcome;
 
 /// Outcome of a [`QueryPlan`] execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -196,7 +181,8 @@ impl QueryRunOutcome {
 
 /// Executes `plan` against `grid` (read-only, shared by all workers) with
 /// `threads` workers. Deterministic in `(plan, master_seed, online)`;
-/// independent of `threads`.
+/// independent of `threads`. Every query of a shard draws from the shard's
+/// one RNG stream, in query order.
 ///
 /// Per shard, the record buffer is reserved once up front and the searches
 /// run on the shard's warm scratch arena, so the steady-state per-query
@@ -209,25 +195,12 @@ pub fn run_query_plan(
     online: &dyn OnlineModel,
     threads: usize,
 ) -> QueryRunOutcome {
-    let shards = plan.shards.max(1);
-    let per = plan.queries / shards as usize;
-    let rem = plan.queries % shards as usize;
-    let keygen = UniformKeys { len: plan.key_len };
-
-    let run = run_sharded(master_seed, online, shards, threads, |task, ctx| {
-        query_shard(grid, &keygen, shard_count(per, rem, task), ctx)
-    });
-
-    QueryRunOutcome {
-        records: run.results.into_iter().flatten().collect(),
-        stats: run.stats,
-    }
+    run_plan(grid, plan, master_seed, online, threads, None, None).0
 }
 
 /// [`run_query_plan`] with every shard recording into the flight recorder:
-/// returns the identical outcome plus the merged trace. The search logic is
-/// shared with the untraced path verbatim — only the attached sink differs —
-/// which is what the traced-vs-untraced identity tests pin.
+/// returns the identical outcome plus the merged trace. Only the attached
+/// sink differs, which is what the traced-vs-untraced identity tests pin.
 pub fn run_query_plan_traced(
     grid: &PGrid,
     plan: &QueryPlan,
@@ -236,48 +209,28 @@ pub fn run_query_plan_traced(
     threads: usize,
     shard_capacity: usize,
 ) -> (QueryRunOutcome, Vec<Stamped>) {
-    let shards = plan.shards.max(1);
-    let per = plan.queries / shards as usize;
-    let rem = plan.queries % shards as usize;
-    let keygen = UniformKeys { len: plan.key_len };
-
-    let (run, events) = run_sharded_traced(
+    run_plan(
+        grid,
+        plan,
         master_seed,
         online,
-        shards,
         threads,
-        shard_capacity,
-        |task, ctx| query_shard(grid, &keygen, shard_count(per, rem, task), ctx),
-    );
-
-    (
-        QueryRunOutcome {
-            records: run.results.into_iter().flatten().collect(),
-            stats: run.stats,
-        },
-        events,
+        None,
+        Some(shard_capacity),
     )
 }
 
-/// Shards 0..rem take one extra query, so every query runs exactly once.
-fn shard_count(per: usize, rem: usize, task: u64) -> usize {
-    per + usize::from((task as usize) < rem)
-}
-
-/// Executes `plan` through the **lockstep batch driver**: a succinct
-/// [`CompactRoutingTable`] snapshot is frozen once and shared (read-only)
-/// by all workers, and each shard runs its queries `batch` descents at a
-/// time via [`PGrid::search_batch`].
+/// Executes `plan` over a [`CompactRoutingTable`] frozen once and shared
+/// (read-only) by all workers; each shard hands its queries to
+/// [`PGrid::search_batch`] `batch` at a time.
 ///
 /// Determinism: each shard pre-draws its queries — key, start peer, and a
 /// per-query RNG seed — from the shard stream *in query order* before any
-/// descent runs, so every query's draws are fixed regardless of how
-/// descents interleave. Records, counters, and traces are therefore
-/// byte-identical across **all** batch sizes and thread counts; `batch ==
-/// 1` is the batched family's serial reference. (The batched family's
-/// per-query streams intentionally differ from [`run_query_plan`]'s shared
-/// shard stream — the two engines are each self-consistent, not
-/// cross-identical; see DESIGN.md §13.)
+/// descent runs, so records, counters, and traces are byte-identical across
+/// **all** batch sizes and thread counts. (The per-query streams
+/// intentionally differ from [`run_query_plan`]'s shared shard stream — the
+/// two families are each self-consistent, not cross-identical; see
+/// DESIGN.md §13.)
 pub fn run_query_plan_batched(
     grid: &PGrid,
     plan: &QueryPlan,
@@ -286,33 +239,12 @@ pub fn run_query_plan_batched(
     threads: usize,
     batch: usize,
 ) -> QueryRunOutcome {
-    let table = CompactRoutingTable::build(grid);
-    let shards = plan.shards.max(1);
-    let per = plan.queries / shards as usize;
-    let rem = plan.queries % shards as usize;
-    let keygen = UniformKeys { len: plan.key_len };
-
-    let run = run_sharded(master_seed, online, shards, threads, |task, ctx| {
-        batched_query_shard(
-            grid,
-            &table,
-            &keygen,
-            shard_count(per, rem, task),
-            batch,
-            ctx,
-        )
-    });
-
-    QueryRunOutcome {
-        records: run.results.into_iter().flatten().collect(),
-        stats: run.stats,
-    }
+    run_plan(grid, plan, master_seed, online, threads, Some(batch), None).0
 }
 
 /// [`run_query_plan_batched`] with every shard recording into the flight
-/// recorder. The batch driver buffers each descent's events and flushes
-/// them in query order, so the merged trace is byte-identical for every
-/// batch size and thread count — pinned by the `batch_determinism` suite.
+/// recorder; the merged trace is byte-identical for every batch size and
+/// thread count — pinned by the `batch_determinism` suite.
 pub fn run_query_plan_batched_traced(
     grid: &PGrid,
     plan: &QueryPlan,
@@ -322,49 +254,74 @@ pub fn run_query_plan_batched_traced(
     batch: usize,
     shard_capacity: usize,
 ) -> (QueryRunOutcome, Vec<Stamped>) {
-    let table = CompactRoutingTable::build(grid);
+    run_plan(
+        grid,
+        plan,
+        master_seed,
+        online,
+        threads,
+        Some(batch),
+        Some(shard_capacity),
+    )
+}
+
+/// The one plan runner behind the four public entry points: `batch` selects
+/// the per-query-stream family over a frozen table, `shard_capacity`
+/// attaches the flight recorder.
+fn run_plan(
+    grid: &PGrid,
+    plan: &QueryPlan,
+    master_seed: u64,
+    online: &dyn OnlineModel,
+    threads: usize,
+    batch: Option<usize>,
+    shard_capacity: Option<usize>,
+) -> (QueryRunOutcome, Vec<Stamped>) {
+    let table = batch.map(|_| CompactRoutingTable::build(grid));
     let shards = plan.shards.max(1);
     let per = plan.queries / shards as usize;
     let rem = plan.queries % shards as usize;
     let keygen = UniformKeys { len: plan.key_len };
 
-    let (run, events) = run_sharded_traced(
+    let (run, events) = run_shards(
         master_seed,
         online,
         shards,
         threads,
         shard_capacity,
         |task, ctx| {
-            batched_query_shard(
-                grid,
-                &table,
-                &keygen,
-                shard_count(per, rem, task),
-                batch,
-                ctx,
-            )
+            // Shards 0..rem take one extra query, so every query runs
+            // exactly once.
+            let count = per + usize::from((task as usize) < rem);
+            query_shard(grid, table.as_ref().zip(batch), &keygen, count, ctx)
         },
     );
-
-    (
-        QueryRunOutcome {
-            records: run.results.into_iter().flatten().collect(),
-            stats: run.stats,
-        },
-        events,
-    )
+    let outcome = QueryRunOutcome {
+        records: run.results.into_iter().flatten().collect(),
+        stats: run.stats,
+    };
+    (outcome, events)
 }
 
-/// One shard's share of a batched plan: pre-draw every query spec in query
-/// order, then run them through the lockstep driver `batch` at a time.
-fn batched_query_shard(
+/// One shard's share of a query plan. Plain: draw a query, search, repeat.
+/// Batched (`table` and chunk size given): pre-draw every query spec in
+/// query order, then hand them to [`PGrid::search_batch`] a chunk at a time.
+fn query_shard(
     grid: &PGrid,
-    table: &CompactRoutingTable,
+    batched: Option<(&CompactRoutingTable, usize)>,
     keygen: &UniformKeys,
     count: usize,
-    batch: usize,
     ctx: &mut Ctx<'_>,
 ) -> Vec<QueryRecord> {
+    let mut records = Vec::with_capacity(count);
+    let Some((table, batch)) = batched else {
+        for _ in 0..count {
+            let key = keygen.sample(ctx.rng);
+            let start = grid.random_peer(ctx);
+            records.push(grid.search(start, &key, ctx));
+        }
+        return records;
+    };
     let mut specs = Vec::with_capacity(count);
     for _ in 0..count {
         let key = keygen.sample(ctx.rng);
@@ -372,38 +329,8 @@ fn batched_query_shard(
         let seed = ctx.rng.gen::<u64>();
         specs.push(BatchQuery { key, start, seed });
     }
-    let mut outcomes = Vec::with_capacity(count);
     for chunk in specs.chunks(batch.max(1)) {
-        grid.search_batch(Some(table), chunk, ctx, &mut outcomes);
-    }
-    outcomes
-        .iter()
-        .map(|o| QueryRecord {
-            responsible: o.responsible,
-            messages: o.messages,
-            hops: o.hops,
-        })
-        .collect()
-}
-
-/// One shard's share of a query plan — the single body both the traced and
-/// untraced runs execute.
-fn query_shard(
-    grid: &PGrid,
-    keygen: &UniformKeys,
-    count: usize,
-    ctx: &mut Ctx<'_>,
-) -> Vec<QueryRecord> {
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = keygen.sample(ctx.rng);
-        let start = grid.random_peer(ctx);
-        let out = grid.search(start, &key, ctx);
-        records.push(QueryRecord {
-            responsible: out.responsible,
-            messages: out.messages,
-            hops: out.hops,
-        });
+        grid.search_batch(Some(table), chunk, ctx, &mut records);
     }
     records
 }
@@ -413,7 +340,7 @@ mod tests {
     use super::*;
     use crate::built_grid;
     use pgrid_core::PGridConfig;
-    use pgrid_net::{AlwaysOnline, BernoulliOnline, EpochOnline};
+    use pgrid_net::{AlwaysOnline, BernoulliOnline, EpochOnline, PeerId};
 
     fn grid() -> PGrid {
         built_grid(

@@ -1,14 +1,12 @@
 //! **extra — parallel engine throughput**: the same query workload executed
-//! serially, across worker threads, and through the batched lockstep
-//! driver over the succinct routing snapshot.
+//! serially, across worker threads, and over the succinct routing snapshot.
 //!
 //! The engine's contract is *determinism first*: every threaded row below
 //! answers the identical queries with the identical RNG streams, so the
-//! thread count only moves wall-clock time. The batched rows form their
-//! own deterministic family (per-query RNG streams, DESIGN.md §13): batch
-//! width 1 is that family's serial reference, and every batch size and
-//! thread count must reproduce it bit for bit. `run` verifies both
-//! (the `identical` columns) while measuring queries/second.
+//! thread count only moves wall-clock time. The compact-table row belongs
+//! to the batched family (per-query RNG streams, DESIGN.md §13), which must
+//! reproduce itself bit for bit at every chunk size and thread count. `run`
+//! verifies both (the `identical` column) while measuring queries/second.
 
 use std::time::Instant;
 
@@ -16,7 +14,7 @@ use pgrid_core::PGridConfig;
 use pgrid_net::AlwaysOnline;
 use serde::Serialize;
 
-use crate::engine::{run_query_plan, run_query_plan_batched, QueryPlan};
+use crate::engine::{run_query_plan, run_query_plan_batched, QueryPlan, QueryRunOutcome};
 use crate::{built_grid, fmt_f, Table};
 
 /// Parameters of the throughput measurement.
@@ -36,9 +34,6 @@ pub struct Config {
     pub shards: u64,
     /// Thread counts to measure; the first row is the serial reference.
     pub threads: Vec<usize>,
-    /// Batch widths of the lockstep driver to measure; width 1 is the
-    /// batched family's serial reference.
-    pub batch_sizes: Vec<usize>,
     /// Master seed.
     pub seed: u64,
 }
@@ -53,7 +48,6 @@ impl Default for Config {
             key_len: 9,
             shards: 64,
             threads: vec![1, 2, 4, 8],
-            batch_sizes: vec![1, 8, 64],
             seed: 42,
         }
     }
@@ -70,13 +64,12 @@ impl Config {
             key_len: 4,
             shards: 16,
             threads: vec![1, 2],
-            batch_sizes: vec![1, 8, 64],
             seed: 42,
         }
     }
 }
 
-/// One measured thread count.
+/// One measured row.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct Row {
     /// Worker threads used.
@@ -87,51 +80,29 @@ pub struct Row {
     pub qps: f64,
     /// Speedup over the serial reference row.
     pub speedup: f64,
-    /// Whether records and counters matched the serial reference byte for
+    /// Whether records and counters matched the row's reference byte for
     /// byte (must always be `true`).
     pub identical: bool,
 }
 
-/// One measured batch width of the lockstep driver (single worker thread,
-/// so the column isolates what batching itself buys).
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct BatchRow {
-    /// Descents advanced in lockstep per shard.
-    pub batch: usize,
-    /// Wall-clock milliseconds for the whole workload at one thread.
-    pub elapsed_ms: f64,
-    /// Queries per second at one thread.
-    pub qps: f64,
-    /// Speedup over the unbatched (width 1) lockstep row.
-    pub speedup: f64,
-    /// Whether this width — at one thread *and* at the widest configured
-    /// thread count — reproduced the width-1 reference byte for byte
-    /// (must always be `true`).
-    pub identical: bool,
-}
-
-/// Everything `run` measured: the legacy threaded rows plus the batched
-/// lockstep rows.
+/// Everything `run` measured.
 #[derive(Clone, Debug, Serialize)]
 pub struct Report {
-    /// Thread-scaling rows of the shared-stream engine.
+    /// Thread-scaling rows of the shared-stream engine; the first is the
+    /// serial reference.
     pub rows: Vec<Row>,
-    /// Batch-width rows of the lockstep driver.
-    pub batch_rows: Vec<BatchRow>,
+    /// The same plan at one thread over a frozen `CompactRoutingTable`
+    /// (build time included). `identical` compares two chunk sizes and the
+    /// widest configured thread count within the batched family.
+    pub compact: Row,
 }
 
-impl Report {
-    /// The best batched qps observed, with its batch width.
-    pub fn best_batched(&self) -> Option<&BatchRow> {
-        self.batch_rows
-            .iter()
-            .max_by(|a, b| a.qps.total_cmp(&b.qps))
-    }
-}
+/// Chunk handed to `search_batch` by the compact-table row.
+const BATCH: usize = 64;
 
 /// Builds the grid once, then runs the workload at every configured thread
-/// count and batch width, checking each run against its family's serial
-/// reference.
+/// count and over the compact table, checking each run against its
+/// family's reference.
 pub fn run(cfg: &Config) -> (Report, Table) {
     let grid_cfg = PGridConfig {
         maxl: cfg.maxl,
@@ -145,48 +116,42 @@ pub fn run(cfg: &Config) -> (Report, Table) {
         shards: cfg.shards,
     };
     let online = AlwaysOnline;
+    let timed = |run: &dyn Fn() -> QueryRunOutcome| {
+        let start = Instant::now();
+        let out = run();
+        let elapsed = start.elapsed().as_secs_f64();
+        (out, elapsed * 1e3, cfg.queries as f64 / elapsed.max(1e-9))
+    };
 
     let reference = run_query_plan(&built.grid, &plan, cfg.seed, &online, 1);
 
     let mut rows = Vec::with_capacity(cfg.threads.len());
     let mut serial_qps = None;
     for &threads in &cfg.threads {
-        let start = Instant::now();
-        let out = run_query_plan(&built.grid, &plan, cfg.seed, &online, threads);
-        let elapsed = start.elapsed().as_secs_f64();
-        let qps = cfg.queries as f64 / elapsed.max(1e-9);
+        let (out, elapsed_ms, qps) =
+            timed(&|| run_query_plan(&built.grid, &plan, cfg.seed, &online, threads));
         let serial = *serial_qps.get_or_insert(qps);
         rows.push(Row {
             threads,
-            elapsed_ms: elapsed * 1e3,
+            elapsed_ms,
             qps,
             speedup: qps / serial,
             identical: out == reference,
         });
     }
 
-    // Batched lockstep family: width 1 at one thread is its reference.
+    let batched = |threads, batch| {
+        run_query_plan_batched(&built.grid, &plan, cfg.seed, &online, threads, batch)
+    };
+    let (out, elapsed_ms, qps) = timed(&|| batched(1, BATCH));
     let max_threads = cfg.threads.iter().copied().max().unwrap_or(1);
-    let batch_reference = run_query_plan_batched(&built.grid, &plan, cfg.seed, &online, 1, 1);
-    let mut batch_rows = Vec::with_capacity(cfg.batch_sizes.len());
-    let mut unbatched_qps = None;
-    for &batch in &cfg.batch_sizes {
-        let start = Instant::now();
-        let out = run_query_plan_batched(&built.grid, &plan, cfg.seed, &online, 1, batch);
-        let elapsed = start.elapsed().as_secs_f64();
-        let qps = cfg.queries as f64 / elapsed.max(1e-9);
-        let unbatched = *unbatched_qps.get_or_insert(qps);
-        // Thread-invariance of this width, checked at the widest count.
-        let threaded =
-            run_query_plan_batched(&built.grid, &plan, cfg.seed, &online, max_threads, batch);
-        batch_rows.push(BatchRow {
-            batch,
-            elapsed_ms: elapsed * 1e3,
-            qps,
-            speedup: qps / unbatched,
-            identical: out == batch_reference && threaded == batch_reference,
-        });
-    }
+    let compact = Row {
+        threads: 1,
+        elapsed_ms,
+        qps,
+        speedup: qps / serial_qps.unwrap_or(qps),
+        identical: out == batched(1, 1) && out == batched(max_threads, BATCH),
+    };
 
     let mut table = Table::new(
         format!(
@@ -195,25 +160,17 @@ pub fn run(cfg: &Config) -> (Report, Table) {
         ),
         &["mode", "elapsed ms", "qps", "speedup", "identical"],
     );
-    for r in &rows {
+    let modes = rows.iter().map(|r| (format!("{} thread(s)", r.threads), r));
+    for (mode, r) in modes.chain([("compact table".to_string(), &compact)]) {
         table.push_row(vec![
-            format!("{} thread(s)", r.threads),
+            mode,
             fmt_f(r.elapsed_ms, 1),
             fmt_f(r.qps, 0),
             fmt_f(r.speedup, 2),
             r.identical.to_string(),
         ]);
     }
-    for r in &batch_rows {
-        table.push_row(vec![
-            format!("batch {}", r.batch),
-            fmt_f(r.elapsed_ms, 1),
-            fmt_f(r.qps, 0),
-            fmt_f(r.speedup, 2),
-            r.identical.to_string(),
-        ]);
-    }
-    (Report { rows, batch_rows }, table)
+    (Report { rows, compact }, table)
 }
 
 #[cfg(test)]
@@ -221,20 +178,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_thread_count_and_batch_width_matches_its_reference() {
+    fn every_row_matches_its_reference() {
         let mut cfg = Config::small();
         cfg.queries = 600; // keep the unit test fast; the bench runs full
         let (report, table) = run(&cfg);
         assert_eq!(report.rows.len(), 2);
         assert!(report.rows.iter().all(|r| r.identical), "{:?}", report.rows);
         assert!(report.rows.iter().all(|r| r.qps > 0.0));
-        assert_eq!(report.batch_rows.len(), 3);
-        assert!(
-            report.batch_rows.iter().all(|r| r.identical),
-            "{:?}",
-            report.batch_rows
-        );
-        assert!(report.best_batched().is_some());
-        assert_eq!(table.rows.len(), 5);
+        assert!(report.compact.identical, "{:?}", report.compact);
+        assert!(report.compact.qps > 0.0);
+        assert_eq!(table.rows.len(), 3);
     }
 }

@@ -467,12 +467,7 @@ pub fn run_flash_crowd(cfg: &FlashConfig) -> (Vec<FlashRow>, Table) {
                 let mut recs = Vec::with_capacity(count);
                 for _ in 0..count {
                     let start = grid.random_peer(ctx);
-                    let out = grid.search(start, &hot, ctx);
-                    recs.push(QueryRecord {
-                        responsible: out.responsible,
-                        messages: out.messages,
-                        hops: out.hops,
-                    });
+                    recs.push(grid.search(start, &hot, ctx));
                 }
                 recs
             },

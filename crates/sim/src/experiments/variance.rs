@@ -102,12 +102,14 @@ mod tests {
     fn optimum_is_robust_across_seeds() {
         let (rows, table) = run(&Config::small());
         let at = |recmax: u32| rows.iter().find(|r| r.recmax == recmax).unwrap().e_per_n;
-        // recmax = 2 beats recmax = 0 by far more than the spread.
+        // recmax = 2 beats recmax = 0 by more than seed luck explains: the
+        // means differ by over two standard errors of their difference.
         let zero = at(0);
         let two = at(2);
+        let se = (zero.std.powi(2) / zero.n as f64 + two.std.powi(2) / two.n as f64).sqrt();
         assert!(
-            two.mean + two.std < zero.mean - zero.std,
-            "separation must exceed one std: {two:?} vs {zero:?}"
+            zero.mean - two.mean > 2.0 * se,
+            "means must differ by two standard errors ({se:.2}): {two:?} vs {zero:?}"
         );
         // Runs are reasonably stable (cv below ~0.5).
         for r in &rows {

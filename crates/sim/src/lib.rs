@@ -29,7 +29,7 @@
 //! | extra | multi-seed replication of T3 | [`experiments::variance`] |
 //! | extra | mixed read/write workloads (empirical break-even) | [`experiments::mixed`] |
 //! | extra | ablations of the design knobs | [`experiments::ablation`] |
-//! | extra | parallel engine throughput (serial vs threaded vs batched lockstep) | [`experiments::engine`] |
+//! | extra | parallel engine throughput (serial vs threaded vs compact table) | [`experiments::engine`] |
 //! | extra | storage backend equivalence & throughput | [`experiments::store`] |
 //!
 //! Query workloads can execute across worker threads via [`engine`] — task-
@@ -49,8 +49,7 @@ pub mod workload;
 
 pub use engine::{
     run_query_plan, run_query_plan_batched, run_query_plan_batched_traced,
-    run_query_plan_traced, run_sharded, run_sharded_traced, QueryPlan, QueryRecord,
-    QueryRunOutcome,
+    run_query_plan_traced, run_sharded, QueryPlan, QueryRecord, QueryRunOutcome,
 };
 pub use report::{fmt_f, Table};
 pub use runner::{built_grid, BuiltGrid};

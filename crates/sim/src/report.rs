@@ -154,11 +154,14 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let json = sample().to_json();
-        let back: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(back["title"], "demo");
-        assert_eq!(back["rows"][1][0], "1000");
+    fn json_carries_title_and_rows() {
+        let mut json = sample().to_json();
+        json.retain(|c| !c.is_whitespace());
+        assert!(json.contains(r#""title":"demo""#), "{json}");
+        assert!(
+            json.contains(r#""rows":[["200","15942","79.71"],["1000","74619","74.61"]]"#),
+            "{json}"
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ cargo test --release --test differential_sim_node
 echo "==> sim/socket differential determinism (real TCP loopback, two fixed seeds)"
 cargo test --release --test differential_sim_tcp
 
-echo "==> batch determinism (batched vs width-1 reference; batch 1/8/64 x threads 1/4)"
+echo "==> batch determinism (per-query RNG streams: chunk 1/8/64 x threads 1/4 byte-identical)"
 cargo test --release --test batch_determinism
 
 echo "==> storage backends (equivalence proptests, crash points, cross-backend determinism)"

@@ -17,20 +17,31 @@ run() {
 # crates/node's own unit tests and tests/robustness.rs.
 run -p pgrid-node
 
-for suite in alloc_free analysis_vs_simulation differential_sim_node differential_sim_tcp \
-    end_to_end live_churn live_data_rehoming live_vs_sim; do
+for suite in alloc_free analysis_vs_simulation batch_determinism differential_sim_node \
+    differential_sim_tcp end_to_end live_churn live_data_rehoming live_vs_sim \
+    self_stabilization trace_determinism; do
     run --test "$suite"
 done
+
+# The unit tests of pgrid-core and pgrid-sim (their src/lib.rs as a test
+# target), minus the ones that call serde_json at run time.
+run --test core_unit -- \
+    --skip snapshot::tests::json_round_trip \
+    --skip snapshot::tests::snapshots_without_the_misplaced_field_still_parse
+run --test sim_unit -- \
+    --skip experiments::store::tests::every_backend_reproduces_the_reference_community \
+    --skip report::tests::json_carries_title_and_rows
+
+# The one storage_backends test that never reaches serde_json.
+run --test storage_backends disk_backed_peers_survive_reopen_and_reindex
 
 if [[ "${1:-}" != "quick" ]]; then
     run --test live_chaos
     run --test tcp_chaos
 fi
 
-for suite in batch_determinism experiments_smoke live_to_sim_bridge \
-    storage_backends trace_determinism; do
+for suite in experiments_smoke live_to_sim_bridge "storage_backends (other 3 tests)"; do
     echo "SKIP $suite: reaches serde_json, whose stand-in panics by design"
 done
-echo "SKIP self_stabilization: every_corruption_class_converges_across_seeds grows past 16 GiB"
 
 echo "offline tests green."

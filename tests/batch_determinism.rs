@@ -1,9 +1,8 @@
-//! Regression pins for the batched lockstep query driver (ISSUE 7): the
-//! batched family's results, counters, and merged traces must be
-//! byte-identical at every batch size and thread count — batch width 1 is
-//! the family's serial reference — the read-only descent must leave the
-//! grid untouched, and a stale succinct snapshot must fall back to the
-//! live structures without changing a single answer.
+//! Regression pins for the batched query family (ISSUE 7): its results,
+//! counters, and merged traces must be byte-identical at every batch size
+//! and thread count, the read-only descent must leave the grid untouched,
+//! and a stale succinct snapshot must fall back to the live structures
+//! without changing a single answer.
 
 use pgrid::core::{BatchQuery, CompactRoutingTable, Ctx, GridSnapshot, PGrid, PGridConfig};
 use pgrid::keys::BitPath;
@@ -47,7 +46,7 @@ fn batched_runs_are_batch_size_and_thread_invariant() {
     let g = grid();
     let plan = plan();
     let online = BernoulliOnline::new(0.7);
-    let before = GridSnapshot::capture(&g).to_json();
+    let before = GridSnapshot::capture(&g);
     let reference = run_query_plan_batched(&g, &plan, 33, &online, 1, 1);
     assert_eq!(reference.records.len(), plan.queries);
     assert!(reference.successes() > 0);
@@ -60,8 +59,8 @@ fn batched_runs_are_batch_size_and_thread_invariant() {
             );
         }
     }
-    // The descent is read-only: not one byte of the grid may move.
-    assert_eq!(before, GridSnapshot::capture(&g).to_json());
+    // The descent is read-only: not one field of the grid may move.
+    assert_eq!(before, GridSnapshot::capture(&g));
 }
 
 #[test]

@@ -14,8 +14,8 @@ use pgrid::trace::{
 
 /// One full lifecycle — build, insert, query — run through a single
 /// [`pgrid::core::OwnedCtx`], with or without a recorder attached. Returns
-/// the final grid snapshot (JSON), the counters, and the recorded events.
-fn lifecycle(seed: u64, traced: bool) -> (String, NetStats, Vec<Stamped>) {
+/// the final grid snapshot, the counters, and the recorded events.
+fn lifecycle(seed: u64, traced: bool) -> (GridSnapshot, NetStats, Vec<Stamped>) {
     let mut owned = Ctx::fork_for_task(seed, 0, Box::new(AlwaysOnline));
     if traced {
         owned.set_tracer(Box::new(RingTracer::new(1 << 22)));
@@ -54,7 +54,7 @@ fn lifecycle(seed: u64, traced: bool) -> (String, NetStats, Vec<Stamped>) {
         }
     }
     let events = owned.take_trace_events();
-    (GridSnapshot::capture(&grid).to_json(), owned.stats, events)
+    (GridSnapshot::capture(&grid), owned.stats, events)
 }
 
 #[test]
@@ -64,7 +64,7 @@ fn tracing_is_observation_only() {
     assert!(events_plain.is_empty(), "untraced runs record nothing");
     assert!(!events_traced.is_empty(), "traced runs record");
     // The recorder must not perturb a single decision: identical final
-    // grid, byte for byte, and identical counters.
+    // grid, field for field, and identical counters.
     assert_eq!(snap_plain, snap_traced);
     assert_eq!(stats_plain, stats_traced);
 }
