@@ -268,7 +268,7 @@ impl PGrid {
                 });
             }
         }
-        for (_, members) in self.replica_groups() {
+        for members in self.peers_by_path().values() {
             if members.len() < 3 {
                 continue;
             }
@@ -330,7 +330,9 @@ impl PGrid {
             return report;
         }
 
-        let groups = self.replica_groups();
+        // The round is about to move paths, which drops the cached grouping
+        // anyway: take it when warm instead of copying it.
+        let groups = self.take_peers_by_path();
         let maxl = self.config().maxl;
         let (plan, mut donors) = self.plan_round(&groups, &loads, cfg, maxl, &is_hot, &is_cold);
 
@@ -585,9 +587,12 @@ impl PGrid {
         // replicas staying behind at its old path.
         let extracted = self.peer_mut(d).index_mut().extract_not_under(path);
         let old_group: Vec<PeerId> = self
-            .replicas_of(&old_path)
+            .peers_by_path()
+            .get(&old_path)
             .into_iter()
-            .filter(|&p| p != d && self.peer(p).path() == old_path)
+            .flatten()
+            .copied()
+            .filter(|&p| p != d)
             .collect();
         let mut strays = false;
         for (key, entries) in extracted {
@@ -947,17 +952,27 @@ mod tests {
         let cfg = BalanceConfig::default();
         let before = ratio_x1000(&grid, &tracker, &cfg);
         assert!(before > cfg.target_ratio_x1000, "baseline must be skewed");
+        let (mut split, mut retracted) = (0, 0);
         run_ctx(|ctx| {
             let mut rounds = 0;
             loop {
                 let report = grid.balance_round(&tracker, &cfg, ctx);
                 rounds += 1;
+                split += report.paths_extended;
+                retracted += report.paths_retracted;
+                // Splits, retractions and migrations all move paths under a
+                // warm by-path cache.
+                crate::grid::tests::assert_replicas_match_scan(&grid);
                 if report.actions() == 0 {
                     break;
                 }
                 assert!(rounds < 96, "did not converge: {report:?}");
             }
         });
+        assert!(
+            split > 0 && retracted > 0,
+            "{split} splits, {retracted} retractions"
+        );
         let after = ratio_x1000(&grid, &tracker, &cfg);
         assert!(
             after <= cfg.target_ratio_x1000,

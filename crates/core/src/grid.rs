@@ -1,6 +1,7 @@
 //! The grid container: all peers of the simulated community.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::PeerId;
@@ -30,6 +31,11 @@ pub struct PGrid {
     /// borrowed; `peer_epochs[i] > table.built_epoch` marks peer `i` dirty
     /// for an incremental snapshot refresh.
     peer_epochs: Vec<u64>,
+    /// [`PGrid::replica_groups`], computed on first use and dropped whenever
+    /// a path changes — at the same three chokepoints that keep
+    /// `path_len_sum` honest. Independent of `epoch`, which also moves on
+    /// index and routing writes that leave every path alone.
+    by_path: OnceLock<BTreeMap<BitPath, Vec<PeerId>>>,
 }
 
 impl PGrid {
@@ -46,6 +52,7 @@ impl PGrid {
             path_len_sum: 0,
             epoch: 0,
             peer_epochs: vec![0; n],
+            by_path: OnceLock::new(),
         }
     }
 
@@ -77,6 +84,7 @@ impl PGrid {
             path_len_sum: 0,
             epoch: 0,
             peer_epochs: vec![0; n],
+            by_path: OnceLock::new(),
         })
     }
 
@@ -149,12 +157,16 @@ impl PGrid {
         self.mark_peer(id.index());
         self.peers[id.index()].extend_path(bit);
         self.path_len_sum += 1;
+        self.by_path.take();
     }
 
     /// Accounts for `n` path bits added by pair-local exchanges, which
     /// extend [`Peer`] paths directly and cannot reach the running sum.
     pub(crate) fn add_path_bits(&mut self, n: u64) {
         self.path_len_sum += n;
+        if n > 0 {
+            self.by_path.take();
+        }
     }
 
     /// **Fault injection**: replaces a peer's path wholesale, keeping the
@@ -166,6 +178,7 @@ impl PGrid {
         let old = self.peers[id.index()].path().len() as u64;
         self.peers[id.index()].set_path(path);
         self.path_len_sum = self.path_len_sum - old + path.len() as u64;
+        self.by_path.take();
     }
 
     /// **Fault injection**: replaces one level's reference set wholesale
@@ -274,26 +287,39 @@ impl PGrid {
         groups
     }
 
+    /// [`PGrid::replica_groups`] as of the last path change, cached.
+    pub(crate) fn peers_by_path(&self) -> &BTreeMap<BitPath, Vec<PeerId>> {
+        self.by_path.get_or_init(|| self.replica_groups())
+    }
+
+    /// [`PGrid::peers_by_path`] by value, for a caller about to change paths:
+    /// moves the cached map out when there is one.
+    pub(crate) fn take_peers_by_path(&mut self) -> BTreeMap<BitPath, Vec<PeerId>> {
+        self.by_path.take().unwrap_or_else(|| self.replica_groups())
+    }
+
     /// Ground truth: every peer responsible for `key` (the replicas an update
-    /// must reach). Used by experiments to compute recall; the protocols
-    /// never consult it.
+    /// must reach), in ascending id order. Used by experiments to compute
+    /// recall; the protocols never consult it.
     pub fn replicas_of(&self, key: &Key) -> Vec<PeerId> {
-        self.peers
-            .iter()
-            .filter(|p| p.responsible_for(key))
-            .map(Peer::id)
-            .collect()
+        let groups = self.peers_by_path();
+        // Paths that are proper prefixes of the key, then the key's subtree.
+        let mut out: Vec<PeerId> = (0..key.len())
+            .filter_map(|l| groups.get(&key.prefix(l)))
+            .chain(pgrid_store::prefix_range(groups, key).map(|(_, members)| members))
+            .flatten()
+            .copied()
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Oracle insertion: installs an index entry directly at every
     /// responsible peer. Experiments use this to set up a fully consistent
     /// index without paying (or measuring) insertion traffic.
     pub fn seed_index(&mut self, key: Key, entry: IndexEntry) {
-        for i in 0..self.peers.len() {
-            if self.peers[i].responsible_for(&key) {
-                self.mark_peer(i);
-                self.peers[i].index_insert(key, entry);
-            }
+        for id in self.replicas_of(&key) {
+            self.peer_mut(id).index_insert(key, entry);
         }
     }
 
@@ -306,7 +332,8 @@ impl PGrid {
     ///    `prefix(i-1, peer(r)) = prefix(i-1, a)` and the bits at position
     ///    `i` differ;
     /// 5. reference levels never exceed the peer's own path length;
-    /// 6. the running path-length sum matches reality.
+    /// 6. the running path-length sum matches reality;
+    /// 7. the cached by-path grouping, when present, matches reality.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut sum = 0u64;
         for a in &self.peers {
@@ -366,17 +393,53 @@ impl PGrid {
                 self.path_len_sum
             ));
         }
+        if self
+            .by_path
+            .get()
+            .is_some_and(|cached| *cached != self.replica_groups())
+        {
+            return Err("cached replica groups are stale: a path changed unseen".to_string());
+        }
         Ok(())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pgrid_net::{AlwaysOnline, NetStats};
     use pgrid_store::{ItemId, Version};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `replicas_of` against the definition it replaced — a scan of every
+    /// peer — for each peer's own path, the path one bit shorter, a 3-bit
+    /// extension of it and a full-length key below it, plus the root.
+    pub(crate) fn assert_replicas_match_scan(g: &PGrid) {
+        assert_eq!(*g.peers_by_path(), g.replica_groups());
+        let mut keys = vec![BitPath::EMPTY];
+        for p in g.peers() {
+            let path = p.path();
+            let deeper = path.append(&BitPath::from_value(p.id().0 as u128 % 8, 3));
+            let shorter = path.prefix(path.len().saturating_sub(1));
+            keys.extend([
+                path,
+                shorter,
+                deeper,
+                deeper.append(&BitPath::from_raw(!0, 40)),
+            ]);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        for key in keys {
+            let scan: Vec<PeerId> = g
+                .peers()
+                .filter(|p| p.responsible_for(&key))
+                .map(Peer::id)
+                .collect();
+            assert_eq!(g.replicas_of(&key), scan, "replicas_of({key})");
+        }
+    }
 
     fn small_grid() -> PGrid {
         PGrid::new(
@@ -498,6 +561,62 @@ mod tests {
         assert_eq!(g.peer(PeerId(3)).index_lookup(&key).len(), 1);
         let truth = g.replicas_of(&key);
         assert!(truth.contains(&PeerId(0)) && !truth.contains(&PeerId(2)));
+    }
+
+    #[test]
+    fn replicas_of_tracks_every_path_change() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut online = AlwaysOnline;
+        let mut stats = NetStats::new();
+        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
+        let mut g = PGrid::new(
+            96,
+            PGridConfig {
+                maxl: 6,
+                refmax: 3,
+                ..PGridConfig::default()
+            },
+        );
+        assert_replicas_match_scan(&g);
+        // A half-built grid: shallow and deep paths coexist, and the
+        // meetings below still change paths under a warm cache.
+        let opts = crate::BuildOptions {
+            threshold_fraction: 0.5,
+            ..crate::BuildOptions::default()
+        };
+        g.build(&opts, &mut ctx);
+        assert_replicas_match_scan(&g);
+        let before = g.path_len_sum();
+        for _ in 0..400 {
+            let (a, b) = g.random_pair(&mut ctx);
+            g.exchange(a, b, &mut ctx);
+        }
+        assert!(g.path_len_sum() > before, "the meetings must move paths");
+        assert_replicas_match_scan(&g);
+        g.check_invariants().unwrap();
+
+        let victim = PeerId(5);
+        let flipped = g.peer(victim).path().with_flipped(0);
+        g.overwrite_peer_path(victim, flipped);
+        assert_replicas_match_scan(&g);
+
+        // A clone carries the warm cache and must keep it honest on its own.
+        let mut copy = g.clone();
+        copy.overwrite_peer_path(victim, BitPath::EMPTY);
+        assert_replicas_match_scan(&copy);
+        assert_replicas_match_scan(&g);
+    }
+
+    #[test]
+    fn invariant_checker_catches_a_stale_path_cache() {
+        let mut g = small_grid();
+        g.extend_peer_path(PeerId(0), 0);
+        assert_eq!(g.replicas_of(&BitPath::from_str_lossy("1")).len(), 7);
+        // A path write that bypasses the three chokepoints.
+        g.peer_mut(PeerId(1)).extend_path(1);
+        g.path_len_sum += 1;
+        let err = g.check_invariants().unwrap_err();
+        assert!(err.contains("stale"), "{err}");
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl HashFileBackend {
 
     fn read_loc(&self, loc: Loc) -> DataItem {
         let mut buf = vec![0u8; loc.frame_len as usize];
-        recfile::read_exact_at(&self.file, &self.path, &mut buf, loc.offset)
+        recfile::read_exact_at(&self.file, || &self.path, &mut buf, loc.offset)
             .unwrap_or_else(|e| panic!("storage read failed in {}: {e}", self.path.display()));
         match recfile::decode_frame(&buf) {
             Ok(Record::Put(item)) => item,

@@ -13,10 +13,10 @@
 //!   [`HashFileBackend`], [`LogBackend`] — where those items physically
 //!   live (RAM, one record file, or a compacting segment log), selected per
 //!   deployment via [`StorageSpec`] without touching any protocol code;
-//! * [`TrieIndex`] — a binary-trie index with the prefix operations the
+//! * [`TrieIndex`] — an ordered key index with the prefix operations the
 //!   P-Grid algorithms need (prefix lookup, split-off on specialization);
-//! * [`prefix_range`] — the `BTreeMap`-range formulation of prefix lookup,
-//!   used where a flat ordered map is preferable to a linked trie.
+//! * [`prefix_range`] — the `BTreeMap`-range formulation of prefix lookup
+//!   that `TrieIndex` and the backends' key indexes are built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

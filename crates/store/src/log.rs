@@ -150,12 +150,11 @@ impl LogBackend {
             scratch: Vec::new(),
         };
 
-        if seg_ids.is_empty() {
-            backend.create_segment(0)?;
+        // An empty directory stays empty: segment 0 is created by the first
+        // append, so a store that never holds a record never holds a file.
+        let Some(&last) = seg_ids.last() else {
             return Ok(backend);
-        }
-
-        let last = *seg_ids.last().unwrap();
+        };
         for id in seg_ids {
             backend.replay_segment(id, id == last)?;
         }
@@ -253,22 +252,28 @@ impl LogBackend {
             .segments
             .get(&loc.seg)
             .unwrap_or_else(|| panic!("indexed segment {} is gone", loc.seg));
-        let path = self.dir.join(seg_file_name(loc.seg));
+        // Only the failure branches name the file.
+        let path = || self.dir.join(seg_file_name(loc.seg));
         let mut buf = vec![0u8; loc.frame_len as usize];
-        recfile::read_exact_at(&seg.file, &path, &mut buf, loc.offset)
-            .unwrap_or_else(|e| panic!("storage read failed in {}: {e}", path.display()));
+        recfile::read_exact_at(&seg.file, path, &mut buf, loc.offset)
+            .unwrap_or_else(|e| panic!("storage read failed in {}: {e}", path().display()));
         match recfile::decode_frame(&buf) {
             Ok(Record::Put(item)) => item,
             other => panic!(
                 "indexed record at {} in {} is invalid: {other:?}",
                 loc.offset,
-                path.display()
+                path().display()
             ),
         }
     }
 
-    /// Appends `self.scratch` to the active segment, returning the location.
+    /// Appends `self.scratch` to the active segment — creating segment 0 if
+    /// the store has never been written — and returns the location.
     fn append_scratch(&mut self) -> (u64, u64, u32) {
+        if self.segments.is_empty() {
+            self.create_segment(0)
+                .unwrap_or_else(|e| panic!("creating the first segment failed: {e}"));
+        }
         let seg_id = self.active_id;
         let seg = self.segments.get_mut(&seg_id).expect("active segment");
         let offset = seg.len;
@@ -319,6 +324,10 @@ impl LogBackend {
     /// Rewrites every live record into one fresh segment (id order), then
     /// atomically publishes it and deletes the old segments.
     fn compact(&mut self) -> Result<(), StoreError> {
+        if self.segments.is_empty() {
+            // Never written: nothing to rewrite, and no file to leave behind.
+            return Ok(());
+        }
         let next = self.active_id + 1;
         let tmp_path = self.dir.join(format!("{}.tmp", seg_file_name(next)));
         let final_path = self.dir.join(seg_file_name(next));
@@ -551,6 +560,38 @@ mod tests {
             b.get(ItemId(0)).unwrap().key,
             BitPath::from_str_lossy("0101")
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn segment_files(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| parse_seg_id(&e.as_ref().unwrap().file_name().to_string_lossy()).is_some())
+            .count()
+    }
+
+    #[test]
+    fn never_written_store_holds_no_file_until_the_first_put() {
+        let dir = tmp("lazy");
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut b = LogBackend::open(&dir).unwrap();
+            b.flush().unwrap();
+            b.compact_now().unwrap();
+            b.for_each(&mut |_| panic!("an empty store has no items"));
+            assert_eq!(b.remove(ItemId(1)), None);
+            assert_eq!((b.len(), b.segment_count()), (0, 0));
+        }
+        assert_eq!(segment_files(&dir), 0, "nothing written, nothing created");
+        {
+            let mut b = LogBackend::open(&dir).unwrap();
+            assert_eq!(segment_files(&dir), 0, "reopening creates nothing either");
+            b.put(item(7, "0101"));
+            assert_eq!((b.segment_count(), segment_files(&dir)), (1, 1));
+            b.flush().unwrap();
+        }
+        let b = LogBackend::open(&dir).unwrap();
+        assert_eq!(b.get(ItemId(7)), Some(item(7, "0101")));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

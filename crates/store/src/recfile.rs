@@ -209,10 +209,11 @@ pub(crate) fn decode_frame(frame: &[u8]) -> Result<Record, String> {
 }
 
 /// Positioned read that leaves the file cursor alone, so `&self` readers
-/// never disturb the append position.
-pub(crate) fn read_exact_at(
+/// never disturb the append position. `path` names the file and is only
+/// evaluated where the platform has no positioned read.
+pub(crate) fn read_exact_at<P: AsRef<Path>>(
     file: &File,
-    path: &Path,
+    path: impl FnOnce() -> P,
     buf: &mut [u8],
     offset: u64,
 ) -> std::io::Result<()> {
@@ -225,7 +226,7 @@ pub(crate) fn read_exact_at(
     {
         // Fallback: a fresh handle gets its own cursor.
         use std::io::{Read, Seek, SeekFrom};
-        let mut f = File::open(path)?;
+        let mut f = File::open(path())?;
         f.seek(SeekFrom::Start(offset))?;
         f.read_exact(buf)
     }

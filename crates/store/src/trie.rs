@@ -1,11 +1,13 @@
-//! Binary-trie index and prefix-range lookup.
+//! Ordered key index and prefix-range lookup.
 //!
 //! Peers keep their leaf-level index `D` (key → hosting peers) in a structure
-//! that must answer two questions efficiently during construction and search:
+//! that must answer two of the trie's questions efficiently during
+//! construction and search:
 //! *"which entries fall under trie path `p`?"* (when answering a query for a
 //! whole subtree) and *"hand me everything **not** under `p`"* (when a peer
 //! specializes its path and transfers the other half of its index to its
-//! exchange partner).
+//! exchange partner). Under [`BitPath`]'s lexicographic order a subtree is one
+//! contiguous key range, so an ordered map answers both.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -43,7 +45,8 @@ fn subtree_upper(path: &BitPath) -> Option<BitPath> {
     }
 }
 
-/// A binary trie mapping exact keys to values, with subtree operations.
+/// An ordered index mapping exact keys to values, answering the trie's
+/// subtree questions as key ranges.
 ///
 /// ```
 /// use pgrid_keys::BitPath;
@@ -69,36 +72,13 @@ fn subtree_upper(path: &BitPath) -> Option<BitPath> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TrieIndex<V> {
-    root: Node<V>,
-    len: usize,
-}
-
-#[derive(Clone, Debug)]
-struct Node<V> {
-    value: Option<V>,
-    children: [Option<Box<Node<V>>>; 2],
-}
-
-impl<V> Default for Node<V> {
-    fn default() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
-}
-
-impl<V> Node<V> {
-    fn is_empty(&self) -> bool {
-        self.value.is_none() && self.children.iter().all(Option::is_none)
-    }
+    map: BTreeMap<Key, V>,
 }
 
 impl<V> Default for TrieIndex<V> {
     fn default() -> Self {
         TrieIndex {
-            root: Node::default(),
-            len: 0,
+            map: BTreeMap::new(),
         }
     }
 }
@@ -111,108 +91,52 @@ impl<V> TrieIndex<V> {
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// `true` when no keys are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.map.is_empty()
     }
 
     /// Inserts `value` at `key`, returning the previous value if present.
     pub fn insert(&mut self, key: Key, value: V) -> Option<V> {
-        let mut node = &mut self.root;
-        for bit in key.bits() {
-            node = node.children[bit as usize].get_or_insert_with(Box::default);
-        }
-        let prev = node.value.replace(value);
-        if prev.is_none() {
-            self.len += 1;
-        }
-        prev
+        self.map.insert(key, value)
     }
 
     /// Looks up the value stored at exactly `key`.
     pub fn get(&self, key: &Key) -> Option<&V> {
-        let mut node = &self.root;
-        for bit in key.bits() {
-            node = node.children[bit as usize].as_deref()?;
-        }
-        node.value.as_ref()
+        self.map.get(key)
     }
 
     /// Mutable lookup at exactly `key`.
     pub fn get_mut(&mut self, key: &Key) -> Option<&mut V> {
-        let mut node = &mut self.root;
-        for bit in key.bits() {
-            node = node.children[bit as usize].as_deref_mut()?;
-        }
-        node.value.as_mut()
+        self.map.get_mut(key)
     }
 
     /// Returns the entry for `key`, inserting `default()` if absent.
     pub fn get_or_insert_with(&mut self, key: Key, default: impl FnOnce() -> V) -> &mut V {
-        let mut node = &mut self.root;
-        for bit in key.bits() {
-            node = node.children[bit as usize].get_or_insert_with(Box::default);
-        }
-        if node.value.is_none() {
-            node.value = Some(default());
-            self.len += 1;
-        }
-        node.value.as_mut().expect("just inserted")
+        self.map.entry(key).or_insert_with(default)
     }
 
-    /// Removes and returns the value at `key`, pruning empty branches.
+    /// Removes and returns the value at `key`.
     pub fn remove(&mut self, key: &Key) -> Option<V> {
-        fn rec<V>(node: &mut Node<V>, key: &Key, depth: usize) -> Option<V> {
-            if depth == key.len() {
-                return node.value.take();
-            }
-            let idx = key.bit(depth) as usize;
-            let child = node.children[idx].as_deref_mut()?;
-            let out = rec(child, key, depth + 1);
-            if out.is_some() && child.is_empty() {
-                node.children[idx] = None;
-            }
-            out
-        }
-        let out = rec(&mut self.root, key, 0);
-        if out.is_some() {
-            self.len -= 1;
-        }
-        out
+        self.map.remove(key)
     }
 
     /// Visits every `(key, value)` whose key has `path` as a prefix, in
     /// lexicographic key order.
     pub fn for_each_under<'a>(&'a self, path: &BitPath, mut f: impl FnMut(Key, &'a V)) {
-        fn rec<'a, V>(node: &'a Node<V>, key: Key, f: &mut impl FnMut(Key, &'a V)) {
-            if let Some(v) = &node.value {
-                f(key, v);
-            }
-            for bit in 0..2u8 {
-                if let Some(child) = &node.children[bit as usize] {
-                    rec(child, key.child(bit), f);
-                }
-            }
+        for (k, v) in prefix_range(&self.map, path) {
+            f(*k, v);
         }
-        // Descend to the node at `path` first.
-        let mut node = &self.root;
-        for bit in path.bits() {
-            match node.children[bit as usize].as_deref() {
-                Some(c) => node = c,
-                None => return,
-            }
-        }
-        rec(node, *path, &mut f);
     }
 
     /// Collects every `(key, value)` under `path`.
     pub fn entries_under(&self, path: &BitPath) -> Vec<(Key, &V)> {
-        let mut out = Vec::new();
-        self.for_each_under(path, |k, v| out.push((k, v)));
-        out
+        prefix_range(&self.map, path)
+            .map(|(k, v)| (*k, v))
+            .collect()
     }
 
     /// All entries, in lexicographic key order.
@@ -222,42 +146,33 @@ impl<V> TrieIndex<V> {
 
     /// Number of keys under `path`.
     pub fn count_under(&self, path: &BitPath) -> usize {
-        let mut n = 0;
-        self.for_each_under(path, |_, _| n += 1);
-        n
+        prefix_range(&self.map, path).count()
     }
 
-    /// Removes and returns every entry whose key does **not** have `path` as
-    /// a prefix — the index half a peer hands to its partner when it
-    /// specializes its own path to `path`.
+    /// Removes and returns, in key order, every entry whose key does **not**
+    /// have `path` as a prefix — the index half a peer hands to its partner
+    /// when it specializes its own path to `path`.
     ///
     /// Entries whose key is a *proper prefix* of `path` (coarser than the new
     /// responsibility) are also extracted: the specialized peer can no longer
     /// claim authority over the whole coarser subtree.
     pub fn extract_not_under(&mut self, path: &BitPath) -> Vec<(Key, V)> {
-        let mut doomed = Vec::new();
-        self.for_each_under(&BitPath::EMPTY, |k, _| {
-            if !path.is_prefix_of(&k) {
-                doomed.push(k);
-            }
-        });
-        doomed
-            .into_iter()
-            .map(|k| {
-                let v = self.remove(&k).expect("key listed above");
-                (k, v)
-            })
-            .collect()
+        // What stays is the contiguous range `[path, subtree_upper(path))`.
+        let mut kept = self.map.split_off(path);
+        let after = match subtree_upper(path) {
+            Some(upper) => kept.split_off(&upper),
+            None => BTreeMap::new(),
+        };
+        let before = std::mem::replace(&mut self.map, kept);
+        before.into_iter().chain(after).collect()
     }
 }
 
 impl<V> FromIterator<(Key, V)> for TrieIndex<V> {
     fn from_iter<T: IntoIterator<Item = (Key, V)>>(iter: T) -> Self {
-        let mut t = TrieIndex::new();
-        for (k, v) in iter {
-            t.insert(k, v);
+        TrieIndex {
+            map: iter.into_iter().collect(),
         }
-        t
     }
 }
 
@@ -381,6 +296,98 @@ mod tests {
         assert_eq!(subtree_upper(&k("111")), None);
         assert_eq!(subtree_upper(&BitPath::EMPTY), None);
         assert_eq!(subtree_upper(&k("0")), Some(k("1")));
+    }
+
+    /// `TrieIndex` against a naive `Vec<(Key, V)>` (linear prefix filters,
+    /// sort by `Ord`): same results, same returned order, same remainder.
+    /// Key lengths 0–12 make proper prefixes of the split path, the empty
+    /// path and all-ones paths (`subtree_upper == None`) all occur.
+    #[test]
+    fn seeded_ops_match_a_naive_vec_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn sorted_under(model: &[(Key, u32)], path: &BitPath) -> Vec<(Key, u32)> {
+            let mut under: Vec<(Key, u32)> = model
+                .iter()
+                .filter(|(k, _)| path.is_prefix_of(k))
+                .copied()
+                .collect();
+            under.sort();
+            under
+        }
+
+        let mut rng = StdRng::seed_from_u64(23);
+        let random_path = |rng: &mut StdRng| {
+            let len = rng.gen_range(0..=12u8);
+            // One path in eight is all ones, so the unbounded range occurs.
+            let bits = if rng.gen_range(0..8) == 0 {
+                u128::MAX
+            } else {
+                rng.gen()
+            };
+            BitPath::from_raw(bits, len)
+        };
+        let mut trie: TrieIndex<u32> = TrieIndex::new();
+        let mut model: Vec<(Key, u32)> = Vec::new();
+        let (mut empty_splits, mut ones_splits, mut coarser_extracted) = (0, 0, 0);
+
+        for step in 0..4000u32 {
+            let key = random_path(&mut rng);
+            let slot = model.iter().position(|(k, _)| *k == key);
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let prev = slot.map(|i| std::mem::replace(&mut model[i].1, step));
+                    if prev.is_none() {
+                        model.push((key, step));
+                    }
+                    assert_eq!(trie.insert(key, step), prev);
+                }
+                4 => {
+                    let got = *trie.get_or_insert_with(key, || step);
+                    match slot {
+                        Some(i) => assert_eq!(got, model[i].1),
+                        None => {
+                            assert_eq!(got, step);
+                            model.push((key, step));
+                        }
+                    }
+                }
+                5 | 6 => {
+                    assert_eq!(trie.remove(&key), slot.map(|i| model.swap_remove(i).1));
+                }
+                7 | 8 => {
+                    let expect = sorted_under(&model, &key);
+                    let got: Vec<(Key, u32)> = trie
+                        .entries_under(&key)
+                        .into_iter()
+                        .map(|(k, v)| (k, *v))
+                        .collect();
+                    assert_eq!(got, expect, "entries_under({key})");
+                    assert_eq!(trie.count_under(&key), expect.len());
+                }
+                _ => {
+                    let (stay, mut go): (Vec<_>, Vec<_>) = model
+                        .iter()
+                        .copied()
+                        .partition(|(k, _)| key.is_prefix_of(k));
+                    go.sort();
+                    empty_splits += usize::from(key.is_empty());
+                    ones_splits += usize::from(!key.is_empty() && subtree_upper(&key).is_none());
+                    coarser_extracted += go.iter().filter(|(k, _)| k.is_prefix_of(&key)).count();
+                    assert_eq!(trie.extract_not_under(&key), go, "extract_not_under({key})");
+                    model = stay;
+                }
+            }
+            assert_eq!(trie.len(), model.len());
+            assert_eq!(
+                trie.get(&key),
+                model.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+            );
+        }
+        let remaining: Vec<(Key, u32)> = trie.entries().into_iter().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(remaining, sorted_under(&model, &BitPath::EMPTY));
+        assert!(empty_splits > 0 && ones_splits > 0 && coarser_extracted > 0);
     }
 
     #[test]

@@ -32,6 +32,11 @@ run --test sim_unit -- \
     --skip experiments::store::tests::every_backend_reproduces_the_reference_community \
     --skip report::tests::json_carries_title_and_rows
 
+# pgrid-store's own unit tests (the ordered index and its seeded model loop,
+# the three backends) and its crash-point suite.
+run --test store_unit
+run --test store_crash_points
+
 # The one storage_backends test that never reaches serde_json.
 run --test storage_backends disk_backed_peers_survive_reopen_and_reindex
 

@@ -9,9 +9,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pgrid::core::{BatchQuery, BuildOptions, CompactRoutingTable, Ctx, PGrid, PGridConfig};
+use pgrid::core::{
+    BatchQuery, BuildOptions, CompactRoutingTable, Ctx, IndexEntry, PGrid, PGridConfig,
+};
 use pgrid::keys::BitPath;
-use pgrid::net::{AlwaysOnline, NetStats};
+use pgrid::net::{AlwaysOnline, NetStats, PeerId};
+use pgrid::store::{ItemId, Version};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -120,4 +123,32 @@ fn search_and_batched_query_do_not_allocate_when_warm() {
     });
     assert_eq!(batched, 0, "batched query allocated on a warm arena");
     assert!(sink > 0);
+}
+
+/// Footprint gate (DESIGN §9): what a peer keeps per index entry. Seeding
+/// 1 000 random 64-bit keys costs 1.25 allocation events per resulting
+/// index entry with the ordered leaf index — the entry's own `Vec` plus its
+/// share of a B-tree node — where the node-per-bit trie it replaced took
+/// 56.2.
+#[test]
+fn seeding_an_index_entry_costs_at_most_two_allocations() {
+    let mut grid = converged_grid(42);
+    let mut rng = StdRng::seed_from_u64(1);
+    let before = ALLOCS.with(Cell::get);
+    for i in 0..1000u32 {
+        let entry = IndexEntry {
+            item: ItemId(u64::from(i)),
+            holder: PeerId(i % 256),
+            version: Version(0),
+        };
+        grid.seed_index(BitPath::random(&mut rng, 64), entry);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    let entries: usize = grid.peers().map(|p| p.index().len()).sum();
+    assert!(entries >= 1000, "every key lands on at least one peer");
+    let per_entry = allocs as f64 / entries as f64;
+    assert!(
+        per_entry <= 2.0,
+        "{per_entry:.2} allocations per index entry ({allocs} over {entries})"
+    );
 }
