@@ -372,13 +372,12 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
             }
             out(&format!(
                 "recorded {} events to {out_path}; replay reconciles with NetStats \
-                 (exchange {}, query {}, update {}); {} queries, {} rounds",
+                 (exchange {}, query {}, update {}); {} queries",
                 lines.len(),
                 total.count(MsgKind::Exchange),
                 total.count(MsgKind::Query),
                 total.count(MsgKind::Update),
                 summary.queries.len(),
-                summary.rounds,
             ));
             Ok(())
         }
@@ -404,8 +403,8 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
                 out(&format!("exchange cases: {}", cases.join(", ")));
             }
             out(&format!(
-                "rounds {}, retransmits {}, timeouts {}, evictions {}",
-                summary.rounds, summary.retransmits, summary.timeouts, summary.evictions
+                "retransmits {}, timeouts {}, evictions {}",
+                summary.retransmits, summary.timeouts, summary.evictions
             ));
             for chain in summary.queries.iter().take(chains) {
                 let hops: Vec<String> = chain

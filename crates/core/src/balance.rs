@@ -312,7 +312,7 @@ impl PGrid {
         let n = loads.len() as u64;
         let total: u64 = loads.iter().sum();
         let max = loads.iter().copied().max().unwrap_or(0);
-        let ratio_x1000 = if total == 0 { 0 } else { max * 1000 * n / total };
+        let ratio_x1000 = (max * 1000 * n).checked_div(total).unwrap_or(0);
         report.load_max_over_mean_x1000 = ratio_x1000;
         ctx.stats.load_max_over_mean_x1000 += ratio_x1000;
 
@@ -892,11 +892,7 @@ mod tests {
         let loads = grid.peer_loads(tracker, cfg);
         let total: u64 = loads.iter().sum();
         let max = loads.iter().copied().max().unwrap_or(0);
-        if total == 0 {
-            0
-        } else {
-            max * 1000 * loads.len() as u64 / total
-        }
+        (max * 1000 * loads.len() as u64).checked_div(total).unwrap_or(0)
     }
 
     fn run_ctx(f: impl FnOnce(&mut Ctx<'_>)) {

@@ -5,14 +5,7 @@
 //! the keys that the peers are responsible for reaches a certain threshold
 //! t"* — the paper uses 99% of `maxl`.
 
-use pgrid_net::{task_seed, NetStats, PeerId};
-use pgrid_trace::{NullTracer, RingTracer, Stamped, TraceEvent, Tracer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::exchange::{exchange_pair_local, PairEffect};
-use crate::scratch::Scratch;
-use crate::{Ctx, PGrid, PGridConfig, Peer};
+use crate::{Ctx, PGrid};
 
 /// Options of the construction loop.
 #[derive(Clone, Copy, Debug)]
@@ -54,37 +47,6 @@ fn default_meeting_cap(n: u64, maxl: u64) -> u64 {
     (n * maxl).saturating_mul(200).max(10_000)
 }
 
-/// Runs the pair-local exchange of matching slot `k` with its own derived RNG
-/// stream and a private counter shard — the unit of work a round distributes
-/// across threads. Slot 0 maps to task id 1 so no pair inherits the round
-/// master stream verbatim ([`task_seed`] treats task 0 as identity).
-fn run_matched_pair(
-    cfg: &PGridConfig,
-    p1: &mut Peer,
-    p2: &mut Peer,
-    round_master: u64,
-    k: usize,
-    scratch: &mut Scratch,
-    tracing: bool,
-) -> (PairEffect, NetStats, Vec<Stamped>) {
-    let mut rng = StdRng::seed_from_u64(task_seed(round_master, k as u64 + 1));
-    let mut stats = NetStats::new();
-    if tracing {
-        // A small per-pair buffer is the trace twin of the private counter
-        // shard: its events flow into the round tracer in pair order, so
-        // the merged stream is identical for every thread count. The bound
-        // must exceed what one pair-local exchange emits (currently two
-        // events) — a drop here would break trace-vs-stats reconciliation.
-        let mut tracer = RingTracer::new(32);
-        let effect = exchange_pair_local(cfg, p1, p2, &mut rng, &mut stats, scratch, &mut tracer);
-        (effect, stats, tracer.take_events())
-    } else {
-        let effect =
-            exchange_pair_local(cfg, p1, p2, &mut rng, &mut stats, scratch, &mut NullTracer);
-        (effect, stats, Vec::new())
-    }
-}
-
 impl PGrid {
     /// Runs random pairwise meetings until the average path length reaches
     /// `threshold_fraction * maxl` or the meeting cap is exhausted.
@@ -101,178 +63,6 @@ impl PGrid {
             let (i, j) = self.random_pair(ctx);
             exchange_calls += self.exchange(i, j, ctx);
             meetings += 1;
-            reached = self.avg_path_len() >= threshold;
-        }
-        BuildReport {
-            exchange_calls,
-            meetings,
-            reached_threshold: reached,
-            avg_path_len: self.avg_path_len(),
-        }
-    }
-
-    /// Executes one construction round over a disjoint matching, optionally
-    /// in parallel, with a result that is **bit-identical for every thread
-    /// count**:
-    ///
-    /// 1. every pair `k` draws from its own RNG stream
-    ///    `task_seed(task_seed(master_seed, round + 1), k + 1)` and records
-    ///    into a private [`NetStats`] shard, so no pair observes another's
-    ///    scheduling;
-    /// 2. the pair-local exchanges ([`crate::PGridConfig`] cases 1–3, plus
-    ///    the local half of case 4) touch only the two matched peers, so
-    ///    disjoint pairs run concurrently on scoped threads;
-    /// 3. shards merge into `ctx.stats` **in pair order**, and case-4
-    ///    recursion — which reaches peers outside the pair — runs
-    ///    sequentially afterwards, also in pair order, on `ctx`.
-    ///
-    /// Returns the number of exchange invocations (the paper's cost unit),
-    /// counting each matched pair once plus all recursive continuations.
-    ///
-    /// Without the `parallel` feature, `threads` is clamped to 1.
-    pub fn exchange_round(
-        &mut self,
-        pairs: &[(PeerId, PeerId)],
-        master_seed: u64,
-        round: u64,
-        threads: usize,
-        ctx: &mut Ctx<'_>,
-    ) -> u64 {
-        if pairs.is_empty() {
-            return 0;
-        }
-        let cfg = *self.config();
-        let round_master = task_seed(master_seed, round.wrapping_add(1));
-        let threads = if cfg!(feature = "parallel") {
-            threads.max(1)
-        } else {
-            1
-        };
-
-        let tracing = ctx.tracer_mut().enabled();
-        let mut slots = self.disjoint_pairs_mut(pairs);
-        let results: Vec<(PairEffect, NetStats, Vec<Stamped>)> = if threads == 1 || slots.len() == 1
-        {
-            // One warm scratch (the caller's) serves the whole round.
-            let scratch = ctx.scratch_mut();
-            slots
-                .iter_mut()
-                .enumerate()
-                .map(|(k, pair)| {
-                    run_matched_pair(
-                        &cfg,
-                        &mut *pair.0,
-                        &mut *pair.1,
-                        round_master,
-                        k,
-                        scratch,
-                        tracing,
-                    )
-                })
-                .collect()
-        } else {
-            let chunk_len = slots.len().div_ceil(threads);
-            let mut per_chunk: Vec<Vec<(PairEffect, NetStats, Vec<Stamped>)>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = slots
-                    .chunks_mut(chunk_len)
-                    .enumerate()
-                    .map(|(c, chunk)| {
-                        let cfg = &cfg;
-                        scope.spawn(move || {
-                            // Scratch is capacity reuse only — never results
-                            // — so a per-worker arena preserves determinism.
-                            let mut scratch = Scratch::new();
-                            chunk
-                                .iter_mut()
-                                .enumerate()
-                                .map(|(i, pair)| {
-                                    run_matched_pair(
-                                        cfg,
-                                        &mut *pair.0,
-                                        &mut *pair.1,
-                                        round_master,
-                                        c * chunk_len + i,
-                                        &mut scratch,
-                                        tracing,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                per_chunk = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("exchange worker panicked"))
-                    .collect();
-            });
-            per_chunk.into_iter().flatten().collect()
-        };
-        drop(slots);
-
-        let mut calls = 0u64;
-        let mut diverged = Vec::new();
-        for (k, (effect, shard, events)) in results.into_iter().enumerate() {
-            ctx.stats.merge(&shard);
-            // Replay the pair's buffered events into the round tracer at
-            // the same point its counter shard merges: the trace stream
-            // stays aligned with the stats it reconciles against.
-            let tracer = ctx.tracer_mut();
-            for stamped in events {
-                tracer.record(stamped.event);
-            }
-            self.add_path_bits(effect.new_path_bits);
-            calls += 1;
-            if let Some(level) = effect.divergence_level {
-                diverged.push((pairs[k].0, pairs[k].1, level));
-            }
-        }
-        for (a1, a2, level) in diverged {
-            calls += self.recurse_divergence(a1, a2, level, 0, ctx);
-        }
-        calls
-    }
-
-    /// Round-based construction: each round draws a random maximal matching
-    /// (from `ctx.rng`, so the round structure itself is independent of the
-    /// thread count) and executes it via [`PGrid::exchange_round`] until the
-    /// average path length reaches the threshold or the meeting cap is
-    /// exhausted. With `threads == 1` this is the sequential reference; any
-    /// other thread count produces the same grid, counters, and report.
-    pub fn build_rounds(
-        &mut self,
-        opts: &BuildOptions,
-        master_seed: u64,
-        threads: usize,
-        ctx: &mut Ctx<'_>,
-    ) -> BuildReport {
-        let threshold = opts.threshold_fraction * self.config().maxl as f64;
-        let cap = opts
-            .max_meetings
-            .unwrap_or_else(|| default_meeting_cap(self.len() as u64, self.config().maxl as u64));
-
-        let mut exchange_calls = 0u64;
-        let mut meetings = 0u64;
-        let mut round = 0u64;
-        let mut reached = self.avg_path_len() >= threshold;
-        while !reached && meetings < cap {
-            let mut pairs = self.random_matching(ctx);
-            if pairs.is_empty() {
-                // A 1-peer community can never meet; don't spin forever.
-                break;
-            }
-            let remaining = (cap - meetings) as usize;
-            pairs.truncate(remaining);
-            let round_calls = self.exchange_round(&pairs, master_seed, round, threads, ctx);
-            exchange_calls += round_calls;
-            meetings += pairs.len() as u64;
-            ctx.trace(|| TraceEvent::RoundSummary {
-                round,
-                pairs: pairs.len() as u64,
-                exchanges: round_calls,
-                path_bits: self.path_len_sum(),
-            });
-            round += 1;
             reached = self.avg_path_len() >= threshold;
         }
         BuildReport {
@@ -395,88 +185,22 @@ mod tests {
         assert!(report.reached_threshold);
     }
 
-    fn build_rounds_grid(
-        n: usize,
-        cfg: PGridConfig,
-        seed: u64,
-        threads: usize,
-    ) -> (PGrid, BuildReport, NetStats) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut online = AlwaysOnline;
-        let mut stats = NetStats::new();
-        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        let mut g = PGrid::new(n, cfg);
-        let report = g.build_rounds(&BuildOptions::default(), seed, threads, &mut ctx);
-        (g, report, stats)
-    }
-
+    /// Pins the meeting schedule: the T1 cell at N = 200, `recmax 2`, under
+    /// T1's own seed (`results/construction_tables.txt` prints e = 4330).
+    /// Any change to how meetings are drawn or how an exchange recurses
+    /// moves these counts.
     #[test]
-    fn rounds_converge_and_keep_invariants() {
-        let (g, report, stats) = build_rounds_grid(
-            128,
-            PGridConfig {
-                maxl: 5,
-                ..PGridConfig::default()
-            },
-            23,
-            2,
-        );
-        assert!(report.reached_threshold, "avg = {}", report.avg_path_len);
-        assert!(report.avg_path_len >= 0.99 * 5.0);
-        assert!(report.exchange_calls >= report.meetings);
-        assert!(stats.count(pgrid_net::MsgKind::Exchange) > 0);
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn rounds_are_thread_count_invariant() {
-        use crate::GridSnapshot;
+    fn t1_cell_cost_is_pinned() {
         let cfg = PGridConfig {
-            maxl: 4,
+            maxl: 6,
+            refmax: 1,
+            recmax: 2,
             ..PGridConfig::default()
         };
-        let (g1, r1, s1) = build_rounds_grid(96, cfg, 41, 1);
-        let (g4, r4, s4) = build_rounds_grid(96, cfg, 41, 4);
-        assert_eq!(r1.exchange_calls, r4.exchange_calls);
-        assert_eq!(r1.meetings, r4.meetings);
-        assert_eq!(s1, s4, "merged counters must not depend on thread count");
-        assert_eq!(
-            GridSnapshot::capture(&g1),
-            GridSnapshot::capture(&g4),
-            "the built structure must not depend on thread count"
-        );
-    }
-
-    #[test]
-    fn rounds_respect_the_meeting_cap() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut online = AlwaysOnline;
-        let mut stats = NetStats::new();
-        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        // Two peers cannot reach maxl = 6 (they diverge after one split).
-        let mut g = PGrid::new(2, PGridConfig::default());
-        let report = g.build_rounds(
-            &BuildOptions {
-                max_meetings: Some(7),
-                ..BuildOptions::default()
-            },
-            5,
-            2,
-            &mut ctx,
-        );
-        assert!(!report.reached_threshold);
-        assert_eq!(report.meetings, 7);
-    }
-
-    #[test]
-    fn single_peer_round_build_terminates() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut online = AlwaysOnline;
-        let mut stats = NetStats::new();
-        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        let mut g = PGrid::new(1, PGridConfig::default());
-        let report = g.build_rounds(&BuildOptions::default(), 0, 4, &mut ctx);
-        assert_eq!(report.meetings, 0);
-        assert!(!report.reached_threshold);
+        let (g, report) = build_grid(200, cfg, 0x7161 ^ (200 << 8));
+        assert!(report.reached_threshold);
+        assert_eq!(report.exchange_calls, 4330);
+        assert_eq!(report.meetings, 1836);
+        g.check_invariants().unwrap();
     }
 }

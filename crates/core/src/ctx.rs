@@ -118,11 +118,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// The attached tracer (the inline null sink unless one was lent).
-    pub fn tracer_mut(&mut self) -> &mut dyn Tracer {
-        self.tracer.get()
-    }
-
     /// Records a trace event. The closure only runs when the tracer is
     /// enabled, so a disabled run pays one branch and never constructs the
     /// event (zero allocations, zero formatting).
@@ -135,18 +130,14 @@ impl<'a> Ctx<'a> {
     }
 
     /// Splits the context into the disjoint parts the exchange and update
-    /// hot paths need simultaneously: the RNG, the counters, the scratch
-    /// arena, and the tracer each under their own `&mut`.
-    pub(crate) fn parts(&mut self) -> (&mut StdRng, &mut NetStats, &mut Scratch, &mut dyn Tracer) {
+    /// hot paths need simultaneously: the RNG and the scratch arena, each
+    /// under its own `&mut`.
+    pub(crate) fn parts(&mut self) -> (&mut StdRng, &mut Scratch) {
         let scratch = match &mut self.scratch {
             ScratchSlot::Owned(s) => s,
             ScratchSlot::Borrowed(s) => &mut **s,
         };
-        let tracer = match &mut self.tracer {
-            TracerSlot::Null(t) => t as &mut dyn Tracer,
-            TracerSlot::Borrowed(t) => &mut **t,
-        };
-        (self.rng, self.stats, scratch, tracer)
+        (self.rng, scratch)
     }
 
     /// Probes whether `peer` is reachable, recording the attempt. A `true`

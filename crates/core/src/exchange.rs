@@ -20,177 +20,12 @@
 //! is not responsible either — see `rebalance_pair_data`).
 
 use pgrid_keys::Key;
-use pgrid_net::{MsgKind, NetStats, PeerId};
+use pgrid_net::{MsgKind, PeerId};
 use pgrid_proto::{classify, split_bits, ExchangeCase, SplitBitPolicy};
-use pgrid_trace::{MsgTag, TraceEvent, Tracer};
-use rand::rngs::StdRng;
+use pgrid_trace::TraceEvent;
 
 use crate::routing::RefSet;
-use crate::scratch::Scratch;
-use crate::{Ctx, IndexEntry, PGrid, PGridConfig, Peer};
-
-/// What a pair-local exchange did, reported back to the grid level: the
-/// container must maintain its running path-length sum, and a Case-4
-/// divergence may continue as recursive exchanges with *other* peers —
-/// which a pair-local execution (possibly on a worker thread holding only
-/// the two peers) must defer to the caller.
-pub(crate) struct PairEffect {
-    /// Path bits added across the two peers (0, 1, or 2).
-    pub new_path_bits: u64,
-    /// `Some(lc + 1)` when the paths diverged right after their common
-    /// prefix (Case 4): the level recursion would continue at.
-    pub divergence_level: Option<usize>,
-}
-
-/// The pair-local part of the exchange algorithm (paper Fig. 3): everything
-/// except Case-4 recursion, which needs peers outside the pair. Touches only
-/// `p1` and `p2`, so disjoint pairs can execute concurrently — each with its
-/// own RNG stream and counter shard.
-pub(crate) fn exchange_pair_local(
-    cfg: &PGridConfig,
-    p1: &mut Peer,
-    p2: &mut Peer,
-    rng: &mut StdRng,
-    stats: &mut NetStats,
-    scratch: &mut Scratch,
-    tracer: &mut dyn Tracer,
-) -> PairEffect {
-    // This is the one message-accounting site that bypasses
-    // `Ctx::message` (pair-local execution may run on a worker thread
-    // holding only counter shards), so it must mirror the trace emission
-    // itself to keep trace replay reconciling with `NetStats` exactly.
-    stats.record(MsgKind::Exchange);
-    if tracer.enabled() {
-        tracer.record(TraceEvent::Message {
-            kind: MsgTag::Exchange,
-        });
-    }
-
-    // Anti-entropy: a meeting is an opportunity to re-home index
-    // entries a previous hand-off could not place at a responsible
-    // peer (misplaced entries are rare; the flag keeps this O(1) on
-    // the common path).
-    settle_misplaced_pair(p1, p2);
-    settle_misplaced_pair(p2, p1);
-
-    let path1 = p1.path();
-    let path2 = p2.path();
-    // The case analysis itself is the shared sans-I/O kernel — the same
-    // classification the live node's offer/answer handshake runs.
-    let (lc, case) = classify(&path1, &path2, cfg.maxl);
-
-    // Mix reference sets where the paths agree. The paper's pseudocode
-    // mixes only the deepest common level `lc`; `exchange_all_levels`
-    // extends that to every shared level (ablation knob). Both mixes are
-    // computed into scratch from the pre-update sets, then installed over
-    // the existing level allocations — same RNG draws as the one-shot
-    // `RefSet::mixed` pair, zero steady-state allocation.
-    if lc > 0 {
-        let first = if cfg.exchange_all_levels { 1 } else { lc };
-        let (mix_a, mix_b, seen) = scratch.mix_buffers();
-        for level in first..=lc {
-            RefSet::mixed_into(
-                p1.routing().level(level),
-                p2.routing().level(level),
-                cfg.refmax,
-                rng,
-                mix_a,
-                seen,
-            );
-            RefSet::mixed_into(
-                p1.routing().level(level),
-                p2.routing().level(level),
-                cfg.refmax,
-                rng,
-                mix_b,
-                seen,
-            );
-            p1.routing_mut().level_mut(level).overwrite(mix_a);
-            p2.routing_mut().level_mut(level).overwrite(mix_b);
-        }
-    }
-
-    let mut new_path_bits = 0u64;
-    let mut divergence_level = None;
-    // Which bit (if any) each side appended this meeting, for the trace
-    // event below; −1 means "no path change".
-    let mut bit_first: i8 = -1;
-    let mut bit_second: i8 = -1;
-    match case {
-        // Case 1: identical paths below maxl — split a fresh level. The
-        // synchronous driver applies both halves atomically, so the Fixed
-        // bit policy (p1 → 0, p2 → 1, no RNG draw) is sound.
-        ExchangeCase::Split => {
-            let (bit1, bit2) = split_bits(SplitBitPolicy::Fixed, rng);
-            p1.extend_path(bit1);
-            p2.extend_path(bit2);
-            bit_first = bit1 as i8;
-            bit_second = bit2 as i8;
-            new_path_bits = 2;
-            p1.routing_mut().set_level(lc + 1, RefSet::singleton(p2.id()));
-            p2.routing_mut().set_level(lc + 1, RefSet::singleton(p1.id()));
-            rebalance_pair(p1, p2);
-        }
-        // Identical paths at maxl — the peers are replicas: buddies.
-        ExchangeCase::Replicas => {
-            p1.add_buddy(p2.id());
-            p2.add_buddy(p1.id());
-        }
-        // Case 2: a1's path is a proper prefix of a2's — a1 specializes
-        // opposite to a2's next bit.
-        ExchangeCase::FirstSpecializes { bit } => {
-            p1.extend_path(bit);
-            bit_first = bit as i8;
-            new_path_bits = 1;
-            p1.routing_mut().set_level(lc + 1, RefSet::singleton(p2.id()));
-            p2.routing_mut()
-                .level_mut(lc + 1)
-                .insert_bounded(p1.id(), cfg.refmax, rng);
-            rebalance_pair(p1, p2);
-        }
-        // Case 3: symmetric to Case 2.
-        ExchangeCase::SecondSpecializes { bit } => {
-            p2.extend_path(bit);
-            bit_second = bit as i8;
-            new_path_bits = 1;
-            p2.routing_mut().set_level(lc + 1, RefSet::singleton(p1.id()));
-            p1.routing_mut()
-                .level_mut(lc + 1)
-                .insert_bounded(p2.id(), cfg.refmax, rng);
-            rebalance_pair(p1, p2);
-        }
-        // Case 4: paths diverge right after the common prefix. Recursion
-        // (if any) is the caller's job — it needs peers outside the pair.
-        ExchangeCase::Diverged => {
-            if cfg.add_ref_on_divergence {
-                p1.routing_mut()
-                    .level_mut(lc + 1)
-                    .insert_bounded(p2.id(), cfg.refmax, rng);
-                p2.routing_mut()
-                    .level_mut(lc + 1)
-                    .insert_bounded(p1.id(), cfg.refmax, rng);
-            }
-            divergence_level = Some(lc + 1);
-        }
-        // One path a prefix of the other with the shorter already at maxl:
-        // it cannot extend, nothing structural to do.
-        ExchangeCase::Saturated => {}
-    }
-    if tracer.enabled() {
-        tracer.record(TraceEvent::Exchange {
-            first: u64::from(p1.id().0),
-            second: u64::from(p2.id().0),
-            case: (&case).into(),
-            lc: lc as u32,
-            bit_first,
-            bit_second,
-        });
-    }
-    PairEffect {
-        new_path_bits,
-        divergence_level,
-    }
-}
+use crate::{Ctx, IndexEntry, PGrid, Peer};
 
 /// After one or both partners specialized, move index entries to
 /// whichever of the two is (still) responsible.
@@ -286,16 +121,131 @@ impl PGrid {
             // recursion; meeting oneself is a no-op and not counted.
             return 0;
         }
+        ctx.message(MsgKind::Exchange);
         let cfg = *self.config();
-        let effect = {
-            let (rng, stats, scratch, tracer) = ctx.parts();
-            let (p1, p2) = self.pair_mut(a1, a2);
-            exchange_pair_local(&cfg, p1, p2, rng, stats, scratch, tracer)
-        };
-        self.add_path_bits(effect.new_path_bits);
+        let (rng, scratch) = ctx.parts();
+        let (p1, p2) = self.pair_mut(a1, a2);
+
+        // Anti-entropy: a meeting is an opportunity to re-home index
+        // entries a previous hand-off could not place at a responsible
+        // peer (misplaced entries are rare; the flag keeps this O(1) on
+        // the common path).
+        settle_misplaced_pair(p1, p2);
+        settle_misplaced_pair(p2, p1);
+
+        let path1 = p1.path();
+        let path2 = p2.path();
+        // The case analysis itself is the shared sans-I/O kernel — the same
+        // classification the live node's offer/answer handshake runs.
+        let (lc, case) = classify(&path1, &path2, cfg.maxl);
+
+        // Mix reference sets where the paths agree. The paper's pseudocode
+        // mixes only the deepest common level `lc`; `exchange_all_levels`
+        // extends that to every shared level (ablation knob). Both mixes are
+        // computed into scratch from the pre-update sets, then installed over
+        // the existing level allocations — same RNG draws as the one-shot
+        // `RefSet::mixed` pair, zero steady-state allocation.
+        if lc > 0 {
+            let first = if cfg.exchange_all_levels { 1 } else { lc };
+            let (mix_a, mix_b, seen) = scratch.mix_buffers();
+            for level in first..=lc {
+                RefSet::mixed_into(
+                    p1.routing().level(level),
+                    p2.routing().level(level),
+                    cfg.refmax,
+                    rng,
+                    mix_a,
+                    seen,
+                );
+                RefSet::mixed_into(
+                    p1.routing().level(level),
+                    p2.routing().level(level),
+                    cfg.refmax,
+                    rng,
+                    mix_b,
+                    seen,
+                );
+                p1.routing_mut().level_mut(level).overwrite(mix_a);
+                p2.routing_mut().level_mut(level).overwrite(mix_b);
+            }
+        }
+
+        let mut new_path_bits = 0u64;
+        // Which bit (if any) each side appended this meeting, for the trace
+        // event below; −1 means "no path change".
+        let mut bit_first: i8 = -1;
+        let mut bit_second: i8 = -1;
+        match case {
+            // Case 1: identical paths below maxl — split a fresh level. The
+            // synchronous driver applies both halves atomically, so the Fixed
+            // bit policy (p1 → 0, p2 → 1, no RNG draw) is sound.
+            ExchangeCase::Split => {
+                let (bit1, bit2) = split_bits(SplitBitPolicy::Fixed, rng);
+                p1.extend_path(bit1);
+                p2.extend_path(bit2);
+                bit_first = bit1 as i8;
+                bit_second = bit2 as i8;
+                new_path_bits = 2;
+                p1.routing_mut().set_level(lc + 1, RefSet::singleton(p2.id()));
+                p2.routing_mut().set_level(lc + 1, RefSet::singleton(p1.id()));
+                rebalance_pair(p1, p2);
+            }
+            // Identical paths at maxl — the peers are replicas: buddies.
+            ExchangeCase::Replicas => {
+                p1.add_buddy(p2.id());
+                p2.add_buddy(p1.id());
+            }
+            // Case 2: a1's path is a proper prefix of a2's — a1 specializes
+            // opposite to a2's next bit.
+            ExchangeCase::FirstSpecializes { bit } => {
+                p1.extend_path(bit);
+                bit_first = bit as i8;
+                new_path_bits = 1;
+                p1.routing_mut().set_level(lc + 1, RefSet::singleton(p2.id()));
+                p2.routing_mut()
+                    .level_mut(lc + 1)
+                    .insert_bounded(p1.id(), cfg.refmax, rng);
+                rebalance_pair(p1, p2);
+            }
+            // Case 3: symmetric to Case 2.
+            ExchangeCase::SecondSpecializes { bit } => {
+                p2.extend_path(bit);
+                bit_second = bit as i8;
+                new_path_bits = 1;
+                p2.routing_mut().set_level(lc + 1, RefSet::singleton(p1.id()));
+                p1.routing_mut()
+                    .level_mut(lc + 1)
+                    .insert_bounded(p2.id(), cfg.refmax, rng);
+                rebalance_pair(p1, p2);
+            }
+            // Case 4: paths diverge right after the common prefix; recursion
+            // into the divergent side follows below.
+            ExchangeCase::Diverged => {
+                if cfg.add_ref_on_divergence {
+                    p1.routing_mut()
+                        .level_mut(lc + 1)
+                        .insert_bounded(p2.id(), cfg.refmax, rng);
+                    p2.routing_mut()
+                        .level_mut(lc + 1)
+                        .insert_bounded(p1.id(), cfg.refmax, rng);
+                }
+            }
+            // One path a prefix of the other with the shorter already at maxl:
+            // it cannot extend, nothing structural to do.
+            ExchangeCase::Saturated => {}
+        }
+        self.add_path_bits(new_path_bits);
+        ctx.trace(|| TraceEvent::Exchange {
+            first: u64::from(a1.0),
+            second: u64::from(a2.0),
+            case: (&case).into(),
+            lc: lc as u32,
+            bit_first,
+            bit_second,
+        });
         let mut calls = 1u64;
-        if let Some(level) = effect.divergence_level {
-            calls += self.recurse_divergence(a1, a2, level, r, ctx);
+        if case == ExchangeCase::Diverged {
+            calls += self.recurse_divergence(a1, a2, lc + 1, r, ctx);
         }
         calls
     }
@@ -303,7 +253,7 @@ impl PGrid {
     /// Case-4 continuation: each partner exchanges with the other's
     /// references on the divergent side (they live on *its* side of the
     /// split), bounded by `recmax` depth and `recfanout` partners per side.
-    pub(crate) fn recurse_divergence(
+    fn recurse_divergence(
         &mut self,
         a1: PeerId,
         a2: PeerId,
@@ -322,7 +272,7 @@ impl PGrid {
         // recursive activations append past `end` and truncate back to it
         // on exit, so `base..end` stays valid throughout.
         let (base, split, end) = {
-            let (rng, _, scratch, _) = ctx.parts();
+            let (rng, scratch) = ctx.parts();
             let base = scratch.ref_arena.len();
             self.peer(a1)
                 .routing()
@@ -356,7 +306,7 @@ impl PGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OwnedCtx, SearchOutcome};
+    use crate::{OwnedCtx, PGridConfig, SearchOutcome};
     use pgrid_keys::BitPath;
     use pgrid_net::AlwaysOnline;
     use pgrid_store::{ItemId, Version};

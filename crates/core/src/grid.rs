@@ -160,8 +160,8 @@ impl PGrid {
         self.by_path.take();
     }
 
-    /// Accounts for `n` path bits added by pair-local exchanges, which
-    /// extend [`Peer`] paths directly and cannot reach the running sum.
+    /// Accounts for `n` path bits an exchange added by extending the
+    /// [`Peer`] paths of a [`PGrid::pair_mut`] pair directly.
     pub(crate) fn add_path_bits(&mut self, n: u64) {
         self.path_len_sum += n;
         if n > 0 {
@@ -190,63 +190,6 @@ impl PGrid {
         self.peers[id.index()]
             .routing_mut()
             .set_level(level, crate::routing::RefSet::from_ids(refs.iter().copied()));
-    }
-
-    /// Total path bits across the community — the numerator of
-    /// [`PGrid::avg_path_len`], reported per round by the flight recorder.
-    pub(crate) fn path_len_sum(&self) -> u64 {
-        self.path_len_sum
-    }
-
-    /// Draws a random maximal matching over the community: a uniform
-    /// permutation of all peers paired off consecutively, so every peer
-    /// appears in at most one pair (one peer sits the round out when the
-    /// community is odd). The disjointness is what lets a construction
-    /// round run its exchanges concurrently.
-    pub fn random_matching(&self, ctx: &mut Ctx<'_>) -> Vec<(PeerId, PeerId)> {
-        use rand::seq::SliceRandom;
-        let mut ids: Vec<usize> = (0..self.peers.len()).collect();
-        ids.shuffle(ctx.rng);
-        ids.chunks_exact(2)
-            .map(|c| (PeerId::from_index(c[0]), PeerId::from_index(c[1])))
-            .collect()
-    }
-
-    /// Simultaneous mutable borrows of every pair in a disjoint matching,
-    /// in pair order — the aliasing-free hand-out that the parallel
-    /// exchange round distributes across worker threads.
-    ///
-    /// # Panics
-    /// If any peer appears twice or a pair is degenerate.
-    pub(crate) fn disjoint_pairs_mut(
-        &mut self,
-        pairs: &[(PeerId, PeerId)],
-    ) -> Vec<(&mut Peer, &mut Peer)> {
-        let mut slot_of: Vec<Option<(usize, bool)>> = vec![None; self.peers.len()];
-        for (k, &(a, b)) in pairs.iter().enumerate() {
-            assert_ne!(a, b, "a peer cannot meet itself");
-            assert!(slot_of[a.index()].is_none(), "{a} appears in two pairs");
-            assert!(slot_of[b.index()].is_none(), "{b} appears in two pairs");
-            slot_of[a.index()] = Some((k, false));
-            slot_of[b.index()] = Some((k, true));
-            self.mark_peer(a.index());
-            self.mark_peer(b.index());
-        }
-        let mut slots: Vec<(Option<&mut Peer>, Option<&mut Peer>)> =
-            pairs.iter().map(|_| (None, None)).collect();
-        for (idx, peer) in self.peers.iter_mut().enumerate() {
-            if let Some((k, second)) = slot_of[idx] {
-                if second {
-                    slots[k].1 = Some(peer);
-                } else {
-                    slots[k].0 = Some(peer);
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|(a, b)| (a.expect("pair peer missing"), b.expect("pair peer missing")))
-            .collect()
     }
 
     /// Iterates over all peers.
@@ -586,12 +529,12 @@ pub(crate) mod tests {
         };
         g.build(&opts, &mut ctx);
         assert_replicas_match_scan(&g);
-        let before = g.path_len_sum();
+        let before = g.path_len_sum;
         for _ in 0..400 {
             let (a, b) = g.random_pair(&mut ctx);
             g.exchange(a, b, &mut ctx);
         }
-        assert!(g.path_len_sum() > before, "the meetings must move paths");
+        assert!(g.path_len_sum > before, "the meetings must move paths");
         assert_replicas_match_scan(&g);
         g.check_invariants().unwrap();
 

@@ -92,14 +92,7 @@ impl InformationSystem<HashKeyMapper> {
     /// Builds a fresh community of `n` peers and constructs the access
     /// structure by random meetings.
     pub fn bootstrap(n: usize, config: SystemConfig, ctx: &mut Ctx<'_>) -> Self {
-        let mut grid = PGrid::new(n, config.grid);
-        grid.build(&BuildOptions::default(), ctx);
-        InformationSystem {
-            grid,
-            mapper: HashKeyMapper::default(),
-            config,
-            next_item: 0,
-        }
+        Self::built(PGrid::new(n, config.grid), config, ctx)
     }
 
     /// Like [`InformationSystem::bootstrap`], but hosted items live in the
@@ -115,30 +108,14 @@ impl InformationSystem<HashKeyMapper> {
         storage: &pgrid_store::StorageSpec,
         ctx: &mut Ctx<'_>,
     ) -> Self {
-        let mut grid = PGrid::with_storage(n, config.grid, storage)
+        let grid = PGrid::with_storage(n, config.grid, storage)
             .unwrap_or_else(|e| panic!("storage backend failed to open: {e}"));
-        grid.build(&BuildOptions::default(), ctx);
-        InformationSystem {
-            grid,
-            mapper: HashKeyMapper::default(),
-            config,
-            next_item: 0,
-        }
+        Self::built(grid, config, ctx)
     }
 
-    /// Like [`InformationSystem::bootstrap`], but constructs the access
-    /// structure with round-based disjoint matchings
-    /// ([`PGrid::build_rounds`]), optionally across `threads` worker
-    /// threads. The result is bit-identical for every thread count.
-    pub fn bootstrap_rounds(
-        n: usize,
-        config: SystemConfig,
-        master_seed: u64,
-        threads: usize,
-        ctx: &mut Ctx<'_>,
-    ) -> Self {
-        let mut grid = PGrid::new(n, config.grid);
-        grid.build_rounds(&BuildOptions::default(), master_seed, threads, ctx);
+    /// Runs construction on a fresh `grid` and wraps it.
+    fn built(mut grid: PGrid, config: SystemConfig, ctx: &mut Ctx<'_>) -> Self {
+        grid.build(&BuildOptions::default(), ctx);
         InformationSystem {
             grid,
             mapper: HashKeyMapper::default(),
@@ -360,24 +337,5 @@ mod tests {
             }
         }
         assert!(found >= 7, "lookups retry through churn: {found}/10");
-    }
-
-    #[test]
-    fn round_based_bootstrap_is_operational() {
-        let mut owned = owned_ctx(6);
-        let mut ctx = owned.ctx();
-        let mut sys =
-            InformationSystem::bootstrap_rounds(256, SystemConfig::default(), 6, 4, &mut ctx);
-        sys.grid().check_invariants().unwrap();
-        for i in 0..10u32 {
-            sys.publish(PeerId(i * 11 % 256), &format!("doc-{i}"), vec![i as u8], &mut ctx);
-        }
-        let mut found = 0;
-        for i in 0..10u32 {
-            if sys.lookup(&format!("doc-{i}"), &mut ctx).is_some() {
-                found += 1;
-            }
-        }
-        assert!(found >= 8, "round-built grid serves lookups: {found}/10");
     }
 }

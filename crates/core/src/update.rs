@@ -199,7 +199,7 @@ impl PGrid {
         // truncate back, so the slice stays valid and no per-level Vec is
         // allocated. Draw order matches the old owning `shuffled` exactly.
         let (base, end) = {
-            let (rng, _, scratch, _) = ctx.parts();
+            let (rng, scratch) = ctx.parts();
             let base = scratch.ref_arena.len();
             self.peer(a)
                 .routing()

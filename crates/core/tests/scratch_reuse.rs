@@ -15,7 +15,7 @@ use rand::SeedableRng;
 /// One deterministic step: every third operation is a search, the rest are
 /// exchanges, all drawing from the shared RNG stream.
 fn step_op(g: &mut PGrid, step: u32, ctx: &mut Ctx<'_>, outcomes: &mut Vec<SearchOutcome>) {
-    if step % 3 == 0 {
+    if step.is_multiple_of(3) {
         let key = BitPath::random(ctx.rng, 4);
         let start = g.random_peer(ctx);
         outcomes.push(g.search(start, &key, ctx));

@@ -273,10 +273,10 @@ mod tests {
             assert_eq!(rb.len(), len);
             assert_eq!(rb.ones(), bits.iter().filter(|&&b| b).count());
             let mut ones_seen = 0usize;
-            for i in 0..len {
-                assert_eq!(rb.get(i), bits[i], "bit {i}");
+            for (i, &bit) in bits.iter().enumerate() {
+                assert_eq!(rb.get(i), bit, "bit {i}");
                 assert_eq!(rb.rank1(i), ones_seen, "rank {i}");
-                if bits[i] {
+                if bit {
                     assert_eq!(rb.select1(ones_seen), Some(i), "select {ones_seen}");
                     ones_seen += 1;
                 }

@@ -470,7 +470,7 @@ mod tests {
         assert_eq!(delta.retries, 2);
         assert_eq!(delta.timeouts, 1);
 
-        let mut merged = checkpoint.clone();
+        let mut merged = checkpoint;
         merged.merge(&delta);
         assert_eq!(merged, a);
     }

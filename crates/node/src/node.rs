@@ -681,7 +681,7 @@ impl<T: Transport> NodeRt<T> {
         self.tick_answers(now);
         self.tick_inserts(now);
         self.ticks += 1;
-        if self.ticks % STABILIZE_EVERY == 0 {
+        if self.ticks.is_multiple_of(STABILIZE_EVERY) {
             // Periodic self-audit. Skipped while the peer holds flagged
             // custody: re-homing those entries belongs to the anti-entropy
             // pass that every handled event already runs, and letting the

@@ -24,9 +24,9 @@ pub enum RouteStep {
         /// strip these before forwarding, and add them to the matched
         /// count.
         consumed: usize,
-        /// The 1-based reference level to forward at (`matched + consumed
-        /// + 1`): the level whose references cover the other side of the
-        /// first divergent bit.
+        /// The 1-based reference level to forward at
+        /// (`matched + consumed + 1`): the level whose references cover the
+        /// other side of the first divergent bit.
         level: usize,
     },
 }

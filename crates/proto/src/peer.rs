@@ -412,6 +412,7 @@ impl ProtocolPeer {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_offer(
         &mut self,
         from: PeerId,
@@ -473,6 +474,7 @@ impl ProtocolPeer {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn on_answer(
         &mut self,
         from: PeerId,
@@ -979,8 +981,7 @@ impl ProtocolPeer {
         // Mix reference sets at the deepest common level.
         if lc > 0 {
             let theirs = refs_of(lc);
-            let mine = self.level(lc).to_vec();
-            let mut union: Vec<PeerId> = mine.clone();
+            let mut union: Vec<PeerId> = self.level(lc).to_vec();
             for p in &theirs {
                 if !union.contains(p) {
                     union.push(*p);

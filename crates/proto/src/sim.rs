@@ -438,10 +438,8 @@ mod tests {
                 verdicts.push(net.query(start, qid, key, 32));
                 qid += 1;
             }
-            for v in &verdicts {
-                if let Some((resp, _)) = v {
-                    assert!(net.peer(*resp).responsible_for(&key));
-                }
+            for (resp, _) in verdicts.iter().flatten() {
+                assert!(net.peer(*resp).responsible_for(&key));
             }
         }
     }

@@ -8,8 +8,8 @@
 //! counters and the per-query outcomes are bit-identical for every thread
 //! count — `threads` is purely a wall-clock knob.
 //!
-//! Without the `parallel` cargo feature, `threads` is clamped to 1 and
-//! everything runs on the calling thread.
+//! With `threads` at 0 or 1, or a single task, everything runs on the
+//! calling thread.
 //!
 //! Each task's [`OwnedCtx`] also owns one scratch arena, lent to every
 //! operation run through it: a shard's first query warms the buffers and
@@ -102,13 +102,7 @@ where
     T: Send,
     F: Fn(u64, &mut Ctx<'_>) -> T + Sync,
 {
-    let threads = if cfg!(feature = "parallel") {
-        threads.max(1)
-    } else {
-        1
-    };
-
-    if threads == 1 || shards.len() <= 1 {
+    if threads <= 1 || shards.len() <= 1 {
         shards
             .iter_mut()
             .enumerate()

@@ -64,7 +64,7 @@ impl CorruptionClass {
         match self {
             CorruptionClass::WrongRefs => 0x57_72_65_66,
             CorruptionClass::OrphanedPath => 0x6f_72_70_68,
-            CorruptionClass::InconsistentReplicas => 0x62_75_64_64,
+            CorruptionClass::InconsistentReplicas => 0x6275_6464,
             CorruptionClass::JunkItems => 0x6a_75_6e_6b,
         }
     }

@@ -51,15 +51,14 @@ pub fn built_grid(
         threshold_fraction,
         max_meetings,
     };
-    let report = if (p_online - 1.0).abs() < f64::EPSILON {
-        let mut online = AlwaysOnline;
-        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        grid.build(&opts, &mut ctx)
+    // `AlwaysOnline` draws nothing from the RNG; a Bernoulli model at 1.0
+    // would still draw once per contact and shift every later meeting.
+    let mut online: Box<dyn OnlineModel> = if (p_online - 1.0).abs() < f64::EPSILON {
+        Box::new(AlwaysOnline)
     } else {
-        let mut online = BernoulliOnline::new(p_online);
-        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        grid.build(&opts, &mut ctx)
+        Box::new(BernoulliOnline::new(p_online))
     };
+    let report = grid.build(&opts, &mut Ctx::new(&mut rng, &mut *online, &mut stats));
     BuiltGrid {
         grid,
         report,

@@ -109,7 +109,7 @@ pub(crate) fn encode_remove_frame(id: ItemId, out: &mut Vec<u8>) {
     patch_header(out, start);
 }
 
-fn patch_header(out: &mut Vec<u8>, start: usize) {
+fn patch_header(out: &mut [u8], start: usize) {
     let payload_start = start + FRAME_HEADER as usize;
     let len = (out.len() - payload_start) as u32;
     let crc = crc32(&out[payload_start..]);

@@ -40,8 +40,6 @@ pub struct TraceSummary {
     pub timeouts: u64,
     /// Reference evictions observed.
     pub evictions: u64,
-    /// Construction rounds summarized.
-    pub rounds: u64,
 }
 
 impl TraceSummary {
@@ -118,7 +116,6 @@ where
             TraceEvent::Retransmit { .. } => summary.retransmits += 1,
             TraceEvent::TimeoutGiveUp { .. } => summary.timeouts += 1,
             TraceEvent::PeerEvicted { .. } => summary.evictions += 1,
-            TraceEvent::RoundSummary { .. } => summary.rounds += 1,
             _ => {}
         }
     }

@@ -270,17 +270,6 @@ pub enum TraceEvent {
         /// `true` for an update to an existing item, `false` for an insert.
         update: bool,
     },
-    /// One construction round completed (emitted by `build_rounds`).
-    RoundSummary {
-        /// Round number, starting at 1.
-        round: u64,
-        /// Pairs matched this round.
-        pairs: u64,
-        /// Exchange messages charged so far (cumulative).
-        exchanges: u64,
-        /// Total path bits across all peers after the round.
-        path_bits: u64,
-    },
     /// Live node: an exchange offer was classified and answered.
     OfferAnswered {
         /// Initiating peer.
@@ -471,7 +460,6 @@ impl TraceEvent {
             TraceEvent::QueryEnd { .. } => "query_end",
             TraceEvent::Exchange { .. } => "exchange",
             TraceEvent::ReplicaFanout { .. } => "replica_fanout",
-            TraceEvent::RoundSummary { .. } => "round_summary",
             TraceEvent::OfferAnswered { .. } => "offer_answered",
             TraceEvent::AnswerApplied { .. } => "answer_applied",
             TraceEvent::ConfirmApplied { .. } => "confirm_applied",
@@ -582,17 +570,6 @@ pub fn encode_line(stamped: &Stamped) -> String {
         TraceEvent::ReplicaFanout { replica, update } => {
             push_int_field(&mut out, "replica", i128::from(*replica));
             push_bool_field(&mut out, "update", *update);
-        }
-        TraceEvent::RoundSummary {
-            round,
-            pairs,
-            exchanges,
-            path_bits,
-        } => {
-            push_int_field(&mut out, "round", i128::from(*round));
-            push_int_field(&mut out, "pairs", i128::from(*pairs));
-            push_int_field(&mut out, "exchanges", i128::from(*exchanges));
-            push_int_field(&mut out, "path_bits", i128::from(*path_bits));
         }
         TraceEvent::OfferAnswered {
             peer,
@@ -863,12 +840,6 @@ pub fn decode_line(line: &str, line_no: usize) -> Result<Stamped, String> {
             replica: f.u64("replica")?,
             update: f.bool("update")?,
         },
-        "round_summary" => TraceEvent::RoundSummary {
-            round: f.u64("round")?,
-            pairs: f.u64("pairs")?,
-            exchanges: f.u64("exchanges")?,
-            path_bits: f.u64("path_bits")?,
-        },
         "offer_answered" => TraceEvent::OfferAnswered {
             peer: f.u64("peer")?,
             xid: f.u64("xid")?,
@@ -1019,12 +990,6 @@ mod tests {
         roundtrip(TraceEvent::ReplicaFanout {
             replica: 12,
             update: true,
-        });
-        roundtrip(TraceEvent::RoundSummary {
-            round: 3,
-            pairs: 64,
-            exchanges: 190,
-            path_bits: 381,
         });
         roundtrip(TraceEvent::OfferAnswered {
             peer: 2,

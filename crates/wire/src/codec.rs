@@ -55,7 +55,7 @@ impl std::error::Error for CodecError {}
 const MAX_COLLECTION: u64 = 1 << 20;
 
 /// Hard cap on a frame's declared payload length (64 MiB). The largest
-/// legitimate message — a [`MAX_COLLECTION`]-entry `QueryOk` with maximal
+/// legitimate message — a `MAX_COLLECTION`-entry `QueryOk` with maximal
 /// varints — stays well under this, while a corrupt or hostile length
 /// prefix can otherwise declare up to 4 GiB and pin a streaming receiver's
 /// accumulator. [`decode_frame`] enforces it from the header alone.
