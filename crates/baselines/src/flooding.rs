@@ -222,8 +222,7 @@ mod tests {
             let net = FloodNetwork::random(n, 3, &mut rng);
             let mut online = AlwaysOnline;
             let mut stats = NetStats::new();
-            let out =
-                net.flood_search(PeerId(0), &key("0"), 32, &mut online, &mut rng, &mut stats);
+            let out = net.flood_search(PeerId(0), &key("0"), 32, &mut online, &mut rng, &mut stats);
             messages.push(out.messages);
         }
         assert!(messages[0] < messages[1] && messages[1] < messages[2]);

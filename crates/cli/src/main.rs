@@ -137,14 +137,18 @@ fn grid_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    let sub = it.next().ok_or("grid needs a subcommand (build|info|query)")?;
+    let sub = it
+        .next()
+        .ok_or("grid needs a subcommand (build|info|query)")?;
     let mut flags = std::collections::HashMap::new();
     let mut key_iter = it.clone();
     while let Some(flag) = key_iter.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a flag, got {flag:?}"))?;
-        let value = key_iter.next().ok_or_else(|| format!("--{name} needs a value"))?;
+        let value = key_iter
+            .next()
+            .ok_or_else(|| format!("--{name} needs a value"))?;
         flags.insert(name.to_string(), value.clone());
     }
     let get_usize = |name: &str, default: usize| -> Result<usize, String> {
@@ -243,7 +247,9 @@ fn grid_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
                     outcome.0.messages,
                     outcome.1.len()
                 )),
-                None => out(&format!("{key} -> no route (all referenced peers offline?)")),
+                None => out(&format!(
+                    "{key} -> no route (all referenced peers offline?)"
+                )),
             }
             Ok(())
         }
@@ -260,9 +266,7 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
     use pgrid_core::{BuildOptions, Ctx, PGrid, PGridConfig};
     use pgrid_net::{AlwaysOnline, BernoulliOnline, MsgKind, NetStats};
     use pgrid_sim::{run_query_plan_traced, QueryPlan};
-    use pgrid_trace::{
-        encode_line, first_divergence, merge_shards, summarize, MsgTag, RingTracer,
-    };
+    use pgrid_trace::{encode_line, first_divergence, merge_shards, summarize, MsgTag, RingTracer};
 
     let sub = it
         .next()
@@ -273,7 +277,9 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a flag, got {flag:?}"))?;
-        let value = key_iter.next().ok_or_else(|| format!("--{name} needs a value"))?;
+        let value = key_iter
+            .next()
+            .ok_or_else(|| format!("--{name} needs a value"))?;
         flags.insert(name.to_string(), value.clone());
     }
     let get_usize = |name: &str, default: usize| -> Result<usize, String> {
@@ -474,21 +480,33 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
     let small = opts.small;
     match id {
         "t1" => {
-            let mut cfg = if small { t1::Config::small() } else { t1::Config::default() };
+            let mut cfg = if small {
+                t1::Config::small()
+            } else {
+                t1::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
             emit(&t1::run(&cfg).1, opts.format);
         }
         "t2" => {
-            let mut cfg = if small { t2::Config::small() } else { t2::Config::default() };
+            let mut cfg = if small {
+                t2::Config::small()
+            } else {
+                t2::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
             emit(&t2::run(&cfg).1, opts.format);
         }
         "t3" => {
-            let mut cfg = if small { t3::Config::small() } else { t3::Config::default() };
+            let mut cfg = if small {
+                t3::Config::small()
+            } else {
+                t3::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
@@ -497,7 +515,11 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
         "t3-extended" => {
             // The variant with divergence references enabled: the U-shape
             // flattens because recursion targets stay productive.
-            let mut cfg = if small { t3::Config::small() } else { t3::Config::default() };
+            let mut cfg = if small {
+                t3::Config::small()
+            } else {
+                t3::Config::default()
+            };
             cfg.divergence_refs = true;
             if let Some(s) = opts.seed {
                 cfg.seed = s;
@@ -505,14 +527,22 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
             emit(&t3::run(&cfg).1, opts.format);
         }
         "t4" | "t5" | "t4t5" => {
-            let mut cfg = if small { t4t5::Config::small() } else { t4t5::Config::default() };
+            let mut cfg = if small {
+                t4t5::Config::small()
+            } else {
+                t4t5::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
             emit(&t4t5::run(&cfg).1, opts.format);
         }
         "f4" => {
-            let mut cfg = if small { f4::Config::small() } else { f4::Config::default() };
+            let mut cfg = if small {
+                f4::Config::small()
+            } else {
+                f4::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
@@ -542,14 +572,22 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
             emit(&s52_search::run(&cfg).1, opts.format);
         }
         "f5" => {
-            let mut cfg = if small { f5::Config::small() } else { f5::Config::default() };
+            let mut cfg = if small {
+                f5::Config::small()
+            } else {
+                f5::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.grid.seed = s;
             }
             emit(&f5::run(&cfg).1, opts.format);
         }
         "t6" => {
-            let mut cfg = if small { t6::Config::small() } else { t6::Config::default() };
+            let mut cfg = if small {
+                t6::Config::small()
+            } else {
+                t6::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.grid.seed = s;
             }
@@ -600,7 +638,11 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
             emit(&sizing::run(&GridSizing::gnutella_example()), opts.format);
         }
         "skew" => {
-            let mut cfg = if small { skew::Config::small() } else { skew::Config::default() };
+            let mut cfg = if small {
+                skew::Config::small()
+            } else {
+                skew::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
@@ -658,7 +700,11 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
             }
         }
         "repair" => {
-            let mut cfg = if small { repair::Config::small() } else { repair::Config::default() };
+            let mut cfg = if small {
+                repair::Config::small()
+            } else {
+                repair::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
@@ -709,7 +755,11 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
             emit(&latency::run(&cfg).1, opts.format);
         }
         "mixed" => {
-            let mut cfg = if small { mixed::Config::small() } else { mixed::Config::default() };
+            let mut cfg = if small {
+                mixed::Config::small()
+            } else {
+                mixed::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
@@ -749,7 +799,11 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
             emit(&engine::run(&cfg).1, opts.format);
         }
         "store" => {
-            let mut cfg = if small { store::Config::small() } else { store::Config::default() };
+            let mut cfg = if small {
+                store::Config::small()
+            } else {
+                store::Config::default()
+            };
             if let Some(s) = opts.seed {
                 cfg.seed = s;
             }
@@ -761,8 +815,8 @@ fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
         "all" => {
             for id in [
                 "t1", "t2", "t3", "t4", "f4", "search", "f5", "t6", "scaling", "flooding",
-                "sizing", "skew", "balance", "repair", "selfstab", "timeline", "caching", "latency",
-                "variance", "mixed", "ablation",
+                "sizing", "skew", "balance", "repair", "selfstab", "timeline", "caching",
+                "latency", "variance", "mixed", "ablation",
             ] {
                 run_experiment(id, opts)?;
             }
@@ -822,30 +876,69 @@ mod tests {
         let b_s = b.to_str().unwrap();
         // record reconciles internally (it errors on any stats mismatch).
         assert!(run(&args(&[
-            "trace", "record", "--n", "64", "--maxl", "4", "--queries", "40", "--shards", "2",
-            "--seed", "11", "--out", a_s
+            "trace",
+            "record",
+            "--n",
+            "64",
+            "--maxl",
+            "4",
+            "--queries",
+            "40",
+            "--shards",
+            "2",
+            "--seed",
+            "11",
+            "--out",
+            a_s
         ]))
         .is_ok());
         // A different seed records a different trace; diff must find the
         // first divergent event. The same seed must byte-match.
         assert!(run(&args(&[
-            "trace", "record", "--n", "64", "--maxl", "4", "--queries", "40", "--shards", "2",
-            "--seed", "12", "--out", b_s
+            "trace",
+            "record",
+            "--n",
+            "64",
+            "--maxl",
+            "4",
+            "--queries",
+            "40",
+            "--shards",
+            "2",
+            "--seed",
+            "12",
+            "--out",
+            b_s
         ]))
         .is_ok());
         assert!(run(&args(&["trace", "replay", "--in", a_s])).is_ok());
         assert!(run(&args(&["trace", "diff", "--a", a_s, "--b", b_s])).is_ok());
         let first = std::fs::read_to_string(&a).unwrap();
         assert!(run(&args(&[
-            "trace", "record", "--n", "64", "--maxl", "4", "--queries", "40", "--shards", "2",
-            "--seed", "11", "--out", b_s
+            "trace",
+            "record",
+            "--n",
+            "64",
+            "--maxl",
+            "4",
+            "--queries",
+            "40",
+            "--shards",
+            "2",
+            "--seed",
+            "11",
+            "--out",
+            b_s
         ]))
         .is_ok());
         let again = std::fs::read_to_string(&b).unwrap();
         assert_eq!(first, again, "same seed must record byte-identical traces");
         assert!(run(&args(&["trace", "replay", "--in", "/definitely/missing"])).is_err());
         assert!(run(&args(&["trace", "nonsense"])).is_err());
-        assert!(run(&args(&["trace", "record", "--n", "64"])).is_err(), "missing --out");
+        assert!(
+            run(&args(&["trace", "record", "--n", "64"])).is_err(),
+            "missing --out"
+        );
         std::fs::remove_file(&a).unwrap();
         std::fs::remove_file(&b).unwrap();
     }
@@ -861,9 +954,20 @@ mod tests {
         assert!(run(&args(&["grid", "info", "--grid", path_s])).is_ok());
         assert!(run(&args(&["grid", "query", "--grid", path_s, "--key", "0110"])).is_ok());
         assert!(run(&args(&["grid", "query", "--grid", path_s, "--key", "01x2"])).is_err());
-        assert!(run(&args(&["grid", "query", "--grid", "/definitely/missing", "--key", "01"])).is_err());
+        assert!(run(&args(&[
+            "grid",
+            "query",
+            "--grid",
+            "/definitely/missing",
+            "--key",
+            "01"
+        ]))
+        .is_err());
         assert!(run(&args(&["grid", "nonsense"])).is_err());
-        assert!(run(&args(&["grid", "build", "--n", "64"])).is_err(), "missing --out");
+        assert!(
+            run(&args(&["grid", "build", "--n", "64"])).is_err(),
+            "missing --out"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -76,11 +76,7 @@ impl GridSizing {
             key_length,
             entries_used,
             fits_budget: entries_used <= i_peer,
-            success_probability: search_success_probability(
-                self.p_online,
-                self.refmax,
-                key_length,
-            ),
+            success_probability: search_success_probability(self.p_online, self.refmax, key_length),
             min_peers: min_peers(self.d_global, self.i_leaf, self.refmax),
         }
     }
@@ -120,12 +116,8 @@ mod tests {
         // One level, one ref: exactly p.
         assert!((search_success_probability(0.3, 1, 1) - 0.3).abs() < 1e-12);
         // Monotone in refmax, antitone in depth.
-        assert!(
-            search_success_probability(0.3, 20, 10) > search_success_probability(0.3, 10, 10)
-        );
-        assert!(
-            search_success_probability(0.3, 20, 10) > search_success_probability(0.3, 20, 20)
-        );
+        assert!(search_success_probability(0.3, 20, 10) > search_success_probability(0.3, 10, 10));
+        assert!(search_success_probability(0.3, 20, 10) > search_success_probability(0.3, 20, 20));
     }
 
     #[test]

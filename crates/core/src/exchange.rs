@@ -43,11 +43,7 @@ fn rebalance_pair(p1: &mut Peer, p2: &mut Peer) {
 /// when the longer partner is more specific than the key's branch) stays
 /// at `fallback` with its *misplaced* flag set, to be re-homed by the
 /// anti-entropy step of a later meeting.
-fn place_entries_pair(
-    moved: Vec<(Key, Vec<IndexEntry>)>,
-    prefer: &mut Peer,
-    fallback: &mut Peer,
-) {
+fn place_entries_pair(moved: Vec<(Key, Vec<IndexEntry>)>, prefer: &mut Peer, fallback: &mut Peer) {
     for (key, entries) in moved {
         let target = if prefer.responsible_for(&key) {
             &mut *prefer
@@ -74,11 +70,13 @@ fn settle_misplaced_pair(holder: &mut Peer, partner: &mut Peer) {
     let holder_path = holder.path();
     let partner_path = partner.path();
     let mut strays = Vec::new();
-    holder.index().for_each_under(&pgrid_keys::BitPath::EMPTY, |key, _| {
-        if !holder_path.responsible_for(&key) {
-            strays.push(key);
-        }
-    });
+    holder
+        .index()
+        .for_each_under(&pgrid_keys::BitPath::EMPTY, |key, _| {
+            if !holder_path.responsible_for(&key) {
+                strays.push(key);
+            }
+        });
     let mut remaining = false;
     for key in strays {
         let to_partner = partner_path.responsible_for(&key)
@@ -186,8 +184,10 @@ impl PGrid {
                 bit_first = bit1 as i8;
                 bit_second = bit2 as i8;
                 new_path_bits = 2;
-                p1.routing_mut().set_level(lc + 1, RefSet::singleton(p2.id()));
-                p2.routing_mut().set_level(lc + 1, RefSet::singleton(p1.id()));
+                p1.routing_mut()
+                    .set_level(lc + 1, RefSet::singleton(p2.id()));
+                p2.routing_mut()
+                    .set_level(lc + 1, RefSet::singleton(p1.id()));
                 rebalance_pair(p1, p2);
             }
             // Identical paths at maxl — the peers are replicas: buddies.
@@ -201,7 +201,8 @@ impl PGrid {
                 p1.extend_path(bit);
                 bit_first = bit as i8;
                 new_path_bits = 1;
-                p1.routing_mut().set_level(lc + 1, RefSet::singleton(p2.id()));
+                p1.routing_mut()
+                    .set_level(lc + 1, RefSet::singleton(p2.id()));
                 p2.routing_mut()
                     .level_mut(lc + 1)
                     .insert_bounded(p1.id(), cfg.refmax, rng);
@@ -212,7 +213,8 @@ impl PGrid {
                 p2.extend_path(bit);
                 bit_second = bit as i8;
                 new_path_bits = 1;
-                p2.routing_mut().set_level(lc + 1, RefSet::singleton(p1.id()));
+                p2.routing_mut()
+                    .set_level(lc + 1, RefSet::singleton(p1.id()));
                 p1.routing_mut()
                     .level_mut(lc + 1)
                     .insert_bounded(p2.id(), cfg.refmax, rng);
@@ -274,15 +276,19 @@ impl PGrid {
         let (base, split, end) = {
             let (rng, scratch) = ctx.parts();
             let base = scratch.ref_arena.len();
-            self.peer(a1)
-                .routing()
-                .level(level)
-                .sample_excluding_into(fanout, a2, rng, &mut scratch.ref_arena);
+            self.peer(a1).routing().level(level).sample_excluding_into(
+                fanout,
+                a2,
+                rng,
+                &mut scratch.ref_arena,
+            );
             let split = scratch.ref_arena.len();
-            self.peer(a2)
-                .routing()
-                .level(level)
-                .sample_excluding_into(fanout, a1, rng, &mut scratch.ref_arena);
+            self.peer(a2).routing().level(level).sample_excluding_into(
+                fanout,
+                a1,
+                rng,
+                &mut scratch.ref_arena,
+            );
             (base, split, scratch.ref_arena.len())
         };
         let mut calls = 0u64;
@@ -466,7 +472,8 @@ mod tests {
         for _ in 0..200 {
             let (i, j) = g.random_pair(&mut ctx);
             g.exchange(i, j, &mut ctx);
-            g.check_invariants().expect("invariants after every exchange");
+            g.check_invariants()
+                .expect("invariants after every exchange");
         }
         assert!(g.avg_path_len() > 1.0);
     }

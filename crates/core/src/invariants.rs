@@ -180,7 +180,10 @@ impl fmt::Display for Violation {
                 peer,
                 level,
                 target,
-            } => write!(f, "{peer}: ref {target} at level {level} has too short a path"),
+            } => write!(
+                f,
+                "{peer}: ref {target} at level {level} has too short a path"
+            ),
             Violation::PrefixMismatch {
                 peer,
                 level,
@@ -193,7 +196,10 @@ impl fmt::Display for Violation {
                 peer,
                 level,
                 target,
-            } => write!(f, "{peer}: ref {target} at level {level} is on the same side"),
+            } => write!(
+                f,
+                "{peer}: ref {target} at level {level} is on the same side"
+            ),
             Violation::ReplicaPathMismatch { peer, buddy } => {
                 write!(f, "{peer}: buddy {buddy} has a different path")
             }
@@ -271,11 +277,12 @@ impl PGrid {
         // custody of unplaceable entries is a state the exchange protocol
         // itself produces (and its anti-entropy resolves).
         if !peer.has_misplaced() {
-            peer.index().for_each_under(&pgrid_keys::BitPath::EMPTY, |key, _| {
-                if !path.responsible_for(&key) {
-                    out.push(Violation::ForeignEntry { peer: id, key });
-                }
-            });
+            peer.index()
+                .for_each_under(&pgrid_keys::BitPath::EMPTY, |key, _| {
+                    if !path.responsible_for(&key) {
+                        out.push(Violation::ForeignEntry { peer: id, key });
+                    }
+                });
         }
     }
 

@@ -287,9 +287,19 @@ mod tests {
         p.index_insert(key("01"), entry(1, 9, 0));
         p.index_insert(key("01"), entry(2, 9, 0));
         assert!(p.index_apply_update(&key("01"), ItemId(1), Version(2)));
-        assert!(!p.index_apply_update(&key("01"), ItemId(1), Version(1)), "stale");
-        assert!(!p.index_apply_update(&key("10"), ItemId(1), Version(9)), "absent key");
-        let versions: Vec<Version> = p.index_lookup(&key("01")).iter().map(|e| e.version).collect();
+        assert!(
+            !p.index_apply_update(&key("01"), ItemId(1), Version(1)),
+            "stale"
+        );
+        assert!(
+            !p.index_apply_update(&key("10"), ItemId(1), Version(9)),
+            "absent key"
+        );
+        let versions: Vec<Version> = p
+            .index_lookup(&key("01"))
+            .iter()
+            .map(|e| e.version)
+            .collect();
         assert_eq!(versions, vec![Version(2), Version(0)]);
     }
 

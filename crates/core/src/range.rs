@@ -92,31 +92,33 @@ impl PGrid {
         let outcome = self.search_range(start, lo, hi, ctx);
         let mut merged: BTreeMap<Key, Vec<IndexEntry>> = BTreeMap::new();
         for &peer in &outcome.peers {
-            self.peer(peer).index().for_each_under(&Key::EMPTY, |key, entries| {
-                // Inclusive range filter on full keys: compare by value with
-                // the range endpoints (keys may be longer than endpoints; a
-                // key is inside when its `len(lo)`-bit prefix is within, with
-                // boundary prefixes resolved by the remaining bits' value —
-                // for simplicity we include boundary subtrees fully, which
-                // matches prefix-granularity semantics).
-                let head = key.prefix(lo.len().min(key.len()));
-                if head >= lo.prefix(head.len()) && head <= hi.prefix(head.len()) {
-                    let slot = merged.entry(key).or_default();
-                    for e in entries {
-                        match slot
-                            .iter_mut()
-                            .find(|x| x.item == e.item && x.holder == e.holder)
-                        {
-                            Some(existing) => {
-                                if e.version > existing.version {
-                                    existing.version = e.version;
+            self.peer(peer)
+                .index()
+                .for_each_under(&Key::EMPTY, |key, entries| {
+                    // Inclusive range filter on full keys: compare by value with
+                    // the range endpoints (keys may be longer than endpoints; a
+                    // key is inside when its `len(lo)`-bit prefix is within, with
+                    // boundary prefixes resolved by the remaining bits' value —
+                    // for simplicity we include boundary subtrees fully, which
+                    // matches prefix-granularity semantics).
+                    let head = key.prefix(lo.len().min(key.len()));
+                    if head >= lo.prefix(head.len()) && head <= hi.prefix(head.len()) {
+                        let slot = merged.entry(key).or_default();
+                        for e in entries {
+                            match slot
+                                .iter_mut()
+                                .find(|x| x.item == e.item && x.holder == e.holder)
+                            {
+                                Some(existing) => {
+                                    if e.version > existing.version {
+                                        existing.version = e.version;
+                                    }
                                 }
+                                None => slot.push(*e),
                             }
-                            None => slot.push(*e),
                         }
                     }
-                }
-            });
+                });
         }
         (outcome, merged)
     }
@@ -146,7 +148,10 @@ mod tests {
         let mut online = AlwaysOnline;
         {
             let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-            assert!(grid.build(&BuildOptions::default(), &mut ctx).reached_threshold);
+            assert!(
+                grid.build(&BuildOptions::default(), &mut ctx)
+                    .reached_threshold
+            );
         }
         (grid, rng, stats)
     }
@@ -241,10 +246,7 @@ mod tests {
             .collect();
         for v in 0..32u128 {
             let leaf = BitPath::from_value(v, 5);
-            let in_unresolved = out
-                .unresolved
-                .iter()
-                .any(|u| u.is_prefix_of(&leaf));
+            let in_unresolved = out.unresolved.iter().any(|u| u.is_prefix_of(&leaf));
             assert!(
                 covered.contains(&v) || in_unresolved,
                 "leaf {leaf} neither covered nor reported unresolved"

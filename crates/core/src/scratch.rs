@@ -84,9 +84,7 @@ impl Scratch {
     }
 
     /// The three disjoint buffers the exchange mixing step needs.
-    pub(crate) fn mix_buffers(
-        &mut self,
-    ) -> (&mut Vec<PeerId>, &mut Vec<PeerId>, &mut Vec<PeerId>) {
+    pub(crate) fn mix_buffers(&mut self) -> (&mut Vec<PeerId>, &mut Vec<PeerId>, &mut Vec<PeerId>) {
         (&mut self.mix_a, &mut self.mix_b, &mut self.seen)
     }
 }

@@ -263,7 +263,9 @@ mod tests {
         let mut sys = InformationSystem::bootstrap(256, SystemConfig::default(), &mut ctx);
         let (item, cost) = sys.publish(PeerId(7), "report.pdf", b"PDF".to_vec(), &mut ctx);
         assert!(cost > 0, "insertion routes through the grid");
-        let hit = sys.lookup("report.pdf", &mut ctx).expect("published item found");
+        let hit = sys
+            .lookup("report.pdf", &mut ctx)
+            .expect("published item found");
         assert_eq!(hit.item, item);
         assert_eq!(hit.holders, vec![PeerId(7)]);
         assert_eq!(hit.version, Version::INITIAL);
@@ -303,7 +305,12 @@ mod tests {
         let mut ctx = owned.ctx();
         let mut sys = InformationSystem::bootstrap(512, SystemConfig::default(), &mut ctx);
         for i in 0..30u32 {
-            sys.publish(PeerId(i * 17 % 512), &format!("file-{i}"), vec![i as u8], &mut ctx);
+            sys.publish(
+                PeerId(i * 17 % 512),
+                &format!("file-{i}"),
+                vec![i as u8],
+                &mut ctx,
+            );
         }
         let mut found = 0;
         for i in 0..30u32 {

@@ -59,7 +59,13 @@ struct TrieLevel {
 }
 
 impl TrieLevel {
-    fn insert_bounded(&mut self, symbol: u8, id: PeerId, bound: usize, rng: &mut rand::rngs::StdRng) {
+    fn insert_bounded(
+        &mut self,
+        symbol: u8,
+        id: PeerId,
+        bound: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) {
         let slot = self.by_symbol.entry(symbol).or_default();
         if slot.contains(&id) {
             return;
@@ -72,7 +78,10 @@ impl TrieLevel {
     }
 
     fn refs(&self, symbol: u8) -> &[PeerId] {
-        self.by_symbol.get(&symbol).map(Vec::as_slice).unwrap_or(&[])
+        self.by_symbol
+            .get(&symbol)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 }
 
@@ -274,12 +283,7 @@ impl TrieGrid {
         let collect = |peer: &TriePeer| -> Vec<(u8, Vec<PeerId>)> {
             peer.levels
                 .get(level - 1)
-                .map(|l| {
-                    l.by_symbol
-                        .iter()
-                        .map(|(&s, v)| (s, v.clone()))
-                        .collect()
-                })
+                .map(|l| l.by_symbol.iter().map(|(&s, v)| (s, v.clone())).collect())
                 .unwrap_or_default()
         };
         let from1 = collect(&self.peers[a1.index()]);
@@ -329,12 +333,7 @@ impl TrieGrid {
 
     /// Builds by random meetings until the average path length reaches
     /// `threshold_fraction * maxl` or `max_meetings` is exhausted.
-    pub fn build(
-        &mut self,
-        threshold_fraction: f64,
-        max_meetings: u64,
-        ctx: &mut Ctx<'_>,
-    ) -> u64 {
+    pub fn build(&mut self, threshold_fraction: f64, max_meetings: u64, ctx: &mut Ctx<'_>) -> u64 {
         let threshold = threshold_fraction * self.config.maxl as f64;
         let mut exchanges = 0;
         for _ in 0..max_meetings {
@@ -511,7 +510,14 @@ mod tests {
     fn split_assigns_distinct_symbols() {
         let (mut rng, mut online, mut stats) = ctx_parts(1);
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        let mut g = TrieGrid::new(2, TrieConfig { radix: 4, maxl: 2, ..TrieConfig::default() });
+        let mut g = TrieGrid::new(
+            2,
+            TrieConfig {
+                radix: 4,
+                maxl: 2,
+                ..TrieConfig::default()
+            },
+        );
         g.exchange(PeerId(0), PeerId(1), &mut ctx);
         let s0 = g.peer(PeerId(0)).path().symbol(0);
         let s1 = g.peer(PeerId(1)).path().symbol(0);
@@ -570,7 +576,10 @@ mod tests {
                 }
             }
         }
-        assert!(hits * 10 >= total * 8, "most keys reachable: {hits}/{total}");
+        assert!(
+            hits * 10 >= total * 8,
+            "most keys reachable: {hits}/{total}"
+        );
     }
 
     #[test]
@@ -621,10 +630,7 @@ mod tests {
             if let Some((peer, entries)) = g.lookup(PeerId(1), &key, &mut ctx) {
                 assert!(g.peer(peer).responsible_for(&key));
                 if entries.contains(&(42, PeerId(7))) {
-                    assert_eq!(
-                        entries.iter().filter(|e| **e == (42, PeerId(7))).count(),
-                        1
-                    );
+                    assert_eq!(entries.iter().filter(|e| **e == (42, PeerId(7))).count(), 1);
                     seen = true;
                     break;
                 }

@@ -280,12 +280,7 @@ impl PGrid {
 
     /// A single (non-repetitive) read: one search; the answer is whatever
     /// version the found replica stores. §5.2's "non-repetitive search".
-    pub fn query_once(
-        &self,
-        key: &Key,
-        item: ItemId,
-        ctx: &mut Ctx<'_>,
-    ) -> MajorityReadOutcome {
+    pub fn query_once(&self, key: &Key, item: ItemId, ctx: &mut Ctx<'_>) -> MajorityReadOutcome {
         let start = self.random_peer(ctx);
         let (outcome, version) = self.search_version(start, key, item, ctx);
         MajorityReadOutcome {
@@ -539,7 +534,8 @@ mod tests {
         let replicas = g.replicas_of(&key);
         let updated_count = replicas.len() * 7 / 10;
         for &p in replicas.iter().take(updated_count) {
-            g.peer_mut(p).index_apply_update(&key, ItemId(1), Version(2));
+            g.peer_mut(p)
+                .index_apply_update(&key, ItemId(1), Version(2));
         }
         let (mut rng, mut online, mut stats) = fresh_ctx(14);
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
@@ -562,7 +558,8 @@ mod tests {
         let replicas = g.replicas_of(&key);
         // Update only ~30% — single reads will often be stale.
         for &p in replicas.iter().take(replicas.len() * 3 / 10) {
-            g.peer_mut(p).index_apply_update(&key, ItemId(1), Version(2));
+            g.peer_mut(p)
+                .index_apply_update(&key, ItemId(1), Version(2));
         }
         let (mut rng, mut online, mut stats) = fresh_ctx(16);
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
@@ -575,7 +572,10 @@ mod tests {
                 fresh += 1;
             }
         }
-        assert!(fresh < 45, "with 30% updated, misses must occur: {fresh}/50");
+        assert!(
+            fresh < 45,
+            "with 30% updated, misses must occur: {fresh}/50"
+        );
         assert!(total_msgs / 50 < 20, "single reads stay cheap");
     }
 
@@ -590,7 +590,8 @@ mod tests {
         // Update ~25% of replicas, spread across the id space so the fresh
         // copies are as findable as the stale ones.
         for &p in replicas.iter().step_by(4) {
-            g.peer_mut(p).index_apply_update(&key, ItemId(1), Version(2));
+            g.peer_mut(p)
+                .index_apply_update(&key, ItemId(1), Version(2));
         }
         let (mut rng, mut online, mut stats) = fresh_ctx(20);
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);

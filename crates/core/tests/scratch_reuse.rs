@@ -4,9 +4,7 @@
 //! giving every operation a fresh private arena. The arena may only ever
 //! change *where* buffers live, never what the algorithms draw or decide.
 
-use pgrid_core::{
-    Ctx, FindStrategy, GridSnapshot, PGrid, PGridConfig, Scratch, SearchOutcome,
-};
+use pgrid_core::{Ctx, FindStrategy, GridSnapshot, PGrid, PGridConfig, Scratch, SearchOutcome};
 use pgrid_keys::BitPath;
 use pgrid_net::{BernoulliOnline, NetStats, PeerId};
 use rand::rngs::StdRng;
@@ -67,7 +65,10 @@ fn warm_scratch_workload_is_byte_identical_to_cold() {
         let (warm_snap, warm_stats, warm_outcomes) = run_workload(seed, true);
         assert_eq!(cold_snap, warm_snap, "grid snapshot diverged, seed {seed}");
         assert_eq!(cold_stats, warm_stats, "counters diverged, seed {seed}");
-        assert_eq!(cold_outcomes, warm_outcomes, "searches diverged, seed {seed}");
+        assert_eq!(
+            cold_outcomes, warm_outcomes,
+            "searches diverged, seed {seed}"
+        );
     }
 }
 
@@ -94,8 +95,7 @@ fn bfs_replica_sweeps_are_scratch_invariant() {
             let found: Vec<PeerId>;
             let messages;
             if shared {
-                let mut ctx =
-                    Ctx::with_scratch(&mut rng, &mut online, &mut stats, &mut scratch);
+                let mut ctx = Ctx::with_scratch(&mut rng, &mut online, &mut stats, &mut scratch);
                 let out = g.find_replicas(&key, strategy, &mut ctx);
                 found = out.found.into_iter().collect();
                 messages = out.messages;

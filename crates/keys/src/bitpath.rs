@@ -46,10 +46,16 @@ impl fmt::Display for BitPathError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BitPathError::TooLong { requested } => {
-                write!(f, "path of {requested} bits exceeds maximum of {MAX_PATH_LEN}")
+                write!(
+                    f,
+                    "path of {requested} bits exceeds maximum of {MAX_PATH_LEN}"
+                )
             }
             BitPathError::InvalidCharacter { ch, at } => {
-                write!(f, "invalid character {ch:?} at position {at}; expected '0' or '1'")
+                write!(
+                    f,
+                    "invalid character {ch:?} at position {at}; expected '0' or '1'"
+                )
             }
         }
     }
@@ -172,7 +178,11 @@ impl BitPath {
     /// If `i >= self.len()`.
     #[inline]
     pub fn bit(&self, i: usize) -> Bit {
-        assert!(i < self.len(), "bit index {i} out of range (len {})", self.len);
+        assert!(
+            i < self.len(),
+            "bit index {i} out of range (len {})",
+            self.len
+        );
         ((self.bits >> (127 - i)) & 1) as Bit
     }
 
@@ -500,7 +510,16 @@ mod tests {
 
     #[test]
     fn parse_and_display_round_trip() {
-        for s in ["", "0", "1", "01", "10", "0110", "111000111", "010101010101"] {
+        for s in [
+            "",
+            "0",
+            "1",
+            "01",
+            "10",
+            "0110",
+            "111000111",
+            "010101010101",
+        ] {
             assert_eq!(p(s).to_string(), s);
         }
     }

@@ -182,19 +182,17 @@ mod tests {
         let m = OrderPreservingMapper;
         let words = ["apple", "banana", "cherry", "date", "zebra"];
         for w in words.windows(2) {
-            assert!(
-                m.map(w[0], 32) <= m.map(w[1], 32),
-                "{} !<= {}",
-                w[0],
-                w[1]
-            );
+            assert!(m.map(w[0], 32) <= m.map(w[1], 32), "{} !<= {}", w[0], w[1]);
         }
     }
 
     #[test]
     fn order_preserving_shared_prefix_collides_at_low_precision() {
         let m = OrderPreservingMapper;
-        assert_eq!(m.map("prefix-aaaaaaaaAAAA", 8), m.map("prefix-aaaaaaaaBBBB", 8));
+        assert_eq!(
+            m.map("prefix-aaaaaaaaAAAA", 8),
+            m.map("prefix-aaaaaaaaBBBB", 8)
+        );
         assert_ne!(
             m.map("prefix-aaaaaaaaAAAA", 128),
             m.map("prefix-aaaaaaaaBBBB", 128)

@@ -127,10 +127,7 @@ mod tests {
                     }
                 }
                 // Exact: total leaves match and bounds match.
-                let total: u128 = cover
-                    .iter()
-                    .map(|c| 1u128 << (bits - c.len()))
-                    .sum();
+                let total: u128 = cover.iter().map(|c| 1u128 << (bits - c.len())).sum();
                 assert_eq!(total, hi - lo + 1, "coverage size for [{lo}, {hi}]");
                 // Membership spot checks: endpoints in, neighbours out.
                 let leaf = |v: u128| BitPath::from_value(v, bits as u8);
@@ -180,5 +177,4 @@ mod tests {
         let total: u128 = cover.iter().map(|c| 1u128 << (64 - c.len())).sum();
         assert_eq!(total, 1_000_000 - 5 + 1);
     }
-
 }

@@ -267,7 +267,10 @@ mod tests {
         }
 
         fn get(&self, k: u16) -> Option<u32> {
-            self.window.iter().find(|(key, _)| *key == k).map(|(_, v)| *v)
+            self.window
+                .iter()
+                .find(|(key, _)| *key == k)
+                .map(|(_, v)| *v)
         }
     }
 

@@ -197,7 +197,8 @@ impl NetStats {
         out.paths_extended = self.paths_extended - earlier.paths_extended;
         out.paths_retracted = self.paths_retracted - earlier.paths_retracted;
         out.entries_rebalanced = self.entries_rebalanced - earlier.entries_rebalanced;
-        out.load_max_over_mean_x1000 = self.load_max_over_mean_x1000 - earlier.load_max_over_mean_x1000;
+        out.load_max_over_mean_x1000 =
+            self.load_max_over_mean_x1000 - earlier.load_max_over_mean_x1000;
         out
     }
 
@@ -538,7 +539,14 @@ mod tests {
         let mut shard_a = NetStats::new();
         let mut shard_b = NetStats::new();
         for (i, &ev) in events.iter().enumerate() {
-            apply(if i % 2 == 0 { &mut shard_a } else { &mut shard_b }, ev);
+            apply(
+                if i % 2 == 0 {
+                    &mut shard_a
+                } else {
+                    &mut shard_b
+                },
+                ev,
+            );
         }
         let mut merged = shard_a.clone();
         merged.merge(&shard_b);
@@ -630,7 +638,10 @@ mod tests {
         s.conn_established = 12;
         s.writes_queued = 300;
         s.partial_frames = 40;
-        assert!(s.is_fault_free(), "clean TCP runs open conns and tear reads");
+        assert!(
+            s.is_fault_free(),
+            "clean TCP runs open conns and tear reads"
+        );
         s.writes_shed += 1;
         assert!(!s.is_fault_free(), "shed writes lose frames");
         s.writes_shed = 0;

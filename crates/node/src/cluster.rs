@@ -503,7 +503,10 @@ impl<T: Transport> Community<T> {
     /// # Panics
     /// If the node was already killed or is currently crashed.
     pub fn kill_node(&mut self, id: PeerId) {
-        assert!(!self.crashed[id.index()], "node {id} is crashed, not killable");
+        assert!(
+            !self.crashed[id.index()],
+            "node {id} is crashed, not killable"
+        );
         assert!(
             lock(&self.states[id.index()]).maxl != 0,
             "node {id} already killed"

@@ -413,7 +413,9 @@ mod tests {
         let plan = FaultPlan::new(5).with_drop(0.5);
         // Interleaving traffic on another link must not perturb link (1,2).
         let mut solo = FaultEngine::new(plan);
-        let solo_fates: Vec<bool> = (0..100).map(|_| solo.decide(PeerId(1), PeerId(2)).drop).collect();
+        let solo_fates: Vec<bool> = (0..100)
+            .map(|_| solo.decide(PeerId(1), PeerId(2)).drop)
+            .collect();
         let mut mixed = FaultEngine::new(plan);
         let mut mixed_fates = Vec::new();
         for _ in 0..100 {
@@ -428,8 +430,12 @@ mod tests {
         // (1→2) and (2→1) are distinct links with distinct streams.
         let plan = FaultPlan::new(11).with_drop(0.5);
         let mut eng = FaultEngine::new(plan);
-        let ab: Vec<bool> = (0..64).map(|_| eng.decide(PeerId(1), PeerId(2)).drop).collect();
-        let ba: Vec<bool> = (0..64).map(|_| eng.decide(PeerId(2), PeerId(1)).drop).collect();
+        let ab: Vec<bool> = (0..64)
+            .map(|_| eng.decide(PeerId(1), PeerId(2)).drop)
+            .collect();
+        let ba: Vec<bool> = (0..64)
+            .map(|_| eng.decide(PeerId(2), PeerId(1)).drop)
+            .collect();
         assert_ne!(ab, ba);
     }
 

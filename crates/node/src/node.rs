@@ -495,9 +495,9 @@ impl<T: Transport> NodeRt<T> {
             Message::Shutdown => return false,
             Message::Meet { with } => self.deliver(Event::Meet { with, depth: 0 }),
             Message::Ping { nonce } => {
-                let _ = self
-                    .transport
-                    .dispatch(self.id, from, encode_frame(&Message::Pong { nonce }));
+                let _ =
+                    self.transport
+                        .dispatch(self.id, from, encode_frame(&Message::Pong { nonce }));
             }
             Message::Pong { .. } => {}
             Message::Ack { seq } => self.on_ack(from, seq),
@@ -729,7 +729,11 @@ impl<T: Transport> NodeRt<T> {
                     attempt: p.attempt,
                 });
                 let _ = self.transport.send(self.id, p.target, p.frame.clone());
-                p.deadline = now + self.config.exchange_retry.backoff(p.attempt, &mut self.io_rng);
+                p.deadline = now
+                    + self
+                        .config
+                        .exchange_retry
+                        .backoff(p.attempt, &mut self.io_rng);
                 self.pending_offers.insert(xid, p);
             } else {
                 self.transport.record_timeout();
@@ -738,7 +742,8 @@ impl<T: Transport> NodeRt<T> {
                     op: OpTag::Offer,
                 });
                 self.inbox.push_back(Event::OfferExpired { id: xid });
-                self.inbox.push_back(Event::PeerSuspected { peer: p.target });
+                self.inbox
+                    .push_back(Event::PeerSuspected { peer: p.target });
             }
         }
         self.expired = expired;

@@ -401,7 +401,9 @@ impl TcpInner {
             }
         };
         if fresh {
-            let _ = self.workers[conn.worker].tx.send(WorkerMsg::AdoptOut(conn.clone()));
+            let _ = self.workers[conn.worker]
+                .tx
+                .send(WorkerMsg::AdoptOut(conn.clone()));
         }
         if status == SendStatus::Delivered {
             self.wake(conn.worker);
@@ -638,8 +640,7 @@ impl Transport for TcpTransport {
                 st.sock = None;
                 st.phase = Phase::Dead;
                 st.attempt = 0;
-                st.next_try =
-                    now + Duration::from_millis(self.inner.config.reconnect_cooloff_ms);
+                st.next_try = now + Duration::from_millis(self.inner.config.reconnect_cooloff_ms);
                 true
             } else {
                 true
@@ -889,7 +890,9 @@ impl Worker {
             return; // socket dropped
         }
         let remote = PeerId(u32::from_le_bytes([p.buf[4], p.buf[5], p.buf[6], p.buf[7]]));
-        let local = PeerId(u32::from_le_bytes([p.buf[8], p.buf[9], p.buf[10], p.buf[11]]));
+        let local = PeerId(u32::from_le_bytes([
+            p.buf[8], p.buf[9], p.buf[10], p.buf[11],
+        ]));
         let Some(worker) = read(&self.inner.locals)
             .get(&local)
             .map(LocalEndpoint::worker)
@@ -1017,9 +1020,7 @@ impl Worker {
                 // wake its worker so delivery latency is one sweep, not an
                 // idle-backoff window.
                 if let Some(w) = read(&inner.locals).get(&conn.to).map(LocalEndpoint::worker) {
-                    let _ = inner.workers[w]
-                        .tx
-                        .send(WorkerMsg::Hot(conn.from, conn.to));
+                    let _ = inner.workers[w].tx.send(WorkerMsg::Hot(conn.from, conn.to));
                     inner.wake(w);
                 }
             }
@@ -1208,7 +1209,11 @@ mod tests {
         let t = transport();
         let _rx_a = t.open_client(PeerId(1));
         let rx_b = t.open_client(PeerId(2));
-        assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 7 })));
+        assert!(t.send(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 7 })
+        ));
         let (from, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(from, PeerId(1));
         assert!(matches!(msg, Message::Ping { nonce: 7 }));
@@ -1241,11 +1246,19 @@ mod tests {
         let t = transport();
         let _rx_a = t.open_client(PeerId(1));
         assert_eq!(
-            t.dispatch(PeerId(1), PeerId(99), encode_frame(&Message::Ping { nonce: 0 })),
+            t.dispatch(
+                PeerId(1),
+                PeerId(99),
+                encode_frame(&Message::Ping { nonce: 0 })
+            ),
             SendStatus::NoRoute
         );
         assert_eq!(
-            t.dispatch(PeerId(42), PeerId(1), encode_frame(&Message::Ping { nonce: 0 })),
+            t.dispatch(
+                PeerId(42),
+                PeerId(1),
+                encode_frame(&Message::Ping { nonce: 0 })
+            ),
             SendStatus::NoRoute,
             "a non-local sender has no socket identity here"
         );
@@ -1258,11 +1271,19 @@ mod tests {
         let _rx_a = t.open_client(PeerId(1));
         let rx_b = t.open_client(PeerId(2));
         t.inject_faults(FaultPlan::new(3).with_drop(1.0));
-        assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 1 })));
+        assert!(t.send(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 1 })
+        ));
         assert!(rx_b.recv_timeout(Duration::from_millis(100)).is_err());
         assert_eq!(t.net_stats().dropped, 1);
         t.clear_faults();
-        assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 2 })));
+        assert!(t.send(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 2 })
+        ));
         assert!(rx_b.recv_timeout(Duration::from_secs(5)).is_ok());
         t.shutdown();
     }
@@ -1273,7 +1294,11 @@ mod tests {
         let _rx_a = t.open_client(PeerId(1));
         let rx_b = t.open_client(PeerId(2));
         t.inject_faults(FaultPlan::new(3).with_delay(1.0, 30));
-        assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 9 })));
+        assert!(t.send(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 9 })
+        ));
         let (_, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(msg, Message::Ping { nonce: 9 }));
         assert_eq!(t.net_stats().delayed, 1);
@@ -1286,7 +1311,11 @@ mod tests {
         let _rx_a = t.open_client(PeerId(1));
         let rx_b = t.open_client(PeerId(2));
         t.inject_faults(FaultPlan::new(3).with_drop(1.0));
-        assert!(t.send_control(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 5 })));
+        assert!(t.send_control(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 5 })
+        ));
         let (_, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(msg, Message::Ping { nonce: 5 }));
         t.shutdown();
@@ -1297,16 +1326,28 @@ mod tests {
         let t = transport();
         let _rx_a = t.open_client(PeerId(1));
         let rx_b = t.open_client(PeerId(2));
-        assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 1 })));
+        assert!(t.send(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 1 })
+        ));
         assert!(rx_b.recv_timeout(Duration::from_secs(5)).is_ok());
         t.evict(PeerId(2));
         assert_eq!(
-            t.dispatch(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 2 })),
+            t.dispatch(
+                PeerId(1),
+                PeerId(2),
+                encode_frame(&Message::Ping { nonce: 2 })
+            ),
             SendStatus::NoRoute
         );
         // Restart: re-adding clears the dead latch immediately.
         let rx_b2 = t.open_client(PeerId(2));
-        assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 3 })));
+        assert!(t.send(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 3 })
+        ));
         let (_, msg) = rx_b2.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(msg, Message::Ping { nonce: 3 }));
         t.shutdown();
@@ -1371,7 +1412,11 @@ mod tests {
         );
         // The acceptor is still alive: a real client round-trips after it.
         let rx_b = t.open_client(PeerId(2));
-        assert!(t.send(PeerId(1), PeerId(2), encode_frame(&Message::Ping { nonce: 4 })));
+        assert!(t.send(
+            PeerId(1),
+            PeerId(2),
+            encode_frame(&Message::Ping { nonce: 4 })
+        ));
         let (_, msg) = rx_b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(msg, Message::Ping { nonce: 4 }));
         t.shutdown();
@@ -1414,7 +1459,11 @@ mod tests {
             Box::new(NullTracer),
         );
         let rx = t.open_client(PeerId(9));
-        assert!(t.send(PeerId(9), PeerId(0), encode_frame(&Message::Ping { nonce: 31 })));
+        assert!(t.send(
+            PeerId(9),
+            PeerId(0),
+            encode_frame(&Message::Ping { nonce: 31 })
+        ));
         let (from, msg) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(from, PeerId(0));
         assert!(matches!(msg, Message::Pong { nonce: 31 }));

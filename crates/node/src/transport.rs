@@ -569,9 +569,18 @@ mod tests {
     fn bounded_mailbox_rejects_overflow() {
         let t = LocalTransport::with_mailbox_depth(2);
         let _rx = t.register(PeerId(1));
-        assert_eq!(t.dispatch(PeerId(0), PeerId(1), Bytes::new()), SendStatus::Delivered);
-        assert_eq!(t.dispatch(PeerId(0), PeerId(1), Bytes::new()), SendStatus::Delivered);
-        assert_eq!(t.dispatch(PeerId(0), PeerId(1), Bytes::new()), SendStatus::Rejected);
+        assert_eq!(
+            t.dispatch(PeerId(0), PeerId(1), Bytes::new()),
+            SendStatus::Delivered
+        );
+        assert_eq!(
+            t.dispatch(PeerId(0), PeerId(1), Bytes::new()),
+            SendStatus::Delivered
+        );
+        assert_eq!(
+            t.dispatch(PeerId(0), PeerId(1), Bytes::new()),
+            SendStatus::Rejected
+        );
         assert!(!t.send(PeerId(0), PeerId(1), Bytes::new()));
         assert_eq!(t.net_stats().rejected, 2);
         assert_eq!(t.delivered(), 2);
@@ -593,7 +602,10 @@ mod tests {
         t.inject_faults(FaultPlan::new(3).with_drop(1.0));
         // A certain drop still looks like success to the sender.
         assert!(t.send(PeerId(0), PeerId(1), Bytes::from_static(b"x")));
-        assert_eq!(t.dispatch(PeerId(0), PeerId(1), Bytes::new()), SendStatus::Dropped);
+        assert_eq!(
+            t.dispatch(PeerId(0), PeerId(1), Bytes::new()),
+            SendStatus::Dropped
+        );
         assert!(rx.try_recv().is_err());
         assert_eq!(t.net_stats().dropped, 2);
         t.clear_faults();
@@ -607,8 +619,14 @@ mod tests {
         let rx = t.register(PeerId(1));
         t.inject_faults(FaultPlan::new(3).with_duplicate(1.0));
         assert!(t.send(PeerId(0), PeerId(1), Bytes::from_static(b"d")));
-        assert_eq!(&rx.recv_timeout(Duration::from_millis(100)).unwrap().bytes[..], b"d");
-        assert_eq!(&rx.recv_timeout(Duration::from_millis(100)).unwrap().bytes[..], b"d");
+        assert_eq!(
+            &rx.recv_timeout(Duration::from_millis(100)).unwrap().bytes[..],
+            b"d"
+        );
+        assert_eq!(
+            &rx.recv_timeout(Duration::from_millis(100)).unwrap().bytes[..],
+            b"d"
+        );
         assert_eq!(t.net_stats().duplicated, 1);
     }
 
@@ -631,7 +649,10 @@ mod tests {
         let rx = t.register(PeerId(1));
         t.inject_faults(FaultPlan::new(3).with_drop(1.0));
         assert!(t.send_control(PeerId(0), PeerId(1), Bytes::from_static(b"ctl")));
-        assert_eq!(&rx.recv_timeout(Duration::from_millis(100)).unwrap().bytes[..], b"ctl");
+        assert_eq!(
+            &rx.recv_timeout(Duration::from_millis(100)).unwrap().bytes[..],
+            b"ctl"
+        );
     }
 
     #[test]

@@ -108,7 +108,10 @@ fn ignores_unsolicited_protocol_messages() {
     assert_alive(&transport, &probe_rx, 0);
 
     let guard = state.lock().unwrap();
-    assert!(guard.path.is_empty(), "unsolicited answer must not extend the path");
+    assert!(
+        guard.path.is_empty(),
+        "unsolicited answer must not extend the path"
+    );
     assert!(
         guard.refs.iter().all(Vec::is_empty),
         "unsolicited answer must not install references"

@@ -66,13 +66,25 @@ mod tests {
     #[test]
     fn exhausted_query_or_path_is_responsible() {
         // Query equals the path.
-        assert_eq!(route_step(&path("0110"), 0, &path("0110")), RouteStep::Responsible);
+        assert_eq!(
+            route_step(&path("0110"), 0, &path("0110")),
+            RouteStep::Responsible
+        );
         // Query shorter than the path.
-        assert_eq!(route_step(&path("0110"), 0, &path("01")), RouteStep::Responsible);
+        assert_eq!(
+            route_step(&path("0110"), 0, &path("01")),
+            RouteStep::Responsible
+        );
         // Query longer than the path but the path is a prefix.
-        assert_eq!(route_step(&path("01"), 0, &path("0110")), RouteStep::Responsible);
+        assert_eq!(
+            route_step(&path("01"), 0, &path("0110")),
+            RouteStep::Responsible
+        );
         // Empty path (fresh peer) covers everything.
-        assert_eq!(route_step(&BitPath::EMPTY, 0, &path("1")), RouteStep::Responsible);
+        assert_eq!(
+            route_step(&BitPath::EMPTY, 0, &path("1")),
+            RouteStep::Responsible
+        );
     }
 
     #[test]
@@ -106,6 +118,9 @@ mod tests {
     #[test]
     fn stale_matched_count_is_clamped() {
         // matched beyond the path length: treat the whole path as matched.
-        assert_eq!(route_step(&path("01"), 7, &path("1")), RouteStep::Responsible);
+        assert_eq!(
+            route_step(&path("01"), 7, &path("1")),
+            RouteStep::Responsible
+        );
     }
 }

@@ -123,7 +123,10 @@ mod tests {
 
     #[test]
     fn identical_paths_split_below_maxl() {
-        assert_eq!(classify(&path("01"), &path("01"), 4), (2, ExchangeCase::Split));
+        assert_eq!(
+            classify(&path("01"), &path("01"), 4),
+            (2, ExchangeCase::Split)
+        );
         assert_eq!(
             classify(&BitPath::EMPTY, &BitPath::EMPTY, 4),
             (0, ExchangeCase::Split)
@@ -132,7 +135,10 @@ mod tests {
 
     #[test]
     fn identical_paths_at_maxl_are_replicas() {
-        assert_eq!(classify(&path("01"), &path("01"), 2), (2, ExchangeCase::Replicas));
+        assert_eq!(
+            classify(&path("01"), &path("01"), 2),
+            (2, ExchangeCase::Replicas)
+        );
     }
 
     #[test]
@@ -152,7 +158,10 @@ mod tests {
     #[test]
     fn prefix_relation_at_maxl_is_saturated() {
         // lc == maxl == 1; the shorter peer cannot extend.
-        assert_eq!(classify(&path("1"), &path("1"), 1), (1, ExchangeCase::Replicas));
+        assert_eq!(
+            classify(&path("1"), &path("1"), 1),
+            (1, ExchangeCase::Replicas)
+        );
         // A longer partner can only exist when maxl permits its length; at
         // lc == maxl the shorter peer saturates.
         assert_eq!(
@@ -163,8 +172,14 @@ mod tests {
 
     #[test]
     fn divergence_is_case4() {
-        assert_eq!(classify(&path("00"), &path("01"), 4), (1, ExchangeCase::Diverged));
-        assert_eq!(classify(&path("0"), &path("1"), 4), (0, ExchangeCase::Diverged));
+        assert_eq!(
+            classify(&path("00"), &path("01"), 4),
+            (1, ExchangeCase::Diverged)
+        );
+        assert_eq!(
+            classify(&path("0"), &path("1"), 4),
+            (0, ExchangeCase::Diverged)
+        );
     }
 
     #[test]

@@ -267,7 +267,11 @@ impl ProtocolPeer {
             Event::OfferExpired { id } => {
                 self.pending_exchanges.remove(&id);
             }
-            Event::ForwardDeadEnd { id, upstream, origin } => {
+            Event::ForwardDeadEnd {
+                id,
+                upstream,
+                origin,
+            } => {
                 if upstream == origin {
                     out.push(Effect::SendAnswer {
                         to: origin,
@@ -1125,7 +1129,10 @@ mod tests {
         let taken = out.take_bit.expect("case 1 instructs the initiator");
         assert_eq!(responder.path.len(), 1);
         assert_eq!(responder.path.bit(0), taken ^ 1);
-        assert!(responder.level(1).is_empty(), "refs wait for the confirm leg");
+        assert!(
+            responder.level(1).is_empty(),
+            "refs wait for the confirm leg"
+        );
         assert_eq!(out.adopt_refs, vec![(1, vec![PeerId(1)])]);
         // The confirm leg records the initiator once its path is known.
         let initiator_path = BitPath::EMPTY.child(taken);
@@ -1142,7 +1149,10 @@ mod tests {
         let mut r = rng();
         let out = responder.handle_offer(PeerId(0), &BitPath::EMPTY, &[], &mut r);
         assert_eq!(out.take_bit, Some(0), "flip of our bit 0 (1)");
-        assert!(responder.level(1).is_empty(), "refs wait for the confirm leg");
+        assert!(
+            responder.level(1).is_empty(),
+            "refs wait for the confirm leg"
+        );
         responder.maybe_add_ref(PeerId(0), &path("0"), &mut r);
         assert!(responder.level(1).contains(&PeerId(0)));
         responder.check().unwrap();
@@ -1250,7 +1260,9 @@ mod tests {
         // Remaining query relative to matched bits.
         match state.route(&path("00"), 2, &mut r) {
             RouteDecision::Forward {
-                matched, candidates, ..
+                matched,
+                candidates,
+                ..
             } => {
                 assert_eq!(matched, 2);
                 assert_eq!(candidates, vec![PeerId(3)]);
@@ -1329,7 +1341,14 @@ mod tests {
     fn drive(peer: &mut ProtocolPeer, rng: &mut StdRng, event: Event) -> Vec<Effect> {
         let mut out = Vec::new();
         let mut tracer = pgrid_trace::NullTracer;
-        peer.handle(event, &mut ProtoCtx { rng, tracer: &mut tracer }, &mut out);
+        peer.handle(
+            event,
+            &mut ProtoCtx {
+                rng,
+                tracer: &mut tracer,
+            },
+            &mut out,
+        );
         out
     }
 
@@ -1338,10 +1357,27 @@ mod tests {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.seed_sequence(9);
         let mut r = rng();
-        let out = drive(&mut p, &mut r, Event::Meet { with: PeerId(1), depth: 0 });
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::Meet {
+                with: PeerId(1),
+                depth: 0,
+            },
+        );
         assert_eq!(out.len(), 1);
         match &out[0] {
-            Effect::SendOffer { to, id, msg: Message::ExchangeOffer { id: mid, depth, path, .. } } => {
+            Effect::SendOffer {
+                to,
+                id,
+                msg:
+                    Message::ExchangeOffer {
+                        id: mid,
+                        depth,
+                        path,
+                        ..
+                    },
+            } => {
                 assert_eq!(*to, PeerId(1));
                 assert_eq!(id, mid);
                 assert_eq!(*depth, 0);
@@ -1351,7 +1387,15 @@ mod tests {
             other => panic!("expected SendOffer, got {other:?}"),
         }
         // Meeting oneself is a no-op.
-        assert!(drive(&mut p, &mut r, Event::Meet { with: PeerId(0), depth: 0 }).is_empty());
+        assert!(drive(
+            &mut p,
+            &mut r,
+            Event::Meet {
+                with: PeerId(0),
+                depth: 0
+            }
+        )
+        .is_empty());
     }
 
     #[test]
@@ -1362,42 +1406,92 @@ mod tests {
         b.seed_sequence(2);
         let mut ra = rng();
         let mut rb = StdRng::seed_from_u64(43);
-        let offer = drive(&mut a, &mut ra, Event::Meet { with: PeerId(1), depth: 0 });
-        let Effect::SendOffer { id, msg: Message::ExchangeOffer { depth, path, level_refs, .. }, .. } =
-            offer[0].clone()
+        let offer = drive(
+            &mut a,
+            &mut ra,
+            Event::Meet {
+                with: PeerId(1),
+                depth: 0,
+            },
+        );
+        let Effect::SendOffer {
+            id,
+            msg:
+                Message::ExchangeOffer {
+                    depth,
+                    path,
+                    level_refs,
+                    ..
+                },
+            ..
+        } = offer[0].clone()
         else {
             panic!("expected SendOffer")
         };
         let answers = drive(
             &mut b,
             &mut rb,
-            Event::OfferReceived { from: PeerId(0), id, depth, path, level_refs },
+            Event::OfferReceived {
+                from: PeerId(0),
+                id,
+                depth,
+                path,
+                level_refs,
+            },
         );
-        let Effect::Send { msg: Message::ExchangeAnswer { take_bit, adopt_refs, recurse_with, .. }, .. } =
-            answers[0].clone()
+        let Effect::Send {
+            msg:
+                Message::ExchangeAnswer {
+                    take_bit,
+                    adopt_refs,
+                    recurse_with,
+                    ..
+                },
+            ..
+        } = answers[0].clone()
         else {
             panic!("expected answer")
         };
         let confirms = drive(
             &mut a,
             &mut ra,
-            Event::AnswerReceived { from: PeerId(1), id, take_bit, adopt_refs, recurse_with },
+            Event::AnswerReceived {
+                from: PeerId(1),
+                id,
+                take_bit,
+                adopt_refs,
+                recurse_with,
+            },
         );
         // Case 1: both specialized to opposite sides, confirm leg sent.
         assert_eq!(a.path.len(), 1);
         assert_eq!(b.path.len(), 1);
         assert_eq!(a.path.bit(0), b.path.bit(0) ^ 1);
-        let Effect::Send { to, msg: Message::ExchangeConfirm { path: cpath, .. } } = confirms
-            .last()
-            .unwrap()
-            .clone()
+        let Effect::Send {
+            to,
+            msg: Message::ExchangeConfirm { path: cpath, .. },
+        } = confirms.last().unwrap().clone()
         else {
             panic!("expected confirm")
         };
         assert_eq!(to, PeerId(1));
-        let _ = drive(&mut b, &mut rb, Event::ConfirmReceived { from: PeerId(0), path: cpath });
-        assert_eq!(b.level(1), &[PeerId(0)], "confirm leg records the initiator");
-        assert!(a.pending_exchanges.is_empty(), "answer settled the exchange");
+        let _ = drive(
+            &mut b,
+            &mut rb,
+            Event::ConfirmReceived {
+                from: PeerId(0),
+                path: cpath,
+            },
+        );
+        assert_eq!(
+            b.level(1),
+            &[PeerId(0)],
+            "confirm leg records the initiator"
+        );
+        assert!(
+            a.pending_exchanges.is_empty(),
+            "answer settled the exchange"
+        );
     }
 
     #[test]
@@ -1423,7 +1517,14 @@ mod tests {
         let mut a = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         a.seed_sequence(1);
         let mut ra = rng();
-        let offer = drive(&mut a, &mut ra, Event::Meet { with: PeerId(1), depth: 0 });
+        let offer = drive(
+            &mut a,
+            &mut ra,
+            Event::Meet {
+                with: PeerId(1),
+                depth: 0,
+            },
+        );
         let Effect::SendOffer { id, .. } = offer[0] else {
             panic!()
         };
@@ -1440,8 +1541,15 @@ mod tests {
                 recurse_with: Vec::new(),
             },
         );
-        assert!(out.is_empty(), "stale answer: no adopt, no confirm, no recurse");
-        assert_eq!(a.path, BitPath::EMPTY.child(1), "path unchanged by the answer");
+        assert!(
+            out.is_empty(),
+            "stale answer: no adopt, no confirm, no recurse"
+        );
+        assert_eq!(
+            a.path,
+            BitPath::EMPTY.child(1),
+            "path unchanged by the answer"
+        );
         assert!(a.refs.iter().all(Vec::is_empty), "no refs adopted");
     }
 
@@ -1464,10 +1572,21 @@ mod tests {
                 ttl: 8,
             },
         );
-        assert!(matches!(out[0], Effect::Send { to: PeerId(9), msg: Message::Ack { seq: 1 } }));
-        assert!(
-            matches!(&out[1], Effect::SendAnswer { to: PeerId(100), msg: Message::QueryOk { .. }, .. })
-        );
+        assert!(matches!(
+            out[0],
+            Effect::Send {
+                to: PeerId(9),
+                msg: Message::Ack { seq: 1 }
+            }
+        ));
+        assert!(matches!(
+            &out[1],
+            Effect::SendAnswer {
+                to: PeerId(100),
+                msg: Message::QueryOk { .. },
+                ..
+            }
+        ));
         // Divergent key: forwarded along level-1 references.
         let out = drive(
             &mut p,
@@ -1482,7 +1601,12 @@ mod tests {
             },
         );
         match &out[0] {
-            Effect::ForwardQuery { id, candidates, msg: Message::Query { ttl, .. }, .. } => {
+            Effect::ForwardQuery {
+                id,
+                candidates,
+                msg: Message::Query { ttl, .. },
+                ..
+            } => {
                 assert_eq!(*id, 2);
                 assert_eq!(candidates, &vec![PeerId(1)]);
                 assert_eq!(*ttl, 7, "budget decremented per hop");
@@ -1503,7 +1627,13 @@ mod tests {
             },
         );
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0], Effect::Send { msg: Message::Ack { seq: 1 }, .. }));
+        assert!(matches!(
+            out[0],
+            Effect::Send {
+                msg: Message::Ack { seq: 1 },
+                ..
+            }
+        ));
         // Dead end mid-route: nack upstream.
         p.refs[0].clear();
         let out = drive(
@@ -1518,16 +1648,31 @@ mod tests {
                 ttl: 8,
             },
         );
-        assert!(matches!(out[0], Effect::Send { to: PeerId(9), msg: Message::Nack { seq: 3 } }));
+        assert!(matches!(
+            out[0],
+            Effect::Send {
+                to: PeerId(9),
+                msg: Message::Nack { seq: 3 }
+            }
+        ));
         // The dead-end verdict for an exhausted forward.
         let out = drive(
             &mut p,
             &mut r,
-            Event::ForwardDeadEnd { id: 2, upstream: PeerId(100), origin: PeerId(100) },
+            Event::ForwardDeadEnd {
+                id: 2,
+                upstream: PeerId(100),
+                origin: PeerId(100),
+            },
         );
-        assert!(
-            matches!(out[0], Effect::SendAnswer { to: PeerId(100), msg: Message::QueryFail { id: 2 }, .. })
-        );
+        assert!(matches!(
+            out[0],
+            Effect::SendAnswer {
+                to: PeerId(100),
+                msg: Message::QueryFail { id: 2 },
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1537,40 +1682,79 @@ mod tests {
         p.refs = vec![vec![PeerId(1)]];
         p.seed_sequence(5);
         let mut r = rng();
-        let e = WireEntry { item: 1, holder: PeerId(9), version: 0 };
+        let e = WireEntry {
+            item: 1,
+            holder: PeerId(9),
+            version: 0,
+        };
         // Responsible: ack + store.
         let out = drive(
             &mut p,
             &mut r,
-            Event::InsertReceived { from: PeerId(8), seq: 10, key: path("01"), entry: e },
+            Event::InsertReceived {
+                from: PeerId(8),
+                seq: 10,
+                key: path("01"),
+                entry: e,
+            },
         );
-        assert!(matches!(out[0], Effect::Send { msg: Message::Ack { seq: 10 }, .. }));
+        assert!(matches!(
+            out[0],
+            Effect::Send {
+                msg: Message::Ack { seq: 10 },
+                ..
+            }
+        ));
         assert!(matches!(out[1], Effect::StoreWrite { .. }));
         assert_eq!(p.index_lookup(&path("01")), &[e]);
         // Duplicate: re-acked, not re-processed.
         let out = drive(
             &mut p,
             &mut r,
-            Event::InsertReceived { from: PeerId(8), seq: 10, key: path("01"), entry: e },
+            Event::InsertReceived {
+                from: PeerId(8),
+                seq: 10,
+                key: path("01"),
+                entry: e,
+            },
         );
         assert_eq!(out.len(), 1);
         // Not responsible: forwarded with a fresh hop sequence.
         let out = drive(
             &mut p,
             &mut r,
-            Event::InsertReceived { from: PeerId(8), seq: 11, key: path("11"), entry: e },
+            Event::InsertReceived {
+                from: PeerId(8),
+                seq: 11,
+                key: path("11"),
+                entry: e,
+            },
         );
         match &out[1] {
-            Effect::ForwardInsert { seq, candidates, .. } => {
+            Effect::ForwardInsert {
+                seq, candidates, ..
+            } => {
                 assert!(*seq >= 1 << 63, "hop sequences live in the high range");
                 assert_eq!(candidates, &vec![PeerId(1)]);
             }
             other => panic!("expected ForwardInsert, got {other:?}"),
         }
         // All candidates spent: keep custody, flag for anti-entropy.
-        let out = drive(&mut p, &mut r, Event::InsertDeadEnd { key: path("11"), entry: e });
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::InsertDeadEnd {
+                key: path("11"),
+                entry: e,
+            },
+        );
         assert!(matches!(out[0], Effect::StoreWrite { .. }));
-        assert!(matches!(out[1], Effect::SetTimer { timer: TimerToken::AntiEntropy }));
+        assert!(matches!(
+            out[1],
+            Effect::SetTimer {
+                timer: TimerToken::AntiEntropy
+            }
+        ));
         assert!(p.misplaced);
         assert_eq!(p.index_lookup(&path("11")), &[e]);
         // The next event re-homes the stranded entry through the table.
@@ -1601,17 +1785,34 @@ mod tests {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("01");
         p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
-        p.index_insert(path("0110"), WireEntry { item: 1, holder: PeerId(9), version: 0 });
+        p.index_insert(
+            path("0110"),
+            WireEntry {
+                item: 1,
+                holder: PeerId(9),
+                version: 0,
+            },
+        );
         let before = p.clone();
         let mut r = rng();
         let mut witness = rng();
-        let out = drive(&mut p, &mut r, Event::TimerFired { timer: TimerToken::Stabilize });
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Stabilize,
+            },
+        );
         assert!(out.is_empty(), "no effects on a valid peer: {out:?}");
         assert_eq!(p.path, before.path);
         assert_eq!(p.refs, before.refs);
         assert_eq!(p.index, before.index);
         // Zero RNG draws: the stream is exactly where an untouched clone's is.
-        assert_eq!(r.next_u64(), witness.next_u64(), "stabilize must not draw randomness");
+        assert_eq!(
+            r.next_u64(),
+            witness.next_u64(),
+            "stabilize must not draw randomness"
+        );
     }
 
     #[test]
@@ -1627,10 +1828,23 @@ mod tests {
             vec![PeerId(6)], // beyond the truncated path
         ];
         let mut r = rng();
-        let out = drive(&mut p, &mut r, Event::TimerFired { timer: TimerToken::Stabilize });
-        assert!(out.is_empty(), "corrections are local state changes: {out:?}");
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Stabilize,
+            },
+        );
+        assert!(
+            out.is_empty(),
+            "corrections are local state changes: {out:?}"
+        );
         assert_eq!(p.path, path("011"), "truncated to maxl");
-        assert_eq!(p.refs[0], vec![PeerId(1), PeerId(2)], "self dropped, then back-trimmed");
+        assert_eq!(
+            p.refs[0],
+            vec![PeerId(1), PeerId(2)],
+            "self dropped, then back-trimmed"
+        );
         assert_eq!(p.refs[1], vec![PeerId(4)]);
         assert_eq!(p.refs[2], vec![PeerId(5)]);
         assert!(p.refs[3].is_empty(), "level 4 is beyond the path");
@@ -1642,14 +1856,32 @@ mod tests {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("10"); // corrupted: the data below says "01..."
         p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
-        let e = WireEntry { item: 1, holder: PeerId(9), version: 0 };
+        let e = WireEntry {
+            item: 1,
+            holder: PeerId(9),
+            version: 0,
+        };
         p.index_insert(path("0110"), e);
         p.index_insert(path("0101"), e);
         let mut r = rng();
-        let out = drive(&mut p, &mut r, Event::TimerFired { timer: TimerToken::Stabilize });
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Stabilize,
+            },
+        );
         assert!(out.is_empty());
-        assert_eq!(p.path, path("01"), "longest common prefix of the hosted keys");
-        assert_eq!(p.index.len(), 2, "data stays: it is the evidence, not the error");
+        assert_eq!(
+            p.path,
+            path("01"),
+            "longest common prefix of the hosted keys"
+        );
+        assert_eq!(
+            p.index.len(),
+            2,
+            "data stays: it is the evidence, not the error"
+        );
     }
 
     #[test]
@@ -1657,14 +1889,30 @@ mod tests {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("0");
         p.refs = vec![vec![PeerId(1)]];
-        let e = WireEntry { item: 7, holder: PeerId(9), version: 0 };
-        let local = WireEntry { item: 8, holder: PeerId(9), version: 0 };
+        let e = WireEntry {
+            item: 7,
+            holder: PeerId(9),
+            version: 0,
+        };
+        let local = WireEntry {
+            item: 8,
+            holder: PeerId(9),
+            version: 0,
+        };
         p.index_insert(path("00"), local); // keeps the index non-orphaned
         p.index.insert(path("11"), vec![e]); // injected foreign entry
         let mut r = rng();
-        let out = drive(&mut p, &mut r, Event::TimerFired { timer: TimerToken::Stabilize });
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Stabilize,
+            },
+        );
         match &out[0] {
-            Effect::ForwardInsert { key, candidates, .. } => {
+            Effect::ForwardInsert {
+                key, candidates, ..
+            } => {
                 assert_eq!(*key, path("11"));
                 assert_eq!(candidates, &vec![PeerId(1)]);
             }
@@ -1677,7 +1925,13 @@ mod tests {
         q.path = path("0");
         q.index_insert(path("00"), local);
         q.index.insert(path("11"), vec![e]);
-        let out = drive(&mut q, &mut r, Event::TimerFired { timer: TimerToken::Stabilize });
+        let out = drive(
+            &mut q,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Stabilize,
+            },
+        );
         assert!(out.iter().any(|ef| matches!(ef, Effect::StoreWrite { .. })));
         assert!(q.misplaced, "no route: keep custody, flag for anti-entropy");
         assert_eq!(q.index_lookup(&path("11")), &[e]);
@@ -1689,18 +1943,32 @@ mod tests {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("01");
         p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
-        let e = WireEntry { item: 1, holder: PeerId(9), version: 0 };
+        let e = WireEntry {
+            item: 1,
+            holder: PeerId(9),
+            version: 0,
+        };
         p.index_insert(path("0110"), e);
         p.index_insert(path("0101"), e);
         p.balance_hot_threshold = 2; // exactly at the threshold: still cool
         let before = p.clone();
         let mut r = rng();
         let mut witness = rng();
-        let out = drive(&mut p, &mut r, Event::TimerFired { timer: TimerToken::Balance });
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Balance,
+            },
+        );
         assert!(out.is_empty(), "no effects on a cool peer: {out:?}");
         assert_eq!(p.path, before.path);
         assert_eq!(p.index, before.index);
-        assert_eq!(r.next_u64(), witness.next_u64(), "balance must not draw randomness");
+        assert_eq!(
+            r.next_u64(),
+            witness.next_u64(),
+            "balance must not draw randomness"
+        );
 
         // A hot peer already at maxl has no bit left to take: same contract.
         let mut q = ProtocolPeer::new(PeerId(0), 2, 2, 2);
@@ -1710,7 +1978,13 @@ mod tests {
         q.balance_hot_threshold = 0;
         let mut r2 = rng();
         let mut witness = rng();
-        let out = drive(&mut q, &mut r2, Event::TimerFired { timer: TimerToken::Balance });
+        let out = drive(
+            &mut q,
+            &mut r2,
+            Event::TimerFired {
+                timer: TimerToken::Balance,
+            },
+        );
         assert!(out.is_empty(), "maxl peer cannot specialize: {out:?}");
         assert_eq!(q.path, path("01"));
         assert_eq!(r2.next_u64(), witness.next_u64());
@@ -1721,26 +1995,45 @@ mod tests {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("0");
         p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
-        let e = WireEntry { item: 1, holder: PeerId(9), version: 0 };
+        let e = WireEntry {
+            item: 1,
+            holder: PeerId(9),
+            version: 0,
+        };
         p.index_insert(path("0110"), e);
         p.index_insert(path("0101"), e);
         p.index_insert(path("0011"), e);
         p.balance_hot_threshold = 2;
         let mut r = rng();
-        let out = drive(&mut p, &mut r, Event::TimerFired { timer: TimerToken::Balance });
+        let out = drive(
+            &mut p,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Balance,
+            },
+        );
         assert_eq!(p.path, path("01"), "two of three keys sit under child 1");
         match out
             .iter()
             .find(|ef| matches!(ef, Effect::ForwardInsert { .. }))
             .expect("the stranded 00-side key travels as an insert")
         {
-            Effect::ForwardInsert { key, candidates, .. } => {
+            Effect::ForwardInsert {
+                key, candidates, ..
+            } => {
                 assert_eq!(*key, path("0011"));
-                assert_eq!(candidates, &vec![PeerId(2)], "level-2 ref covers the 00 side");
+                assert_eq!(
+                    candidates,
+                    &vec![PeerId(2)],
+                    "level-2 ref covers the 00 side"
+                );
             }
             _ => unreachable!(),
         }
-        assert!(p.index_lookup(&path("0011")).is_empty(), "stray left the index");
+        assert!(
+            p.index_lookup(&path("0011")).is_empty(),
+            "stray left the index"
+        );
         assert_eq!(p.index.len(), 2, "covered keys stay put");
 
         // With no route for the stray, custody is kept flagged instead.
@@ -1750,7 +2043,13 @@ mod tests {
         q.index_insert(path("0101"), e);
         q.index_insert(path("0011"), e);
         q.balance_hot_threshold = 2;
-        let out = drive(&mut q, &mut r, Event::TimerFired { timer: TimerToken::Balance });
+        let out = drive(
+            &mut q,
+            &mut r,
+            Event::TimerFired {
+                timer: TimerToken::Balance,
+            },
+        );
         assert_eq!(q.path, path("01"));
         assert!(out.iter().any(|ef| matches!(ef, Effect::StoreWrite { .. })));
         assert!(q.misplaced, "no route: keep custody, flag for anti-entropy");

@@ -99,15 +99,19 @@ impl SimNet {
     /// Introduces `a` to `b` (the cluster driver's "you two just met") and
     /// runs the resulting exchange chain to quiescence.
     pub fn meet(&mut self, a: PeerId, b: PeerId) {
-        self.queue.push_back((self.client, a, Message::Meet { with: b }));
+        self.queue
+            .push_back((self.client, a, Message::Meet { with: b }));
         self.run();
     }
 
     /// Injects an index entry at `entry_node` (client-stamped sequence
     /// `seq`) and runs the forwarding chain to quiescence.
     pub fn insert(&mut self, entry_node: PeerId, seq: u64, key: BitPath, entry: WireEntry) {
-        self.queue
-            .push_back((self.client, entry_node, Message::IndexInsert { seq, key, entry }));
+        self.queue.push_back((
+            self.client,
+            entry_node,
+            Message::IndexInsert { seq, key, entry },
+        ));
         self.run();
     }
 
@@ -260,7 +264,14 @@ impl SimNet {
             let peer = self.peers.get_mut(&at).expect("dispatch to known peer");
             let rng = self.rngs.get_mut(&at).expect("every peer has an rng");
             let mut tracer = pgrid_trace::NullTracer;
-            peer.handle(event, &mut ProtoCtx { rng, tracer: &mut tracer }, &mut out);
+            peer.handle(
+                event,
+                &mut ProtoCtx {
+                    rng,
+                    tracer: &mut tracer,
+                },
+                &mut out,
+            );
         }
         for effect in out.drain(..) {
             self.apply(at, effect);
@@ -282,7 +293,14 @@ impl SimNet {
                 msg,
             } => {
                 if candidates.is_empty() {
-                    self.dispatch(at, Event::ForwardDeadEnd { id, upstream, origin });
+                    self.dispatch(
+                        at,
+                        Event::ForwardDeadEnd {
+                            id,
+                            upstream,
+                            origin,
+                        },
+                    );
                     return;
                 }
                 let first = candidates.remove(0);

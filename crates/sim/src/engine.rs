@@ -86,12 +86,7 @@ where
     for shard in &shards {
         stats.merge(&shard.stats);
     }
-    let events = merge_shards(
-        shards
-            .iter_mut()
-            .map(OwnedCtx::take_trace_events)
-            .collect(),
-    );
+    let events = merge_shards(shards.iter_mut().map(OwnedCtx::take_trace_events).collect());
     (ShardedRun { results, stats }, events)
 }
 
@@ -120,9 +115,7 @@ where
                         chunk
                             .iter_mut()
                             .enumerate()
-                            .map(|(i, shard)| {
-                                f((c * chunk_len + i) as u64, &mut shard.ctx())
-                            })
+                            .map(|(i, shard)| f((c * chunk_len + i) as u64, &mut shard.ctx()))
                             .collect::<Vec<T>>()
                     })
                 })
@@ -533,7 +526,10 @@ mod tests {
         let (base_out, base_text) = encode(1, 1);
         assert!(!base_text.is_empty());
         // The traced run must reproduce the untraced one bit for bit...
-        assert_eq!(base_out, run_query_plan_batched(&g, &plan, 13, &online, 1, 1));
+        assert_eq!(
+            base_out,
+            run_query_plan_batched(&g, &plan, 13, &online, 1, 1)
+        );
         // ...and the merged trace must not move with batch width or threads.
         for batch in [1usize, 8, 64] {
             for threads in [1usize, 4] {

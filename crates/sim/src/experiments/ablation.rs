@@ -133,7 +133,13 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
             "Ablations (N={}, maxl={}, refmax={}, p={})",
             cfg.n, cfg.maxl, cfg.refmax, cfg.p_online
         ),
-        &["variant", "exchanges", "avg refs/peer", "success rate", "msgs/search"],
+        &[
+            "variant",
+            "exchanges",
+            "avg refs/peer",
+            "success rate",
+            "msgs/search",
+        ],
     );
     for r in &rows {
         table.push_row(vec![

@@ -142,7 +142,13 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
             "Caching: messages/query vs query skew (N={}, cache {} keys, p={})",
             cfg.n, cfg.cache_capacity, cfg.p_online
         ),
-        &["zipf s", "msgs uncached", "msgs cached", "hit rate", "saving"],
+        &[
+            "zipf s",
+            "msgs uncached",
+            "msgs cached",
+            "hit rate",
+            "saving",
+        ],
     );
     for r in &rows {
         table.push_row(vec![

@@ -90,14 +90,8 @@ pub fn run(cfg: &Config) -> (Vec<Point>, Table) {
     let trials = cfg.trials;
     for &attempts in cfg.attempts_steps {
         let strategies: [(&'static str, FindStrategy); 3] = [
-            (
-                "repeated DFS",
-                FindStrategy::RepeatedDfs { attempts },
-            ),
-            (
-                "DFS + buddies",
-                FindStrategy::DfsWithBuddies { attempts },
-            ),
+            ("repeated DFS", FindStrategy::RepeatedDfs { attempts }),
+            ("DFS + buddies", FindStrategy::DfsWithBuddies { attempts }),
             (
                 "repeated BFS",
                 FindStrategy::Bfs {
@@ -112,8 +106,7 @@ pub fn run(cfg: &Config) -> (Vec<Point>, Table) {
                 let mut total_frac = 0.0;
                 for _ in 0..trials {
                     let key = keygen.sample(ctx.rng);
-                    let truth: BTreeSet<_> =
-                        grid.replicas_of(&key).into_iter().collect();
+                    let truth: BTreeSet<_> = grid.replicas_of(&key).into_iter().collect();
                     if truth.is_empty() {
                         continue;
                     }

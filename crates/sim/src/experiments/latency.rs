@@ -148,7 +148,14 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
             cfg.latency.mean(),
             cfg.offline_timeout
         ),
-        &["p online", "success", "p50 ticks", "p99 ticks", "msgs", "timeouts"],
+        &[
+            "p online",
+            "success",
+            "p50 ticks",
+            "p99 ticks",
+            "msgs",
+            "timeouts",
+        ],
     );
     for r in &rows {
         table.push_row(vec![

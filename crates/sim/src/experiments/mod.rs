@@ -24,9 +24,9 @@ pub mod sizing;
 pub mod skew;
 pub mod store;
 pub mod t1;
-pub mod timeline;
 pub mod t2;
 pub mod t3;
 pub mod t4t5;
-pub mod variance;
 pub mod t6;
+pub mod timeline;
+pub mod variance;

@@ -101,9 +101,8 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
     let mut cum = pgrid_core::RepairReport::default();
     for round in 0..=cfg.rounds {
         if round > 0 {
-            let report = built.with_ctx(&mut online, |grid, ctx| {
-                grid.repair_round(cfg.refmax, ctx)
-            });
+            let report =
+                built.with_ctx(&mut online, |grid, ctx| grid.repair_round(cfg.refmax, ctx));
             cum.merge(report);
         }
         let (rate, msgs) = measure(&mut built, &mut online, cfg);
@@ -146,11 +145,7 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
     (rows, table)
 }
 
-fn measure(
-    built: &mut crate::BuiltGrid,
-    online: &mut EpochOnline,
-    cfg: &Config,
-) -> (f64, f64) {
+fn measure(built: &mut crate::BuiltGrid, online: &mut EpochOnline, cfg: &Config) -> (f64, f64) {
     // Independent RNG so the measurement does not perturb the repair stream.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xeea5);
     let mut stats = NetStats::new();
@@ -171,7 +166,10 @@ fn measure(
         msgs += out.messages;
         hits += u64::from(out.responsible.is_some());
     }
-    (hits as f64 / issued.max(1) as f64, msgs as f64 / issued.max(1) as f64)
+    (
+        hits as f64 / issued.max(1) as f64,
+        msgs as f64 / issued.max(1) as f64,
+    )
 }
 
 #[cfg(test)]

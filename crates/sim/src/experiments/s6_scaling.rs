@@ -82,7 +82,9 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
     for &n in &cfg.ns {
         let d = n * cfg.items_per_peer;
         // Key length that keeps a few items per leaf: log2(D) - 2, bounded.
-        let maxl = ((d as f64).log2().ceil() as usize).saturating_sub(2).clamp(4, 16);
+        let maxl = ((d as f64).log2().ceil() as usize)
+            .saturating_sub(2)
+            .clamp(4, 16);
         let key_len = (maxl + 4).min(64) as u8;
         let catalogue = FileCatalogue::generate(d, key_len, cfg.seed);
 

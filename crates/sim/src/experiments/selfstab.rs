@@ -385,7 +385,10 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
         out.successes() as f64 / cfg.queries.max(1) as f64
     };
     let baseline = measure(&built.grid);
-    debug_assert!(built.grid.audit().is_empty(), "a built grid must audit clean");
+    debug_assert!(
+        built.grid.audit().is_empty(),
+        "a built grid must audit clean"
+    );
 
     let corrupted = cfg.plan().apply(&mut built.grid);
     assert!(
@@ -469,7 +472,11 @@ mod tests {
         let plan = CorruptionPlan::new(42);
         assert!(plan.is_clean());
         assert_eq!(plan.apply(&mut grid), 0);
-        assert_eq!(format!("{grid:?}"), before, "a clean plan must not touch the grid");
+        assert_eq!(
+            format!("{grid:?}"),
+            before,
+            "a clean plan must not touch the grid"
+        );
     }
 
     #[test]
@@ -500,7 +507,9 @@ mod tests {
     fn corruption_plan_is_deterministic() {
         let mut a = test_grid();
         let mut b = a.clone();
-        let plan = CorruptionPlan::new(3).with_wrong_refs(0.2).with_junk_items(0.2);
+        let plan = CorruptionPlan::new(3)
+            .with_wrong_refs(0.2)
+            .with_junk_items(0.2);
         assert_eq!(plan.apply(&mut a), plan.apply(&mut b));
         assert_eq!(a.audit(), b.audit());
     }
@@ -515,7 +524,8 @@ mod tests {
             "the damage must be audit-visible"
         );
         assert_eq!(
-            last.violations_remaining, 0,
+            last.violations_remaining,
+            0,
             "stabilization must reach a clean audit within {} rounds",
             Config::small().max_rounds
         );

@@ -14,7 +14,10 @@ pub fn run(sizing: &GridSizing) -> Table {
         ),
         &["quantity", "value"],
     );
-    table.push_row(vec!["i_peer (refs storable)".into(), report.i_peer.to_string()]);
+    table.push_row(vec![
+        "i_peer (refs storable)".into(),
+        report.i_peer.to_string(),
+    ]);
     table.push_row(vec!["key length k".into(), report.key_length.to_string()]);
     table.push_row(vec!["entries used".into(), report.entries_used.to_string()]);
     table.push_row(vec!["fits budget".into(), report.fits_budget.to_string()]);
@@ -22,7 +25,10 @@ pub fn run(sizing: &GridSizing) -> Table {
         "search success probability".into(),
         fmt_f(report.success_probability, 4),
     ]);
-    table.push_row(vec!["minimal community size".into(), report.min_peers.to_string()]);
+    table.push_row(vec![
+        "minimal community size".into(),
+        report.min_peers.to_string(),
+    ]);
     table
 }
 

@@ -130,7 +130,13 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
             "Skew: index imbalance vs key skew (N={}, maxl={}, {} items)",
             cfg.n, cfg.maxl, cfg.items
         ),
-        &["skew", "mean entries", "max entries", "imbalance", "empty peers"],
+        &[
+            "skew",
+            "mean entries",
+            "max entries",
+            "imbalance",
+            "empty peers",
+        ],
     );
     for r in &rows {
         table.push_row(vec![
@@ -477,8 +483,8 @@ pub fn run_flash_crowd(cfg: &FlashConfig) -> (Vec<FlashRow>, Table) {
                 tracker.record_hit(p);
             }
         }
-        let mean_messages = records.iter().map(|r| r.messages).sum::<u64>() as f64
-            / records.len().max(1) as f64;
+        let mean_messages =
+            records.iter().map(|r| r.messages).sum::<u64>() as f64 / records.len().max(1) as f64;
 
         let report = built.with_ctx(&mut online, |g, ctx| g.balance_round(&tracker, &bal, ctx));
         tracker.decay();
@@ -557,7 +563,10 @@ mod tests {
             );
             assert!(r.extended > 0, "a skewed grid needs splits to converge");
             assert_eq!(r.violations_after, 0, "post-balance audit must be clean");
-            assert!(r.thread_invariant, "probe workload diverged at 1 vs 4 threads");
+            assert!(
+                r.thread_invariant,
+                "probe workload diverged at 1 vs 4 threads"
+            );
         }
     }
 

@@ -94,7 +94,10 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
         });
     }
     let mut table = Table::new(
-        format!("T3: construction cost vs recmax (N={}, maxl={})", cfg.n, cfg.maxl),
+        format!(
+            "T3: construction cost vs recmax (N={}, maxl={})",
+            cfg.n, cfg.maxl
+        ),
         &["recmax", "e", "e/N"],
     );
     for r in &rows {

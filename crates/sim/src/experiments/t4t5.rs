@@ -103,7 +103,9 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
     );
     for r in &rows {
         table.push_row(vec![
-            r.fanout.map(|f| f.to_string()).unwrap_or_else(|| "unbounded".into()),
+            r.fanout
+                .map(|f| f.to_string())
+                .unwrap_or_else(|| "unbounded".into()),
             r.refmax.to_string(),
             r.e.to_string(),
             fmt_f(r.e_per_n, 2),

@@ -147,59 +147,57 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
     for &repetitive in &[true, false] {
         for &recbreadth in cfg.recbreadths {
             for &repetition in cfg.repetitions {
-                let (success, qcost, icost, recall) =
-                    built.with_ctx(&mut online, |grid, ctx| {
-                        let mut ok = 0u64;
-                        let mut queries = 0u64;
-                        let mut query_msgs = 0u64;
-                        let mut insert_msgs = 0u64;
-                        let mut recall_sum = 0.0;
-                        for u in 0..cfg.updates {
-                            let key = keygen.sample(ctx.rng);
-                            let item = ItemId(u as u64);
-                            // Install v0 everywhere (consistent baseline),
-                            // then propagate v1 through the protocol.
-                            grid.seed_index(
-                                key,
-                                pgrid_core::IndexEntry {
-                                    item,
-                                    holder: PeerId(0),
-                                    version: Version(0),
-                                },
-                            );
-                            let up = grid.update_item(
-                                &key,
+                let (success, qcost, icost, recall) = built.with_ctx(&mut online, |grid, ctx| {
+                    let mut ok = 0u64;
+                    let mut queries = 0u64;
+                    let mut query_msgs = 0u64;
+                    let mut insert_msgs = 0u64;
+                    let mut recall_sum = 0.0;
+                    for u in 0..cfg.updates {
+                        let key = keygen.sample(ctx.rng);
+                        let item = ItemId(u as u64);
+                        // Install v0 everywhere (consistent baseline),
+                        // then propagate v1 through the protocol.
+                        grid.seed_index(
+                            key,
+                            pgrid_core::IndexEntry {
                                 item,
-                                Version(1),
-                                FindStrategy::Bfs {
-                                    recbreadth,
-                                    repetition,
-                                },
-                                ctx,
-                            );
-                            insert_msgs += up.messages;
-                            recall_sum +=
-                                up.updated.len() as f64 / up.total_replicas.max(1) as f64;
-                            for _ in 0..cfg.queries_per_update {
-                                let read = if repetitive {
-                                    grid.query_repeated(&key, item, &cfg.policy, ctx)
-                                } else {
-                                    grid.query_once(&key, item, ctx)
-                                };
-                                queries += 1;
-                                query_msgs += read.messages;
-                                if read.version == Some(Version(1)) {
-                                    ok += 1;
-                                }
+                                holder: PeerId(0),
+                                version: Version(0),
+                            },
+                        );
+                        let up = grid.update_item(
+                            &key,
+                            item,
+                            Version(1),
+                            FindStrategy::Bfs {
+                                recbreadth,
+                                repetition,
+                            },
+                            ctx,
+                        );
+                        insert_msgs += up.messages;
+                        recall_sum += up.updated.len() as f64 / up.total_replicas.max(1) as f64;
+                        for _ in 0..cfg.queries_per_update {
+                            let read = if repetitive {
+                                grid.query_repeated(&key, item, &cfg.policy, ctx)
+                            } else {
+                                grid.query_once(&key, item, ctx)
+                            };
+                            queries += 1;
+                            query_msgs += read.messages;
+                            if read.version == Some(Version(1)) {
+                                ok += 1;
                             }
                         }
-                        (
-                            ok as f64 / queries as f64,
-                            query_msgs as f64 / queries as f64,
-                            insert_msgs as f64 / cfg.updates as f64,
-                            recall_sum / cfg.updates as f64,
-                        )
-                    });
+                    }
+                    (
+                        ok as f64 / queries as f64,
+                        query_msgs as f64 / queries as f64,
+                        insert_msgs as f64 / cfg.updates as f64,
+                        recall_sum / cfg.updates as f64,
+                    )
+                });
                 rows.push(Row {
                     repetitive,
                     recbreadth,
@@ -271,10 +269,7 @@ mod tests {
         let (cheap, expensive, ratio) = break_even(&rows).expect("comparable pair");
         assert!(cheap.insertion_cost < expensive.insertion_cost);
         assert!(cheap.query_cost > expensive.query_cost);
-        assert!(
-            ratio > 0.0 && ratio.is_finite(),
-            "break-even ratio {ratio}"
-        );
+        assert!(ratio > 0.0 && ratio.is_finite(), "break-even ratio {ratio}");
     }
 
     #[test]

@@ -111,7 +111,12 @@ mod tests {
         );
         // Runs are reasonably stable (cv below ~0.5).
         for r in &rows {
-            assert!(r.e_per_n.cv() < 0.5, "recmax {} too noisy: {:?}", r.recmax, r.e_per_n);
+            assert!(
+                r.e_per_n.cv() < 0.5,
+                "recmax {} too noisy: {:?}",
+                r.recmax,
+                r.e_per_n
+            );
         }
         assert_eq!(table.rows.len(), rows.len());
     }

@@ -48,8 +48,8 @@ pub mod stats;
 pub mod workload;
 
 pub use engine::{
-    run_query_plan, run_query_plan_batched, run_query_plan_batched_traced,
-    run_query_plan_traced, run_sharded, QueryPlan, QueryRecord, QueryRunOutcome,
+    run_query_plan, run_query_plan_batched, run_query_plan_batched_traced, run_query_plan_traced,
+    run_sharded, QueryPlan, QueryRecord, QueryRunOutcome,
 };
 pub use report::{fmt_f, Table};
 pub use runner::{built_grid, BuiltGrid};

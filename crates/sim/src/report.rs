@@ -59,7 +59,11 @@ impl Table {
                 }
                 let cell = &cells[i];
                 // Right-align numbers, left-align text.
-                if cell.chars().next().is_some_and(|c| c.is_ascii_digit() || c == '-') {
+                if cell
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_ascii_digit() || c == '-')
+                {
                     s.push_str(&" ".repeat(widths[i] - cell.len()));
                     s.push_str(cell);
                 } else {
@@ -88,7 +92,11 @@ impl Table {
         out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
         out.push_str(&format!(
             "|{}|\n",
-            self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+            self.headers
+                .iter()
+                .map(|_| "---")
+                .collect::<Vec<_>>()
+                .join("|")
         ));
         for row in &self.rows {
             out.push_str(&format!("| {} |\n", row.join(" | ")));

@@ -185,7 +185,10 @@ mod tests {
         let mut r = rng();
         // High enough that the product underflows through subnormals to
         // exactly 0.0 — the worst case for the float-to-bits scaling.
-        let skewed = SkewedKeys { len: 24, skew: 5000 };
+        let skewed = SkewedKeys {
+            len: 24,
+            skew: 5000,
+        };
         for _ in 0..32 {
             let k = skewed.sample(&mut r);
             assert_eq!(k.len(), 24, "skew must never change the key length");

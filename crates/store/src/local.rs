@@ -115,7 +115,8 @@ impl<B: StorageBackend> LocalStore<B> {
     /// responsible for `path` must index. Ordered by `(key, id)` ascending.
     pub fn items_under(&self, path: &BitPath) -> Vec<DataItem> {
         let mut out = Vec::new();
-        self.backend.for_each_under(path, &mut |item| out.push(item));
+        self.backend
+            .for_each_under(path, &mut |item| out.push(item));
         out
     }
 

@@ -200,7 +200,11 @@ mod tests {
         assert_eq!(t.remove(&k("01")), Some(3));
         assert_eq!(t.remove(&k("01")), None);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.get(&k("0101")), Some(&2), "removal must not disturb deeper keys");
+        assert_eq!(
+            t.get(&k("0101")),
+            Some(&2),
+            "removal must not disturb deeper keys"
+        );
     }
 
     #[test]

@@ -275,10 +275,19 @@ mod tests {
     #[test]
     fn merge_restamps_in_shard_order() {
         let a = vec![
-            Stamped { seq: 0, event: msg(MsgTag::Exchange) },
-            Stamped { seq: 1, event: msg(MsgTag::Query) },
+            Stamped {
+                seq: 0,
+                event: msg(MsgTag::Exchange),
+            },
+            Stamped {
+                seq: 1,
+                event: msg(MsgTag::Query),
+            },
         ];
-        let b = vec![Stamped { seq: 0, event: msg(MsgTag::Update) }];
+        let b = vec![Stamped {
+            seq: 0,
+            event: msg(MsgTag::Update),
+        }];
         let merged = merge_shards(vec![a, b]);
         assert_eq!(
             merged.iter().map(|s| s.seq).collect::<Vec<u64>>(),

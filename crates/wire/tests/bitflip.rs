@@ -47,7 +47,11 @@ fn corpus() -> Vec<Message> {
             id: 128,
             depth: 2,
             path: path("0101"),
-            level_refs: vec![(1, vec![PeerId(3), PeerId(4)]), (2, vec![]), (3, vec![PeerId(9)])],
+            level_refs: vec![
+                (1, vec![PeerId(3), PeerId(4)]),
+                (2, vec![]),
+                (3, vec![PeerId(9)]),
+            ],
         },
         Message::ExchangeAnswer {
             id: 16_384,

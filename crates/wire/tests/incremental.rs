@@ -25,8 +25,8 @@ fn path(s: &str) -> BitPath {
 /// field values so varints span multiple bytes and collections nest.
 fn golden_messages() -> Vec<Message> {
     vec![
-        Message::Ping { nonce: 300 },          // tag 0, 2-byte varint
-        Message::Pong { nonce: u64::MAX },     // tag 1, 10-byte varint
+        Message::Ping { nonce: 300 },      // tag 0, 2-byte varint
+        Message::Pong { nonce: u64::MAX }, // tag 1, 10-byte varint
         Message::Query {
             id: 1 << 40,
             origin: PeerId(7),
@@ -50,7 +50,7 @@ fn golden_messages() -> Vec<Message> {
                 },
             ],
         }, // tag 3
-        Message::QueryFail { id: 77 },         // tag 4
+        Message::QueryFail { id: 77 },     // tag 4
         Message::ExchangeOffer {
             id: 5,
             depth: 2,
@@ -73,21 +73,23 @@ fn golden_messages() -> Vec<Message> {
                 version: 2,
             },
         }, // tag 7, maximal path
-        Message::Shutdown,                     // tag 8, empty payload
-        Message::Meet { with: PeerId(17) },    // tag 9
+        Message::Shutdown,                 // tag 8, empty payload
+        Message::Meet { with: PeerId(17) }, // tag 9
         Message::ExchangeConfirm {
             id: 12,
             path: path("0101"),
         }, // tag 10
-        Message::Ack { seq: 1 << 14 },         // tag 11
-        Message::Nack { seq: 7 },              // tag 12
+        Message::Ack { seq: 1 << 14 },     // tag 11
+        Message::Nack { seq: 7 },          // tag 12
     ]
 }
 
 /// The reference decode: the whole frame at once.
 fn one_shot(frame: &[u8]) -> Message {
     let mut buf = BytesMut::from(frame);
-    let msg = decode_frame(&mut buf).expect("golden frame decodes").unwrap();
+    let msg = decode_frame(&mut buf)
+        .expect("golden frame decodes")
+        .unwrap();
     assert!(buf.is_empty(), "one-shot decode must drain the frame");
     msg
 }
@@ -101,10 +103,12 @@ fn every_split_boundary_decodes_identically() {
             let mut buf = BytesMut::new();
             buf.extend_from_slice(&frame[..split]);
             if split < frame.len() {
-                let got = decode_frame(&mut buf).unwrap_or_else(|e| {
-                    panic!("prefix of {split} bytes errored for {msg:?}: {e}")
-                });
-                assert!(got.is_none(), "premature decode at split {split} of {msg:?}");
+                let got = decode_frame(&mut buf)
+                    .unwrap_or_else(|e| panic!("prefix of {split} bytes errored for {msg:?}: {e}"));
+                assert!(
+                    got.is_none(),
+                    "premature decode at split {split} of {msg:?}"
+                );
                 assert_eq!(
                     buf.len(),
                     split,
@@ -200,7 +204,10 @@ fn oversized_header_rejected_even_fed_bytewise() {
         if i + 1 < header.len() {
             assert_eq!(res, Ok(None), "header byte {i}");
         } else {
-            assert_eq!(res, Err(CodecError::FrameTooLarge(MAX_FRAME_LEN as u32 + 1)));
+            assert_eq!(
+                res,
+                Err(CodecError::FrameTooLarge(MAX_FRAME_LEN as u32 + 1))
+            );
         }
     }
 }

@@ -63,9 +63,7 @@ fn main() {
         let mut ctx = Ctx::new(&mut rng, &mut churn, &mut stats);
         let (churn_rate, _) = measure(&grid, &mut ctx);
 
-        println!(
-            "{p:>8.2} {bound:>12.4} {bern_rate:>12.4} {churn_rate:>12.4} {bern_msgs:>12.2}"
-        );
+        println!("{p:>8.2} {bound:>12.4} {bern_rate:>12.4} {churn_rate:>12.4} {bern_msgs:>12.2}");
     }
 
     println!(
@@ -87,8 +85,5 @@ fn measure(grid: &PGrid, ctx: &mut Ctx<'_>) -> (f64, f64) {
         msgs += out.messages;
         hits += u64::from(out.responsible.is_some());
     }
-    (
-        hits as f64 / SEARCHES as f64,
-        msgs as f64 / SEARCHES as f64,
-    )
+    (hits as f64 / SEARCHES as f64, msgs as f64 / SEARCHES as f64)
 }

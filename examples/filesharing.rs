@@ -83,10 +83,7 @@ fn main() {
 
     // --- Report ----------------------------------------------------------
     println!("file sharing: {N} peers, {FILES} files, {SEARCHES} zipf-popular searches\n");
-    println!(
-        "{:<22} {:>14} {:>10}",
-        "system", "msgs/search", "hit rate"
-    );
+    println!("{:<22} {:>14} {:>10}", "system", "msgs/search", "hit rate");
     println!("{}", "-".repeat(48));
     println!(
         "{:<22} {:>14.1} {:>10.3}",
@@ -107,7 +104,5 @@ fn main() {
     );
     let amortize_after =
         build.exchange_calls as f64 / (flood_msgs as f64 / SEARCHES as f64).max(1.0);
-    println!(
-        "construction pays for itself after ~{amortize_after:.0} searches (vs flooding cost)"
-    );
+    println!("construction pays for itself after ~{amortize_after:.0} searches (vs flooding cost)");
 }

@@ -73,7 +73,10 @@ fn main() {
         .restore()
         .expect("restore");
     grid.check_invariants().expect("restored grid is valid");
-    println!("restored: invariants hold, {} peers back online", grid.len());
+    println!(
+        "restored: invariants hold, {} peers back online",
+        grid.len()
+    );
 
     // --- 4. A peer's own items survive in its log-structured backend -----
     let store_dir = std::env::temp_dir().join("pgrid-operations-demo.store");
@@ -122,12 +125,7 @@ fn main() {
     std::fs::remove_dir_all(&store_dir).ok();
 }
 
-fn measure(
-    grid: &PGrid,
-    online: &mut EpochOnline,
-    rng: &mut StdRng,
-    stats: &mut NetStats,
-) -> f64 {
+fn measure(grid: &PGrid, online: &mut EpochOnline, rng: &mut StdRng, stats: &mut NetStats) -> f64 {
     let mut ctx = Ctx::new(rng, online, stats);
     let mut hits = 0usize;
     let mut issued = 0usize;

@@ -5,9 +5,7 @@
 //! cargo run --release --example update_strategies
 //! ```
 
-use pgrid::core::{
-    BuildOptions, Ctx, FindStrategy, IndexEntry, PGrid, PGridConfig, QueryPolicy,
-};
+use pgrid::core::{BuildOptions, Ctx, FindStrategy, IndexEntry, PGrid, PGridConfig, QueryPolicy};
 use pgrid::keys::BitPath;
 use pgrid::net::{AlwaysOnline, BernoulliOnline, NetStats, PeerId};
 use pgrid::store::{ItemId, Version};

@@ -22,7 +22,10 @@ fn measure_success(n: usize, maxl: usize, refmax: usize, p: f64, searches: usize
     {
         let mut online = AlwaysOnline;
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        assert!(grid.build(&BuildOptions::default(), &mut ctx).reached_threshold);
+        assert!(
+            grid.build(&BuildOptions::default(), &mut ctx)
+                .reached_threshold
+        );
     }
     let mut online = BernoulliOnline::new(p);
     let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);

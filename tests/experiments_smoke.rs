@@ -8,9 +8,18 @@ use pgrid::sim::Table;
 
 fn check_table(table: &Table, min_rows: usize) {
     assert!(!table.title.is_empty());
-    assert!(table.rows.len() >= min_rows, "{}: too few rows", table.title);
+    assert!(
+        table.rows.len() >= min_rows,
+        "{}: too few rows",
+        table.title
+    );
     for row in &table.rows {
-        assert_eq!(row.len(), table.headers.len(), "{}: ragged row", table.title);
+        assert_eq!(
+            row.len(),
+            table.headers.len(),
+            "{}: ragged row",
+            table.title
+        );
         assert!(row.iter().all(|c| !c.is_empty() || row.len() > 3));
     }
     // All renderings must succeed and contain the data.

@@ -65,10 +65,7 @@ fn queries_survive_node_deaths() {
     let mut with_entry = 0;
     for _ in 0..30 {
         if let Some((responsible, entries)) = cluster.query(&key) {
-            assert!(
-                !victims.contains(&responsible),
-                "a dead node cannot answer"
-            );
+            assert!(!victims.contains(&responsible), "a dead node cannot answer");
             successes += 1;
             if entries.contains(&entry) {
                 with_entry += 1;

@@ -27,7 +27,10 @@ fn converged_grid(seed: u64) -> PGrid {
         ..PGridConfig::default()
     };
     let built = built_grid(N, cfg, 1.0, 0.99, None, seed);
-    assert!(built.report.reached_threshold, "seed {seed}: build must converge");
+    assert!(
+        built.report.reached_threshold,
+        "seed {seed}: build must converge"
+    );
     built.grid
 }
 
@@ -57,7 +60,10 @@ fn stabilize_to_clean(grid: &mut PGrid, seed: u64, label: &str) -> (usize, NetSt
 fn every_corruption_class_converges_across_seeds() {
     for seed in [3u64, 17, 29] {
         let base = converged_grid(seed);
-        assert!(base.audit().is_empty(), "seed {seed}: built grid must audit clean");
+        assert!(
+            base.audit().is_empty(),
+            "seed {seed}: built grid must audit clean"
+        );
         for class in CorruptionClass::ALL {
             let label = format!("seed {seed}, class {}", class.name());
             let mut grid = base.clone();
@@ -73,7 +79,10 @@ fn every_corruption_class_converges_across_seeds() {
                 "{label}: the damage must be audit-visible"
             );
             let (rounds, stats) = stabilize_to_clean(&mut grid, seed, &label);
-            assert!(rounds >= 1, "{label}: a damaged grid needs at least one round");
+            assert!(
+                rounds >= 1,
+                "{label}: a damaged grid needs at least one round"
+            );
             assert!(
                 stats.violations_detected > 0 && stats.repairs_applied > 0,
                 "{label}: the stabilizer must account for its work in NetStats"
@@ -138,6 +147,9 @@ fn query_outcomes_stay_thread_invariant_through_damage_and_repair() {
     // Stabilized state: byte-identical again.
     let one = run_query_plan(&grid, &plan, 42, &AlwaysOnline, 1);
     let four = run_query_plan(&grid, &plan, 42, &AlwaysOnline, 4);
-    assert_eq!(one.records, four.records, "stabilized-grid records diverged");
+    assert_eq!(
+        one.records, four.records,
+        "stabilized-grid records diverged"
+    );
     assert_eq!(one.stats, four.stats, "stabilized-grid stats diverged");
 }
