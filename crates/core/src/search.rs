@@ -253,9 +253,17 @@ impl Descent {
 
 impl PGrid {
     /// Searches for a peer responsible for `key`, starting at `start`
-    /// (paper: `query(a, p, 0)`): the Fig. 2 descent over the live grid.
+    /// (paper: `query(a, p, 0)`): the Fig. 2 descent over the routing table
+    /// [`PGrid::build`] froze while no routing write has dropped it, and
+    /// over the live grid otherwise. Both answer identically.
     pub fn search(&self, start: PeerId, key: &Key, ctx: &mut Ctx<'_>) -> SearchOutcome {
-        descend(self, start, key, ctx)
+        match self.frozen_routing() {
+            Some(table) => {
+                debug_assert!(table.is_fresh(self));
+                descend(table, start, key, ctx)
+            }
+            None => descend(self, start, key, ctx),
+        }
     }
 
     /// Searches for `key` and reads the index entries at the responsible
@@ -339,12 +347,8 @@ pub(crate) mod tests {
         let side0 = [PeerId(0), PeerId(1), PeerId(2)];
         let side1 = [PeerId(3), PeerId(4), PeerId(5)];
         for (i, &a) in side0.iter().enumerate() {
-            g.peer_mut(a)
-                .routing_mut()
-                .set_level(1, RefSet::singleton(side1[i]));
-            g.peer_mut(side1[i])
-                .routing_mut()
-                .set_level(1, RefSet::singleton(a));
+            g.routing_mut(a).set_level(1, RefSet::singleton(side1[i]));
+            g.routing_mut(side1[i]).set_level(1, RefSet::singleton(a));
         }
         // Level-2 refs: within each half, point to the other quarter.
         let pairs = [
@@ -354,16 +358,12 @@ pub(crate) mod tests {
             (PeerId(3), PeerId(5)),
         ];
         for (a, b) in pairs {
-            g.peer_mut(a).routing_mut().level_mut(2).insert_bounded(
-                b,
-                2,
-                &mut StdRng::seed_from_u64(0),
-            );
-            g.peer_mut(b).routing_mut().level_mut(2).insert_bounded(
-                a,
-                2,
-                &mut StdRng::seed_from_u64(0),
-            );
+            g.routing_mut(a)
+                .level_mut(2)
+                .insert_bounded(b, 2, &mut StdRng::seed_from_u64(0));
+            g.routing_mut(b)
+                .level_mut(2)
+                .insert_bounded(a, 2, &mut StdRng::seed_from_u64(0));
         }
         g.check_invariants().unwrap();
         g
@@ -462,12 +462,10 @@ pub(crate) mod tests {
         g.extend_peer_path(PeerId(1), 1);
         g.extend_peer_path(PeerId(2), 1);
         let mut seed_rng = StdRng::seed_from_u64(0);
-        g.peer_mut(PeerId(0))
-            .routing_mut()
+        g.routing_mut(PeerId(0))
             .level_mut(1)
             .insert_bounded(PeerId(1), 2, &mut seed_rng);
-        g.peer_mut(PeerId(0))
-            .routing_mut()
+        g.routing_mut(PeerId(0))
             .level_mut(1)
             .insert_bounded(PeerId(2), 2, &mut seed_rng);
 
@@ -499,8 +497,7 @@ pub(crate) mod tests {
         );
         for i in 0..3u32 {
             g.extend_peer_path(PeerId(i), 0);
-            g.peer_mut(PeerId(i))
-                .routing_mut()
+            g.routing_mut(PeerId(i))
                 .set_level(1, RefSet::singleton(PeerId((i + 1) % 3)));
         }
         let key = BitPath::from_str_lossy("1");
@@ -568,5 +565,60 @@ pub(crate) mod tests {
         let mut ctx = owned.ctx();
         let out = g.search(PeerId(5), &BitPath::from_str_lossy("00"), &mut ctx);
         assert_eq!(out.messages, owned.stats.count(pgrid_net::MsgKind::Query));
+    }
+
+    /// Pins that the owned table changes nothing but speed: on a built grid,
+    /// `search` through the frozen table and `descend` over the live peers
+    /// give equal outcomes, counters, trace events and RNG positions, with
+    /// every peer online and under churn.
+    #[test]
+    fn owned_table_search_matches_the_live_descent() {
+        use pgrid_net::{BernoulliOnline, OnlineModel};
+        use pgrid_trace::RingTracer;
+        use rand::Rng;
+
+        let mut g = PGrid::new(
+            1024,
+            PGridConfig {
+                maxl: 6,
+                refmax: 4,
+                ..PGridConfig::default()
+            },
+        );
+        g.build(
+            &crate::BuildOptions::default(),
+            &mut Ctx::fork_for_task(5, 0, Box::new(AlwaysOnline)).ctx(),
+        );
+        assert!(g.frozen_routing().is_some(), "build freezes the table");
+        let mut rng = StdRng::seed_from_u64(6);
+        let queries: Vec<(PeerId, Key)> = (0..512)
+            .map(|_| (PeerId(rng.gen_range(0..1024)), BitPath::random(&mut rng, 6)))
+            .collect();
+        let online = |p: f64| -> Box<dyn OnlineModel + Send> {
+            if p < 1.0 {
+                Box::new(BernoulliOnline::new(p))
+            } else {
+                Box::new(AlwaysOnline)
+            }
+        };
+        for p in [1.0, 0.3] {
+            let mut frozen = Ctx::fork_for_task(7, 0, online(p));
+            let mut live = Ctx::fork_for_task(7, 0, online(p));
+            frozen.set_tracer(Box::new(RingTracer::new(1 << 16)));
+            live.set_tracer(Box::new(RingTracer::new(1 << 16)));
+            let mut found = 0;
+            for (start, key) in &queries {
+                let a = g.search(*start, key, &mut frozen.ctx());
+                let b = descend(&g, *start, key, &mut live.ctx());
+                assert_eq!(a, b, "online share {p}, key {key}");
+                found += usize::from(a.responsible.is_some());
+            }
+            assert!(found > 0, "online share {p}: some search must succeed");
+            assert_eq!(frozen.stats, live.stats, "online share {p}");
+            let events = frozen.take_trace_events();
+            assert!(!events.is_empty());
+            assert_eq!(events, live.take_trace_events(), "online share {p}");
+            assert_eq!(frozen.rng.gen::<u64>(), live.rng.gen::<u64>());
+        }
     }
 }

@@ -1,13 +1,17 @@
-//! Property tests of the succinct routing snapshot (ISSUE 7): across
-//! *arbitrary* mutation sequences — exchanges, repair and stabilization
-//! rounds, and raw corruption writes — a [`CompactRoutingTable`] kept
-//! fresh with `refresh` answers every path lookup, every level slice, and
+//! Property tests of the succinct routing snapshot: every scenario starts
+//! from a built grid, which owns a frozen table. Across *arbitrary*
+//! mutation sequences — exchanges, repair and stabilization rounds, and raw
+//! corruption writes — the owned table never lags the grid (rule 8 of
+//! `check_invariants`, after every op); a [`CompactRoutingTable`] rebuilt
+//! after any op answers every path lookup, every level slice, and
 //! therefore every `route_step` decision identically to the live `RefSet`
 //! walk; and a snapshot left *stale* never changes batched search results,
 //! because readers fall back to the live structures. Seeded loops: case `c`
 //! draws its scenario from `StdRng::seed_from_u64(c)`.
 
-use pgrid_core::{BatchQuery, CompactRoutingTable, Ctx, PGrid, PGridConfig, SearchOutcome};
+use pgrid_core::{
+    BatchQuery, BuildOptions, CompactRoutingTable, Ctx, PGrid, PGridConfig, SearchOutcome,
+};
 use pgrid_keys::BitPath;
 use pgrid_net::{AlwaysOnline, NetStats, PeerId};
 use pgrid_proto::route_step;
@@ -65,15 +69,34 @@ fn for_each_scenario(check: impl Fn(u64, Scenario)) {
     }
 }
 
-fn new_grid(s: &Scenario) -> PGrid {
-    PGrid::new(
+/// A grid of the scenario's shape after a capped `build`, so it owns a
+/// frozen routing table.
+fn built_grid(s: &Scenario) -> PGrid {
+    let mut grid = PGrid::new(
         s.n,
         PGridConfig {
             maxl: s.maxl,
             refmax: s.refmax,
             ..PGridConfig::default()
         },
-    )
+    );
+    let opts = BuildOptions {
+        max_meetings: Some(64 * s.n as u64),
+        ..BuildOptions::default()
+    };
+    let mut owned = Ctx::fork_for_task(s.seed, 1, Box::new(AlwaysOnline));
+    grid.build(&opts, &mut owned.ctx());
+    grid.check_invariants().expect("a built grid is valid");
+    grid
+}
+
+/// Applies `op`, then checks rule 8 of `check_invariants`: whatever else a
+/// corruption broke, the table the grid owns (if any) still mirrors it.
+fn apply_checked(grid: &mut PGrid, op: Op, n: usize, maxl: usize, ctx: &mut Ctx<'_>) {
+    apply(grid, op, n, maxl, ctx);
+    if let Err(e) = grid.check_invariants() {
+        assert!(!e.contains("frozen routing table"), "after {op:?}: {e}");
+    }
 }
 
 fn apply(grid: &mut PGrid, op: Op, n: usize, maxl: usize, ctx: &mut Ctx<'_>) {
@@ -152,39 +175,20 @@ fn run_batched(
     (out, owned.stats)
 }
 
-/// Rebuilding from scratch after any mutation sequence reproduces the
-/// live structures exactly.
+/// After every op of any mutation sequence the owned table has not gone
+/// stale, and rebuilding from scratch reproduces the live structures
+/// exactly.
 #[test]
 fn rebuilt_snapshot_mirrors_any_mutated_grid() {
     for_each_scenario(|_, s| {
-        let mut grid = new_grid(&s);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        let mut online = AlwaysOnline;
-        let mut stats = NetStats::new();
-        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-        for &op in &s.ops {
-            apply(&mut grid, op, s.n, s.maxl, &mut ctx);
-        }
-        let table = CompactRoutingTable::build(&grid);
-        assert_equivalent(&table, &grid, s.seed ^ 1);
-    });
-}
-
-/// Refreshing incrementally after *every* mutation — patch overlay,
-/// budgeted rebuilds, stride overflow and all — is indistinguishable
-/// from rebuilding.
-#[test]
-fn refreshed_snapshot_tracks_every_mutation() {
-    for_each_scenario(|_, s| {
-        let mut grid = new_grid(&s);
-        let mut table = CompactRoutingTable::build(&grid);
+        let mut grid = built_grid(&s);
         let mut rng = StdRng::seed_from_u64(s.seed);
         let mut online = AlwaysOnline;
         let mut stats = NetStats::new();
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
         for (i, &op) in s.ops.iter().enumerate() {
-            apply(&mut grid, op, s.n, s.maxl, &mut ctx);
-            table.refresh(&grid);
+            apply_checked(&mut grid, op, s.n, s.maxl, &mut ctx);
+            let table = CompactRoutingTable::build(&grid);
             assert_equivalent(&table, &grid, s.seed ^ i as u64);
         }
     });
@@ -196,30 +200,16 @@ fn refreshed_snapshot_tracks_every_mutation() {
 #[test]
 fn stale_snapshot_never_changes_batched_results() {
     for_each_scenario(|case, s| {
-        let mut grid = new_grid(&s);
+        let mut grid = built_grid(&s);
         let mut rng = StdRng::seed_from_u64(s.seed);
-        // Some construction first, so the descent has somewhere to route.
-        {
-            let mut online = AlwaysOnline;
-            let mut stats = NetStats::new();
-            let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-            for round in 0..3 {
-                for i in 0..s.n {
-                    let j = (i + 1 + round) % s.n;
-                    if i != j {
-                        grid.exchange(PeerId(i as u32), PeerId(j as u32), &mut ctx);
-                    }
-                }
-            }
-        }
         let stale = CompactRoutingTable::build(&grid);
-        // Now mutate without refreshing: the snapshot lags the grid.
+        // Now mutate: the held snapshot lags the grid.
         {
             let mut online = AlwaysOnline;
             let mut stats = NetStats::new();
             let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
             for &op in &s.ops {
-                apply(&mut grid, op, s.n, s.maxl, &mut ctx);
+                apply_checked(&mut grid, op, s.n, s.maxl, &mut ctx);
             }
         }
         // A repair or stabilization round may find nothing to change; an

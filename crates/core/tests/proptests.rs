@@ -3,7 +3,7 @@
 //! the exchange accounting is exact. Case `c` draws its scenario from
 //! `StdRng::seed_from_u64(c)`, so a failure names its seed.
 
-use pgrid_core::{BuildOptions, Ctx, IndexEntry, PGrid, PGridConfig};
+use pgrid_core::{BuildOptions, Ctx, GridSnapshot, IndexEntry, PGrid, PGridConfig};
 use pgrid_keys::BitPath;
 use pgrid_net::{AlwaysOnline, BernoulliOnline, MsgKind, NetStats, PeerId};
 use pgrid_store::{ItemId, Version};
@@ -490,7 +490,7 @@ fn balance_round_on_a_balanced_grid_is_a_strict_noop() {
             ..base
         };
 
-        let epoch = grid.epoch();
+        let before = GridSnapshot::capture(&grid);
         let mut master = StdRng::seed_from_u64(seed ^ 0xd1e);
         let mut probe = master.clone();
         let mut online = AlwaysOnline;
@@ -503,7 +503,11 @@ fn balance_round_on_a_balanced_grid_is_a_strict_noop() {
             report.is_noop(),
             "case {case}: balanced grid was acted on: {report:?}"
         );
-        assert_eq!(grid.epoch(), epoch, "case {case}: no peer may be touched");
+        assert_eq!(
+            GridSnapshot::capture(&grid),
+            before,
+            "case {case}: no peer may be touched"
+        );
         assert_eq!(
             master.gen::<u64>(),
             probe.gen::<u64>(),
