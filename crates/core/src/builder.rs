@@ -206,4 +206,57 @@ mod tests {
         assert_eq!(report.meetings, 1836);
         g.check_invariants().unwrap();
     }
+
+    fn fnv1a(h: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *h ^= u64::from(byte);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Pins a `refmax 20` build, whose level mixes reach the large-set
+    /// union path that `t1_cell_cost_is_pinned` (`refmax 1`) never does:
+    /// the exchange and meeting counts, an FNV-1a digest of every peer's
+    /// path and reference levels in order, and the next RNG draw. Any
+    /// change to a union's layout or to the draws of a mix moves them.
+    #[test]
+    fn refmax20_build_is_pinned() {
+        let cfg = PGridConfig {
+            maxl: 7,
+            refmax: 20,
+            ..PGridConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut online = AlwaysOnline;
+        let mut stats = NetStats::new();
+        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
+        let mut g = PGrid::new(1024, cfg);
+        let report = g.build(&BuildOptions::default(), &mut ctx);
+        let next = rand::RngCore::next_u64(ctx.rng);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for p in g.peers() {
+            let path = p.path();
+            fnv1a(&mut digest, path.len() as u64);
+            fnv1a(&mut digest, path.raw_bits() as u64);
+            fnv1a(&mut digest, (path.raw_bits() >> 64) as u64);
+            for (level, set) in p.routing().iter() {
+                fnv1a(&mut digest, level as u64);
+                fnv1a(&mut digest, set.len() as u64);
+                for id in set.as_slice() {
+                    fnv1a(&mut digest, u64::from(id.0));
+                }
+            }
+        }
+        assert!(report.reached_threshold);
+        let widest = g
+            .peers()
+            .flat_map(|p| p.routing().iter().map(|(_, set)| set.len()))
+            .max();
+        assert_eq!(widest, Some(20), "levels fill up to refmax");
+        assert_eq!(report.exchange_calls, 50_819);
+        assert_eq!(report.meetings, 4015);
+        assert_eq!(digest, 0xf86a_a121_7b9a_7476);
+        assert_eq!(next, 0xcde6_bc45_8e1e_c92f);
+        g.check_invariants().unwrap();
+    }
 }
