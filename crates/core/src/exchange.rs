@@ -139,30 +139,25 @@ impl PGrid {
 
         // Mix reference sets where the paths agree. The paper's pseudocode
         // mixes only the deepest common level `lc`; `exchange_all_levels`
-        // extends that to every shared level (ablation knob). Both mixes are
-        // computed into scratch from the pre-update sets, then installed over
-        // the existing level allocations — same RNG draws as the one-shot
-        // `RefSet::mixed` pair, zero steady-state allocation.
+        // extends that to every shared level (ablation knob). Each partner
+        // takes its own random selection from the union of the pre-update
+        // sets: the union is built once into scratch, copied, and each copy
+        // shuffled and truncated in turn — the draws of two one-shot
+        // `RefSet::mixed` calls — then installed over the existing level
+        // allocations, so a warm exchange allocates no scratch.
         if lc > 0 {
             let first = if cfg.exchange_all_levels { 1 } else { lc };
             let (mix_a, mix_b, seen) = scratch.mix_buffers();
             for level in first..=lc {
-                RefSet::mixed_into(
+                RefSet::union_into(
                     p1.routing().level(level),
                     p2.routing().level(level),
-                    cfg.refmax,
-                    rng,
                     mix_a,
                     seen,
                 );
-                RefSet::mixed_into(
-                    p1.routing().level(level),
-                    p2.routing().level(level),
-                    cfg.refmax,
-                    rng,
-                    mix_b,
-                    seen,
-                );
+                mix_b.clone_from(mix_a);
+                RefSet::random_select(mix_a, cfg.refmax, rng);
+                RefSet::random_select(mix_b, cfg.refmax, rng);
                 p1.routing_mut().level_mut(level).overwrite(mix_a);
                 p2.routing_mut().level_mut(level).overwrite(mix_b);
             }

@@ -4,8 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use pgrid_keys::{BitPath, Key};
-use pgrid_net::PeerId;
-use rand::Rng;
+use pgrid_net::{draw, PeerId};
 
 use crate::routing::RoutingTable;
 use crate::{CompactRoutingTable, Ctx, IndexEntry, PGridConfig, Peer};
@@ -223,8 +222,8 @@ impl PGrid {
     pub fn random_pair(&self, ctx: &mut Ctx<'_>) -> (PeerId, PeerId) {
         let n = self.peers.len();
         assert!(n >= 2, "meetings need at least two peers");
-        let i = ctx.rng.gen_range(0..n);
-        let mut j = ctx.rng.gen_range(0..n - 1);
+        let i = draw::below(ctx.rng, n);
+        let mut j = draw::below(ctx.rng, n - 1);
         if j >= i {
             j += 1;
         }
@@ -233,7 +232,7 @@ impl PGrid {
 
     /// A uniformly random peer (e.g. a search entry point).
     pub fn random_peer(&self, ctx: &mut Ctx<'_>) -> PeerId {
-        PeerId::from_index(ctx.rng.gen_range(0..self.peers.len()))
+        PeerId::from_index(draw::below(ctx.rng, self.peers.len()))
     }
 
     /// Groups peers by their exact path. The multiplicities are the

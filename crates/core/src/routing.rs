@@ -1,8 +1,25 @@
 //! Per-level reference sets — the peer's share of the distributed trie.
 
-use pgrid_net::PeerId;
+use pgrid_net::{draw, PeerId};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
+
+/// Largest set whose membership tests scan every element. The scan folds
+/// with a non-short-circuiting `|`, which the compiler vectorises; above
+/// this size a union sorts a copy of `a` and binary-searches it, so the
+/// unbounded-`refmax` sweeps stay O(n log n). A union of two equal-sized
+/// random sets breaks even between 192 and 256 elements on a 2-vCPU x86-64
+/// VM (the scan is 1.9× faster at 20, 1.3× at 128); 128 keeps a margin.
+const SCAN_MAX: usize = 128;
+
+/// Membership of `id` in `ids`: a branch-free scan up to [`SCAN_MAX`]
+/// elements, a short-circuiting one above.
+fn holds(ids: &[PeerId], id: PeerId) -> bool {
+    if ids.len() <= SCAN_MAX {
+        ids.iter().fold(false, |hit, &x| hit | (x == id))
+    } else {
+        ids.contains(&id)
+    }
+}
 
 /// A bounded, duplicate-free set of references to peers on the *other side*
 /// of one trie level.
@@ -68,12 +85,12 @@ impl RefSet {
     /// geometrically but never past `bound`, so a full level holds no spare
     /// slots.
     pub fn insert_bounded(&mut self, id: PeerId, bound: usize, rng: &mut StdRng) {
-        if self.ids.contains(&id) {
+        if holds(&self.ids, id) {
             return;
         }
         let len = self.ids.len();
         if len >= bound {
-            let victim = rng.gen_range_index(len + 1);
+            let victim = draw::below(rng, len + 1);
             if victim < len {
                 self.ids[victim] = id;
             }
@@ -88,42 +105,33 @@ impl RefSet {
     /// The paper's `random_select(refmax, union(r1, r2))`: a uniformly random
     /// `bound`-subset of the union of two reference sets.
     ///
-    /// Owning convenience over [`RefSet::mixed_into`]; hot paths call the
-    /// `_into` variant with reused buffers instead.
+    /// Owning convenience over [`RefSet::union_into`] and
+    /// [`RefSet::random_select`]; the exchange builds each level's union
+    /// once in reused buffers and selects from two copies of it instead.
     pub fn mixed(a: &RefSet, b: &RefSet, bound: usize, rng: &mut StdRng) -> RefSet {
         let mut ids = Vec::new();
-        let mut seen = Vec::new();
-        RefSet::mixed_into(a, b, bound, rng, &mut ids, &mut seen);
+        RefSet::union_into(a, b, &mut ids, &mut Vec::new());
+        RefSet::random_select(&mut ids, bound, rng);
         RefSet { ids }
     }
 
-    /// [`RefSet::mixed`] into a caller-provided buffer: `out` is replaced by
-    /// the bounded random union; `seen` is membership scratch for large sets.
+    /// Replaces `out` with the union of `a` and `b`: `a`'s ids followed by
+    /// `b`'s ids not in `a`, both in insertion order. `seen` is membership
+    /// scratch for large sets.
     ///
-    /// Draw-order contract: the union is laid out as `a`'s ids followed by
-    /// `b`'s ids not in `a` (both in insertion order) and then shuffled —
-    /// exactly the layout the original one-shot `mixed` produced, and
-    /// `shuffle` draws depend only on the slice length, so results are
-    /// byte-identical to the allocating version. Deduplicating `b` against
-    /// `a` alone is sound because a `RefSet` never holds duplicates, so an
-    /// already-pushed union element other than the current `b` id cannot
-    /// equal it. Membership switches from a linear scan to a sorted-buffer
-    /// binary search once `a` outgrows a cache line, which fixes the O(n²)
-    /// behaviour the linear `union.contains` had on large reference sets.
-    pub fn mixed_into(
-        a: &RefSet,
-        b: &RefSet,
-        bound: usize,
-        rng: &mut StdRng,
-        out: &mut Vec<PeerId>,
-        seen: &mut Vec<PeerId>,
-    ) {
-        const LINEAR_SCAN_MAX: usize = 16;
+    /// Deduplicating `b` against `a` alone is sound because a `RefSet`
+    /// never holds duplicates, so an already-pushed union element other
+    /// than the current `b` id cannot equal it. Up to `SCAN_MAX` (128) ids in
+    /// `a` each `b` id is tested by a branch-free scan of `a`; above it
+    /// against a sorted copy of `a`, which keeps large unions
+    /// O(n log n). Both give the same layout.
+    pub fn union_into(a: &RefSet, b: &RefSet, out: &mut Vec<PeerId>, seen: &mut Vec<PeerId>) {
         out.clear();
+        out.reserve(a.ids.len() + b.ids.len());
         out.extend_from_slice(&a.ids);
-        if a.ids.len() <= LINEAR_SCAN_MAX {
+        if a.ids.len() <= SCAN_MAX {
             for &id in &b.ids {
-                if !a.ids.contains(&id) {
+                if !holds(&a.ids, id) {
                     out.push(id);
                 }
             }
@@ -137,8 +145,15 @@ impl RefSet {
                 }
             }
         }
-        out.shuffle(rng);
-        out.truncate(bound);
+    }
+
+    /// The paper's `random_select(bound, ids)` in place: shuffles `ids` and
+    /// keeps the first `bound`. The shuffle's draws depend only on
+    /// `ids.len()`, so two selections from copies of one union draw what
+    /// two selections from two separately built unions would.
+    pub fn random_select(ids: &mut Vec<PeerId>, bound: usize, rng: &mut StdRng) {
+        draw::shuffle(rng, ids);
+        ids.truncate(bound);
     }
 
     /// Removes `id` if present.
@@ -170,7 +185,7 @@ impl RefSet {
     ) {
         let base = out.len();
         out.extend(self.ids.iter().copied().filter(|&id| id != not));
-        out[base..].shuffle(rng);
+        draw::shuffle(rng, &mut out[base..]);
         // `saturating_add` keeps `k == usize::MAX` (unbounded recfanout)
         // meaning "take everything".
         out.truncate(base.saturating_add(k));
@@ -192,7 +207,7 @@ impl RefSet {
     pub fn shuffled_into(&self, rng: &mut StdRng, out: &mut Vec<PeerId>) {
         let base = out.len();
         out.extend_from_slice(&self.ids);
-        out[base..].shuffle(rng);
+        draw::shuffle(rng, &mut out[base..]);
     }
 
     /// Replaces the contents with `ids`, keeping the allocation when it is
@@ -205,19 +220,6 @@ impl RefSet {
         self.ids.clear();
         self.ids.reserve_exact(ids.len());
         self.ids.extend_from_slice(ids);
-    }
-}
-
-/// Small extension trait so `RefSet` does not need the full `Rng` import
-/// dance at each call site.
-trait GenRangeIndex {
-    fn gen_range_index(&mut self, len: usize) -> usize;
-}
-
-impl GenRangeIndex for StdRng {
-    fn gen_range_index(&mut self, len: usize) -> usize {
-        use rand::Rng;
-        self.gen_range(0..len)
     }
 }
 
@@ -316,7 +318,7 @@ mod tests {
         }
         s.ids.push(id);
         if s.ids.len() > bound {
-            let victim = rng.gen_range_index(s.ids.len());
+            let victim = rand::Rng::gen_range(rng, 0..s.ids.len());
             s.ids.swap_remove(victim);
         }
     }
@@ -471,28 +473,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mixed_into_matches_owning_variant_byte_for_byte() {
-        // Small (linear-scan) and large (sorted-membership) sets, same RNG
-        // stream: the buffered variant must reproduce the owning one.
-        for (na, nb) in [(3usize, 5usize), (40, 60)] {
-            let a = RefSet {
-                ids: (0..na as u32).map(PeerId).collect(),
-            };
-            let b = RefSet {
-                ids: (na as u32 / 2..nb as u32 + na as u32 / 2)
-                    .map(PeerId)
-                    .collect(),
-            };
-            let mut r1 = rng();
-            let mut r2 = rng();
-            let mut out = vec![PeerId(999)]; // stale contents must not leak
-            let mut seen = Vec::new();
-            for bound in [2usize, 5, usize::MAX] {
-                let owned = RefSet::mixed(&a, &b, bound, &mut r1);
-                RefSet::mixed_into(&a, &b, bound, &mut r2, &mut out, &mut seen);
-                assert_eq!(owned.as_slice(), &out[..], "na={na} nb={nb} bound={bound}");
+    /// The union half of `mixed_into`, the one-shot mix this module used
+    /// before exchanges built each level's union once: a short-circuiting
+    /// scan up to 16 ids in `a`, a sorted copy of `a` above.
+    fn union_by_old_body(a: &RefSet, b: &RefSet) -> Vec<PeerId> {
+        const LINEAR_SCAN_MAX: usize = 16;
+        let mut out = a.ids.clone();
+        if a.ids.len() <= LINEAR_SCAN_MAX {
+            for &id in &b.ids {
+                if !a.ids.contains(&id) {
+                    out.push(id);
+                }
             }
+        } else {
+            let mut seen = a.ids.clone();
+            seen.sort_unstable();
+            for &id in &b.ids {
+                if seen.binary_search(&id).is_err() {
+                    out.push(id);
+                }
+            }
+        }
+        out
+    }
+
+    /// 512 seeded pairs with `|a|` and `|b|` over 0..=160, straddling the
+    /// old threshold (16) and [`SCAN_MAX`], and a drawn overlap: the union
+    /// layout is the old one id for id.
+    #[test]
+    fn union_into_matches_the_old_mixed_into_body() {
+        use rand::Rng;
+        let mut cases = StdRng::seed_from_u64(0x0b1d);
+        let mut out = vec![PeerId(999)]; // stale contents must not leak
+        let mut seen = vec![PeerId(998)];
+        for case in 0..512 {
+            let na = cases.gen_range(0..=160usize);
+            let nb = cases.gen_range(0..=160usize);
+            let shared = cases.gen_range(0..=na.min(nb));
+            // Scattered ids, so sorted order differs from insertion order.
+            let mut universe: Vec<PeerId> = (0..(na + nb) as u32)
+                .map(|i| PeerId(i.wrapping_mul(0x9e37_79b1)))
+                .collect();
+            draw::shuffle(&mut cases, &mut universe);
+            let a = RefSet::from_ids(universe[..na].iter().copied());
+            let mut b_ids = universe[..shared].to_vec();
+            b_ids.extend_from_slice(&universe[na..na + nb - shared]);
+            draw::shuffle(&mut cases, &mut b_ids);
+            let b = RefSet::from_ids(b_ids);
+            assert_eq!((a.len(), b.len()), (na, nb), "case {case}: distinct ids");
+            RefSet::union_into(&a, &b, &mut out, &mut seen);
+            assert_eq!(
+                out,
+                union_by_old_body(&a, &b),
+                "case {case}: |a| {na}, |b| {nb}"
+            );
+            assert_eq!(out.len(), na + nb - shared, "case {case}");
         }
     }
 

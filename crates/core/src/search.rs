@@ -13,11 +13,10 @@
 //! initial local call at the querying peer is free.
 
 use pgrid_keys::{BitPath, Key};
-use pgrid_net::{MsgKind, PeerId};
+use pgrid_net::{draw, MsgKind, PeerId};
 use pgrid_proto::{route_step, RouteStep};
 use pgrid_store::Version;
 use pgrid_trace::TraceEvent;
-use rand::seq::SliceRandom;
 
 use crate::scratch::QueryFrame;
 use crate::{CompactRoutingTable, Ctx, PGrid};
@@ -225,7 +224,7 @@ impl Descent {
         // offline peers (the DFS retry of Fig. 2's WHILE loop).
         let base = self.arena.len();
         self.arena.extend_from_slice(source.refs(a, level));
-        self.arena[base..].shuffle(ctx.rng);
+        draw::shuffle(ctx.rng, &mut self.arena[base..]);
         let end = self.arena.len();
         let draw = self.draws;
         self.draws += 1;

@@ -17,8 +17,7 @@
 use std::collections::BTreeMap;
 
 use pgrid_keys::RadixPath;
-use pgrid_net::{MsgKind, PeerId};
-use rand::seq::SliceRandom;
+use pgrid_net::{draw, MsgKind, PeerId};
 use rand::Rng;
 
 use crate::Ctx;
@@ -253,7 +252,7 @@ impl TrieGrid {
                             .into_iter()
                             .filter(|&x| x != not)
                             .collect();
-                        v.shuffle(rng);
+                        draw::shuffle(rng, &mut v);
                         v.truncate(cfg.recfanout);
                         v
                     };
@@ -394,7 +393,7 @@ impl TrieGrid {
         let rest: RadixPath = RadixPath::from_symbols(p.radix(), &p.symbols()[com..]);
         // Preferred: references into the wanted branch.
         let mut refs = lvl.refs(wanted).to_vec();
-        refs.shuffle(ctx.rng);
+        draw::shuffle(ctx.rng, &mut refs);
         // Fallback: sidestep to any other same-level branch (it shares the
         // prefix up to `level - 1`, so the query state stays valid there).
         let mut side: Vec<PeerId> = lvl
@@ -403,7 +402,7 @@ impl TrieGrid {
             .filter(|(&s, _)| s != wanted)
             .flat_map(|(_, v)| v.iter().copied())
             .collect();
-        side.shuffle(ctx.rng);
+        draw::shuffle(ctx.rng, &mut side);
         side.truncate(4);
         for r in refs.into_iter().chain(side) {
             if visited[r.index()] {

@@ -21,12 +21,15 @@
 //! * [`LatencyModel`] — per-message delay models for the event-driven mode;
 //! * [`task_seed`] / [`splitmix64`] — deterministic per-task RNG stream
 //!   derivation for the parallel experiment engine ([`NetStats`] shards merge
-//!   with [`NetStats::merge`] / `+` / `Sum`).
+//!   with [`NetStats::merge`] / `+` / `Sum`);
+//! * [`draw`] — bounded draws and shuffles for the hot paths, pinned to the
+//!   `rand` stand-in's stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bounded;
+pub mod draw;
 mod events;
 mod id;
 mod latency;

@@ -5,12 +5,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pgrid_keys::Key;
-use pgrid_net::{NetStats, PeerId};
+use pgrid_net::{draw, NetStats, PeerId};
 use pgrid_store::StorageSpec;
 use pgrid_trace::NullTracer;
 use pgrid_wire::{encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::{
@@ -416,7 +415,7 @@ impl<T: Transport> Community<T> {
         if entries.is_empty() {
             return None;
         }
-        entries.shuffle(&mut self.rng);
+        draw::shuffle(&mut self.rng, &mut entries);
         let mut last = None;
         for attempt in 0..self.config.query_attempts.max(1) {
             let entry_node = entries[attempt % entries.len()];

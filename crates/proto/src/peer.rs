@@ -14,11 +14,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use pgrid_keys::{BitPath, Key};
-use pgrid_net::{BoundedMap, BoundedSet, PeerId};
+use pgrid_net::{draw, BoundedMap, BoundedSet, PeerId};
 use pgrid_trace::{TraceEvent, Tracer, ViolationTag};
 use pgrid_wire::{Message, WireEntry};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 
 use crate::event::{Effect, Event, TimerToken};
 use crate::fig2::{route_step, RouteStep};
@@ -898,7 +897,7 @@ impl ProtocolPeer {
                 if candidates.is_empty() {
                     return RouteDecision::Dead;
                 }
-                candidates.shuffle(rng);
+                draw::shuffle(rng, &mut candidates);
                 let matched = (matched as usize).min(self.path.len());
                 RouteDecision::Forward {
                     key: key.suffix(consumed),
@@ -993,10 +992,10 @@ impl ProtocolPeer {
             }
             union.retain(|&p| p != self.id && p != initiator);
             let mut for_me = union.clone();
-            for_me.shuffle(rng);
+            draw::shuffle(rng, &mut for_me);
             for_me.truncate(self.refmax);
             let mut for_them = union;
-            for_them.shuffle(rng);
+            draw::shuffle(rng, &mut for_them);
             for_them.truncate(self.refmax);
             self.union_refs(lc, &for_me, rng);
             if !for_them.is_empty() {
@@ -1051,14 +1050,14 @@ impl ProtocolPeer {
                     .copied()
                     .filter(|&p| p != initiator)
                     .collect();
-                mine.shuffle(rng);
+                draw::shuffle(rng, &mut mine);
                 mine.truncate(self.recfanout);
                 out.recurse_initiator = mine;
                 let mut theirs: Vec<PeerId> = refs_of(lc + 1)
                     .into_iter()
                     .filter(|&p| p != self.id)
                     .collect();
-                theirs.shuffle(rng);
+                draw::shuffle(rng, &mut theirs);
                 theirs.truncate(self.recfanout);
                 out.recurse_responder = theirs;
             }

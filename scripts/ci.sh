@@ -9,6 +9,12 @@ cd "$(dirname "$0")/.."
 echo "==> rustfmt (check only)"
 cargo fmt --check
 
+echo "==> one shuffle (crate sources draw shuffles through pgrid_net::draw)"
+if grep -rn "SliceRandom" crates/*/src; then
+    echo "FATAL: SliceRandom under crates/*/src; use pgrid_net::draw::shuffle"
+    exit 1
+fi
+
 echo "==> clippy (all targets, warnings are errors, perf lints on)"
 cargo clippy --all-targets -- -D warnings -D clippy::perf -W clippy::redundant_clone
 
