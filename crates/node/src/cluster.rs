@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::{
-    lock, reseed_from_journal, FaultPlan, LocalTransport, NodeConfig, NodeState, TcpTransport,
+    lock, reseed_from_journal, FaultPlan, LocalTransport, NodeState, TcpTransport,
     TcpTransportConfig, Transport, DEFAULT_MAILBOX_DEPTH,
 };
 
@@ -144,7 +144,6 @@ impl Community<TcpTransport> {
             workers,
             write_queue_depth: config.mailbox_depth,
             seed: config.seed,
-            ..TcpTransportConfig::default()
         })
         .expect("bind loopback listener")
     }
@@ -185,7 +184,6 @@ impl<T: Transport> Community<T> {
     /// flushed and closed.
     fn host(
         transport: &T,
-        config: &ClusterConfig,
         storage: Option<&StorageSpec>,
         state: &Arc<Mutex<NodeState>>,
         seed: u64,
@@ -196,18 +194,7 @@ impl<T: Transport> Community<T> {
             reseed_from_journal(state, &journal);
             journal
         });
-        let node_config = NodeConfig {
-            recmax: config.recmax,
-            ttl: config.ttl,
-            ..NodeConfig::default()
-        };
-        transport.host(
-            Arc::clone(state),
-            node_config,
-            seed,
-            journal,
-            Box::new(NullTracer),
-        );
+        transport.host(Arc::clone(state), seed, journal, Box::new(NullTracer));
     }
 
     /// Hosts a brand-new peer in slot `idx` (empty path).
@@ -217,14 +204,16 @@ impl<T: Transport> Community<T> {
         storage: Option<&StorageSpec>,
         idx: usize,
     ) -> Arc<Mutex<NodeState>> {
-        let state = Arc::new(Mutex::new(NodeState::new(
+        let mut peer = NodeState::new(
             PeerId::from_index(idx),
             config.maxl,
             config.refmax,
             config.recfanout,
-        )));
+        );
+        peer.recmax = config.recmax;
+        let state = Arc::new(Mutex::new(peer));
         let seed = config.seed ^ ((idx as u64) << 20);
-        Self::host(transport, config, storage, &state, seed);
+        Self::host(transport, storage, &state, seed);
         state
     }
 
@@ -547,7 +536,6 @@ impl<T: Transport> Community<T> {
         let seed = self.config.seed ^ (u64::from(id.0) << 20) ^ 0xDEAD_BEEF;
         Self::host(
             &self.transport,
-            &self.config,
             self.storage.as_ref(),
             &self.states[id.index()],
             seed,

@@ -34,8 +34,9 @@
 //! per-link drop / duplication / reordering / delay, and the cluster can
 //! crash and restart whole peers. The node loop survives all of it through
 //! hop-level acks with bounded, jittered exponential-backoff retransmission
-//! ([`RetryPolicy`]), query failover to alternate references, and demotion
-//! of repeatedly unresponsive peers (see `DESIGN.md`, "Failure model").
+//! (fixed policies, one pending table per shell), query failover to
+//! alternate references, and demotion of repeatedly unresponsive peers (see
+//! `DESIGN.md`, "Failure model").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +50,7 @@ mod transport;
 
 pub use cluster::{Cluster, ClusterConfig, Community, TcpCluster};
 pub use fault::FaultPlan;
-pub use node::{reseed_from_journal, NodeConfig, RetryPolicy};
+pub use node::reseed_from_journal;
 pub use state::{NodeState, OfferOutcome, RouteDecision, DEFAULT_SUSPECT_AFTER};
 pub use tcp::{TcpTransport, TcpTransportConfig};
 pub use transport::{

@@ -58,12 +58,12 @@ use pgrid_store::AnyBackend;
 use pgrid_trace::{NullTracer, TraceEvent, Tracer};
 use pgrid_wire::{decode_frame, Message};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::fault::{link_seed, FaultGate};
-use crate::node::NodeRt;
+use crate::node::{NodeRt, RetryPolicy, TICK};
 use crate::transport::{SendStatus, Transport, DEFAULT_MAILBOX_DEPTH};
-use crate::{lock, read, write, NodeConfig, NodeState};
+use crate::{lock, read, write, NodeState};
 
 /// Connection preamble magic.
 const MAGIC: &[u8; 4] = b"PGRD";
@@ -84,6 +84,18 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 const PREAMBLE_PATIENCE: u32 = 2000;
 /// Separates the transport's I/O jitter streams from the fault plan's.
 const JITTER_SALT: u64 = 0x7c15_9e37_79b9_7f4a;
+/// Reconnects of one outbound connection: five connect attempts, 10 ms
+/// backoff doubling per failure, up to 5 ms jitter; then it is dead.
+const CONNECT_RETRY: RetryPolicy = RetryPolicy {
+    base_ms: 10,
+    max_attempts: 5,
+    jitter_ms: 5,
+};
+/// Cooloff before a dead connection may be revived by fresh traffic.
+const RECONNECT_COOLOFF: Duration = Duration::from_millis(200);
+/// Outbound-connection budget; exceeding it evicts the least recently used
+/// idle connection (FD discipline for thousand-peer communities).
+const MAX_CONNS: usize = 8192;
 
 /// Shape of a [`TcpTransport`].
 #[derive(Clone, Copy, Debug)]
@@ -95,19 +107,6 @@ pub struct TcpTransportConfig {
     /// Seed for the per-link reconnect-jitter RNG streams (I/O only; the
     /// two-RNG rule keeps these draws out of every protocol stream).
     pub seed: u64,
-    /// Shell timer cadence, milliseconds (mirrors the actor loop's tick).
-    pub tick_ms: u64,
-    /// Connect attempts before a connection is declared dead.
-    pub connect_attempts: u32,
-    /// Reconnect backoff base, milliseconds (doubled per attempt).
-    pub connect_base_ms: u64,
-    /// Upper bound of the uniform jitter added to each backoff.
-    pub connect_jitter_ms: u64,
-    /// Cooloff before a dead connection may be revived by fresh traffic.
-    pub reconnect_cooloff_ms: u64,
-    /// Outbound-connection budget; exceeding it evicts the least recently
-    /// used idle connection (FD discipline for thousand-peer communities).
-    pub max_conns: usize,
 }
 
 impl Default for TcpTransportConfig {
@@ -116,12 +115,6 @@ impl Default for TcpTransportConfig {
             workers: 2,
             write_queue_depth: DEFAULT_MAILBOX_DEPTH,
             seed: 0,
-            tick_ms: 5,
-            connect_attempts: 5,
-            connect_base_ms: 10,
-            connect_jitter_ms: 5,
-            reconnect_cooloff_ms: 200,
-            max_conns: 8192,
         }
     }
 }
@@ -305,7 +298,7 @@ impl TcpInner {
         st.sock = None;
         st.phase = Phase::Dead;
         st.attempt = 0;
-        st.next_try = now + Duration::from_millis(self.config.reconnect_cooloff_ms);
+        st.next_try = now + RECONNECT_COOLOFF;
         self.counters.conn_lost.fetch_add(1, Ordering::Relaxed);
         self.trace(|| TraceEvent::ConnLost {
             local: u64::from(conn.from.0),
@@ -365,7 +358,7 @@ impl TcpInner {
                         }),
                     });
                     conns.insert((from, to), Arc::clone(&c));
-                    if conns.len() > self.config.max_conns.max(1) {
+                    if conns.len() > MAX_CONNS {
                         self.evict_idle_conn(&mut conns, now);
                     }
                     (c, true)
@@ -602,12 +595,11 @@ impl Transport for TcpTransport {
     fn host(
         &self,
         state: Arc<Mutex<NodeState>>,
-        config: NodeConfig,
         seed: u64,
         journal: Option<AnyBackend>,
         tracer: Box<dyn Tracer>,
     ) {
-        let rt = NodeRt::new(state, config, self.clone(), seed, journal, tracer);
+        let rt = NodeRt::new(state, self.clone(), seed, journal, tracer);
         let worker = self.add_local(rt.peer_id(), |worker| LocalEndpoint::Shell { worker });
         let _ = self.inner.workers[worker]
             .tx
@@ -640,7 +632,7 @@ impl Transport for TcpTransport {
                 st.sock = None;
                 st.phase = Phase::Dead;
                 st.attempt = 0;
-                st.next_try = now + Duration::from_millis(self.inner.config.reconnect_cooloff_ms);
+                st.next_try = now + RECONNECT_COOLOFF;
                 true
             } else {
                 true
@@ -715,7 +707,7 @@ struct Worker {
 
 impl Worker {
     fn new(inner: Arc<TcpInner>, idx: usize, rx: Receiver<WorkerMsg>) -> Self {
-        let next_tick = Instant::now() + Duration::from_millis(inner.config.tick_ms);
+        let next_tick = Instant::now() + TICK;
         Worker {
             inner,
             idx,
@@ -754,7 +746,7 @@ impl Worker {
                 for shell in self.shells.values_mut() {
                     shell.tick(now);
                 }
-                self.next_tick = now + Duration::from_millis(self.inner.config.tick_ms);
+                self.next_tick = now + TICK;
             }
             if !progress {
                 let mut deadline = self.next_tick;
@@ -984,10 +976,10 @@ impl Worker {
                     }
                     Err(_) => {
                         st.attempt += 1;
-                        if st.attempt >= inner.config.connect_attempts.max(1) {
+                        if st.attempt >= CONNECT_RETRY.max_attempts {
                             inner.kill_conn(conn, &mut st, now);
                         } else {
-                            let backoff = reconnect_backoff(&inner.config, st.attempt, &mut st.rng);
+                            let backoff = CONNECT_RETRY.backoff(st.attempt, &mut st.rng);
                             st.next_try = now + backoff;
                             hint = Some(hint.map_or(st.next_try, |h| h.min(st.next_try)));
                         }
@@ -1006,10 +998,10 @@ impl Worker {
                 st.greeted = 0;
                 st.head_off = 0;
                 st.attempt += 1;
-                if st.attempt >= inner.config.connect_attempts.max(1) {
+                if st.attempt >= CONNECT_RETRY.max_attempts {
                     inner.kill_conn(conn, &mut st, now);
                 } else {
-                    let backoff = reconnect_backoff(&inner.config, st.attempt, &mut st.rng);
+                    let backoff = CONNECT_RETRY.backoff(st.attempt, &mut st.rng);
                     st.next_try = now + backoff;
                     hint = Some(hint.map_or(st.next_try, |h| h.min(st.next_try)));
                 }
@@ -1142,17 +1134,6 @@ impl Worker {
         }
         progress
     }
-}
-
-/// Jittered exponential reconnect backoff (I/O stream only).
-fn reconnect_backoff(config: &TcpTransportConfig, attempt: u32, rng: &mut StdRng) -> Duration {
-    let shift = attempt.saturating_sub(1).min(6);
-    let jitter = if config.connect_jitter_ms > 0 {
-        rng.gen_range(0..=config.connect_jitter_ms)
-    } else {
-        0
-    };
-    Duration::from_millis(config.connect_base_ms.saturating_mul(1 << shift) + jitter)
 }
 
 /// Flushes the preamble then as many queued frames as the socket accepts.
@@ -1451,13 +1432,7 @@ mod tests {
     fn node_shell_answers_ping_over_socket() {
         let t = transport();
         let state = Arc::new(Mutex::new(NodeState::new(PeerId(0), 4, 2, 2)));
-        t.host(
-            Arc::clone(&state),
-            NodeConfig::default(),
-            77,
-            None,
-            Box::new(NullTracer),
-        );
+        t.host(Arc::clone(&state), 77, None, Box::new(NullTracer));
         let rx = t.open_client(PeerId(9));
         assert!(t.send(
             PeerId(9),
@@ -1480,13 +1455,7 @@ mod tests {
         assert_eq!(t.worker_count(), 2);
         for i in 0..64 {
             let state = Arc::new(Mutex::new(NodeState::new(PeerId(i), 4, 2, 2)));
-            t.host(
-                state,
-                NodeConfig::default(),
-                u64::from(i),
-                None,
-                Box::new(NullTracer),
-            );
+            t.host(state, u64::from(i), None, Box::new(NullTracer));
         }
         // The transport spawned exactly `workers` threads at bind time and
         // none since — adding shells only grows per-worker maps.

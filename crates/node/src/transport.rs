@@ -16,7 +16,7 @@ use pgrid_wire::{decode_frame, Message};
 
 use crate::fault::{self, FaultGate, FaultPlan};
 use crate::node::NodeRt;
-use crate::{lock, read, write, NodeConfig, NodeState};
+use crate::{lock, read, write, NodeState};
 
 /// One delivered frame: the sender and the encoded bytes.
 #[derive(Clone, Debug)]
@@ -101,7 +101,6 @@ pub trait Transport: Clone + Send + Sync + 'static {
     fn host(
         &self,
         state: Arc<Mutex<NodeState>>,
-        config: NodeConfig,
         seed: u64,
         journal: Option<AnyBackend>,
         tracer: Box<dyn Tracer>,
@@ -469,12 +468,11 @@ impl Transport for LocalTransport {
     fn host(
         &self,
         state: Arc<Mutex<NodeState>>,
-        config: NodeConfig,
         seed: u64,
         journal: Option<AnyBackend>,
         tracer: Box<dyn Tracer>,
     ) {
-        let rt = NodeRt::new(state, config, self.clone(), seed, journal, tracer);
+        let rt = NodeRt::new(state, self.clone(), seed, journal, tracer);
         let id = rt.peer_id();
         let rx = self.register(id);
         let handle = std::thread::spawn(move || rt.run(rx));

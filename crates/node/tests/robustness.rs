@@ -8,7 +8,7 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes, BytesMut};
 use pgrid_keys::BitPath;
 use pgrid_net::PeerId;
-use pgrid_node::{LocalTransport, NodeConfig, NodeState, Transport};
+use pgrid_node::{LocalTransport, NodeState, Transport};
 use pgrid_trace::NullTracer;
 use pgrid_wire::{encode_frame, Message};
 
@@ -23,13 +23,7 @@ fn one_node() -> (
 ) {
     let transport = LocalTransport::new();
     let state = Arc::new(Mutex::new(NodeState::new(NODE, 4, 2, 2)));
-    transport.host(
-        Arc::clone(&state),
-        NodeConfig::default(),
-        99,
-        None,
-        Box::new(NullTracer),
-    );
+    transport.host(Arc::clone(&state), 99, None, Box::new(NullTracer));
     let probe_rx = transport.open_client(PROBE);
     (transport, state, probe_rx)
 }

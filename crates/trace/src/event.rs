@@ -103,7 +103,7 @@ impl CaseTag {
 }
 
 /// Which pending live-node operation a retransmission/timeout refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpTag {
     /// An exchange offer awaiting its answer.
     Offer,
