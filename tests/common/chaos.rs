@@ -19,7 +19,7 @@ use pgrid::wire::WireEntry;
 
 /// Injected per-frame drop probability (the acceptance bar is 30%).
 const DROP: f64 = 0.30;
-/// Hop transmissions before giving up — `RetryPolicy` default.
+/// Hop transmissions before giving up — the node shell's `ACK_RETRY`.
 const ACK_ATTEMPTS: i32 = 3;
 const N: usize = 24;
 const MAXL: usize = 3;
@@ -31,7 +31,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         .with_drop(DROP)
         .with_duplicate(0.10)
         .with_reorder(0.10)
-        // Delays stay below the retry base (60 ms) so latency alone never
+        // Delays stay below `ACK_RETRY`'s 60 ms base so latency alone never
         // masquerades as loss.
         .with_delay(0.10, 15)
 }
