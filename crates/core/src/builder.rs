@@ -78,7 +78,7 @@ impl PGrid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::PGridConfig;
     use pgrid_net::{AlwaysOnline, NetStats};
@@ -214,6 +214,27 @@ mod tests {
         }
     }
 
+    /// FNV-1a digest of every peer's path and reference levels, in peer,
+    /// level and slice order: any change to a slice's content or order, or
+    /// to a path, moves it.
+    pub(crate) fn routing_digest(g: &PGrid) -> u64 {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for p in g.peers() {
+            let path = p.path();
+            fnv1a(&mut digest, path.len() as u64);
+            fnv1a(&mut digest, path.raw_bits() as u64);
+            fnv1a(&mut digest, (path.raw_bits() >> 64) as u64);
+            for (level, set) in p.routing().iter() {
+                fnv1a(&mut digest, level as u64);
+                fnv1a(&mut digest, set.len() as u64);
+                for id in set.as_slice() {
+                    fnv1a(&mut digest, u64::from(id.0));
+                }
+            }
+        }
+        digest
+    }
+
     /// Pins a `refmax 20` build, whose level mixes reach the large-set
     /// union path that `t1_cell_cost_is_pinned` (`refmax 1`) never does:
     /// the exchange and meeting counts, an FNV-1a digest of every peer's
@@ -233,20 +254,7 @@ mod tests {
         let mut g = PGrid::new(1024, cfg);
         let report = g.build(&BuildOptions::default(), &mut ctx);
         let next = rand::RngCore::next_u64(ctx.rng);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        for p in g.peers() {
-            let path = p.path();
-            fnv1a(&mut digest, path.len() as u64);
-            fnv1a(&mut digest, path.raw_bits() as u64);
-            fnv1a(&mut digest, (path.raw_bits() >> 64) as u64);
-            for (level, set) in p.routing().iter() {
-                fnv1a(&mut digest, level as u64);
-                fnv1a(&mut digest, set.len() as u64);
-                for id in set.as_slice() {
-                    fnv1a(&mut digest, u64::from(id.0));
-                }
-            }
-        }
+        let digest = routing_digest(&g);
         assert!(report.reached_threshold);
         let widest = g
             .peers()
@@ -257,6 +265,37 @@ mod tests {
         assert_eq!(report.meetings, 4015);
         assert_eq!(digest, 0xf86a_a121_7b9a_7476);
         assert_eq!(next, 0xcde6_bc45_8e1e_c92f);
+        g.check_invariants().unwrap();
+    }
+
+    /// Pins a `refmax 200` build: level-1 and level-2 mixes grow past
+    /// `SCAN_MAX` (128), so the exchange takes the sorted-union path and
+    /// levels change length by splicing far beyond the inline-scan sizes.
+    /// Same pins as `refmax20_build_is_pinned`.
+    #[test]
+    fn refmax200_build_is_pinned() {
+        let cfg = PGridConfig {
+            maxl: 4,
+            refmax: 200,
+            ..PGridConfig::default()
+        };
+        let (mut rng, mut online, mut stats) =
+            (StdRng::seed_from_u64(200), AlwaysOnline, NetStats::new());
+        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
+        let mut g = PGrid::new(1024, cfg);
+        let report = g.build(&BuildOptions::default(), &mut ctx);
+        let next = rand::RngCore::next_u64(ctx.rng);
+        assert!(report.reached_threshold);
+        let widest = g
+            .peers()
+            .flat_map(|p| p.routing().iter().map(|(_, set)| set.len()))
+            .max()
+            .unwrap();
+        assert_eq!(widest, 200, "levels fill up to refmax, past SCAN_MAX");
+        assert_eq!(report.exchange_calls, 33_803);
+        assert_eq!(report.meetings, 3391);
+        assert_eq!(routing_digest(&g), 0x1796_d018_d58f_1f2e);
+        assert_eq!(next, 0xc816_abc0_2967_f168);
         g.check_invariants().unwrap();
     }
 }

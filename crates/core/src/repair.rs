@@ -817,4 +817,53 @@ mod tests {
             }
         }
     }
+
+    /// Pins one `stabilize_round` over a grid with corrupted reference
+    /// levels (overfull, self-, same-side and beyond-path references) and
+    /// flipped paths: the sweeps evict through `remove`, the refill adds
+    /// through `insert_bounded`. Pins the report counts, a digest of every
+    /// path and level slice in order, and the next RNG draw.
+    #[test]
+    fn stabilize_round_over_a_corrupted_grid_is_pinned() {
+        use rand::Rng;
+        let (mut grid, mut rng, mut stats) = healthy_grid(256, 5, 4, 13);
+        let mut corrupt = StdRng::seed_from_u64(0x5eed);
+        for i in (0..256).step_by(5) {
+            let id = PeerId::from_index(i);
+            let level = corrupt.gen_range(1..=grid.peer(id).path().len() + 1);
+            let refs: Vec<PeerId> = (0..corrupt.gen_range(0..9))
+                .map(|_| PeerId(corrupt.gen_range(0..256)))
+                .collect();
+            grid.overwrite_peer_refs(id, level, &refs);
+        }
+        for i in (3..256).step_by(37) {
+            let id = PeerId::from_index(i);
+            let flipped = grid.peer(id).path().with_flipped(0);
+            grid.overwrite_peer_path(id, flipped);
+        }
+        assert!(!grid.audit().is_empty(), "corruption registers");
+        let mut online = AlwaysOnline;
+        let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
+        let report = grid.stabilize_round(4, &mut ctx);
+        let next = rand::RngCore::next_u64(ctx.rng);
+        let digest = crate::builder::tests::routing_digest(&grid);
+        assert_eq!(
+            report,
+            StabilizeReport {
+                violations: 466,
+                refs_evicted: 399,
+                paths_corrected: 0,
+                entries_rehomed: 0,
+                buddies_dropped: 72,
+                repair: RepairReport {
+                    probes: 4709,
+                    removed: 0,
+                    added: 351,
+                    search_messages: 1809,
+                },
+            }
+        );
+        assert_eq!(digest, 0x6eb4_6a2d_b340_10bf);
+        assert_eq!(next, 0x8af6_9c17_3b20_a85e);
+    }
 }
