@@ -24,7 +24,7 @@ use pgrid_net::{MsgKind, PeerId};
 use pgrid_proto::{classify, split_bits, ExchangeCase, SplitBitPolicy};
 use pgrid_trace::TraceEvent;
 
-use crate::routing::RefSet;
+use crate::routing::{random_select, union_into};
 use crate::{Ctx, IndexEntry, PGrid, Peer};
 
 /// After one or both partners specialized, move index entries to
@@ -142,22 +142,22 @@ impl PGrid {
         // extends that to every shared level (ablation knob). Each partner
         // takes its own random selection from the union of the pre-update
         // sets: the union is built once into scratch, copied, and each copy
-        // shuffled and truncated in turn — the draws of two one-shot
-        // `RefSet::mixed` calls — then installed over the existing level
-        // allocations, so a warm exchange allocates no scratch.
+        // shuffled and truncated in turn — the draws of two one-shot mixes
+        // — then installed over the existing level slices, so a warm
+        // exchange allocates no scratch.
         if lc > 0 {
             let first = if cfg.exchange_all_levels { 1 } else { lc };
             let (mix_a, mix_b, seen) = scratch.mix_buffers();
             for level in first..=lc {
-                RefSet::union_into(
-                    p1.routing().level(level),
-                    p2.routing().level(level),
+                union_into(
+                    p1.routing().level(level).as_slice(),
+                    p2.routing().level(level).as_slice(),
                     mix_a,
                     seen,
                 );
                 mix_b.clone_from(mix_a);
-                RefSet::random_select(mix_a, cfg.refmax, rng);
-                RefSet::random_select(mix_b, cfg.refmax, rng);
+                random_select(mix_a, cfg.refmax, rng);
+                random_select(mix_b, cfg.refmax, rng);
                 p1.routing_mut().level_mut(level).overwrite(mix_a);
                 p2.routing_mut().level_mut(level).overwrite(mix_b);
             }
@@ -179,10 +179,8 @@ impl PGrid {
                 bit_first = bit1 as i8;
                 bit_second = bit2 as i8;
                 new_path_bits = 2;
-                p1.routing_mut()
-                    .set_level(lc + 1, RefSet::singleton(p2.id()));
-                p2.routing_mut()
-                    .set_level(lc + 1, RefSet::singleton(p1.id()));
+                p1.routing_mut().set_level(lc + 1, &[p2.id()]);
+                p2.routing_mut().set_level(lc + 1, &[p1.id()]);
                 rebalance_pair(p1, p2);
             }
             // Identical paths at maxl — the peers are replicas: buddies.
@@ -196,8 +194,7 @@ impl PGrid {
                 p1.extend_path(bit);
                 bit_first = bit as i8;
                 new_path_bits = 1;
-                p1.routing_mut()
-                    .set_level(lc + 1, RefSet::singleton(p2.id()));
+                p1.routing_mut().set_level(lc + 1, &[p2.id()]);
                 p2.routing_mut()
                     .level_mut(lc + 1)
                     .insert_bounded(p1.id(), cfg.refmax, rng);
@@ -208,8 +205,7 @@ impl PGrid {
                 p2.extend_path(bit);
                 bit_second = bit as i8;
                 new_path_bits = 1;
-                p2.routing_mut()
-                    .set_level(lc + 1, RefSet::singleton(p1.id()));
+                p2.routing_mut().set_level(lc + 1, &[p1.id()]);
                 p1.routing_mut()
                     .level_mut(lc + 1)
                     .insert_bounded(p2.id(), cfg.refmax, rng);
@@ -264,8 +260,8 @@ impl PGrid {
         }
         let fanout = cfg.recfanout.unwrap_or(usize::MAX);
         // Sample both partners' recursion candidates into the shared scratch
-        // arena (same RNG draw order as the old owning `sample_excluding`
-        // pair). The contact loops index the arena by position: deeper
+        // arena (same RNG draw order as sampling each into its own
+        // buffer). The contact loops index the arena by position: deeper
         // recursive activations append past `end` and truncate back to it
         // on exit, so `base..end` stays valid throughout.
         let (base, split, end) = {

@@ -104,9 +104,13 @@ impl PGrid {
         self.table = None;
     }
 
-    /// Freezes the current routing state into the table
-    /// [`PGrid::search`] descends, until the next routing write drops it.
+    /// Trims every peer's routing buffer to its length and freezes the
+    /// routing state into the table [`PGrid::search`] descends, until the
+    /// next routing write drops it.
     pub(crate) fn freeze_routing(&mut self) {
+        self.peers
+            .iter_mut()
+            .for_each(|p| p.routing_mut().shrink_to_fit());
         self.table = Some(CompactRoutingTable::build(self));
     }
 
@@ -198,13 +202,13 @@ impl PGrid {
 
     /// **Fault injection**: replaces one level's reference set wholesale
     /// (duplicates are dropped, no bound is applied). Corruption
-    /// experiments use this to plant wrong references; nothing in the
-    /// protocols calls it.
+    /// experiments use this to plant wrong references and snapshot
+    /// restore to install captured ones; nothing in the protocols calls it.
     pub fn overwrite_peer_refs(&mut self, id: PeerId, level: usize, refs: &[PeerId]) {
-        self.routing_mut(id).set_level(
-            level,
-            crate::routing::RefSet::from_ids(refs.iter().copied()),
-        );
+        let set: Vec<PeerId> = (0..refs.len())
+            .filter_map(|i| (!refs[..i].contains(&refs[i])).then_some(refs[i]))
+            .collect();
+        self.routing_mut(id).set_level(level, &set);
     }
 
     /// Iterates over all peers.
@@ -602,19 +606,16 @@ pub(crate) mod tests {
 
     #[test]
     fn invariant_checker_catches_violations() {
-        use crate::routing::RefSet;
         let mut g = small_grid();
         // Peer 0 takes path "0"; peer 1 takes path "1".
         g.extend_peer_path(PeerId(0), 0);
         g.extend_peer_path(PeerId(1), 1);
         // Valid ref: peer0 level 1 → peer1.
-        g.routing_mut(PeerId(0))
-            .set_level(1, RefSet::singleton(PeerId(1)));
+        g.routing_mut(PeerId(0)).set_level(1, &[PeerId(1)]);
         assert!(g.check_invariants().is_ok());
         // Same-side ref: peer1 level 1 → peer1-side peer.
         g.extend_peer_path(PeerId(2), 1);
-        g.routing_mut(PeerId(1))
-            .set_level(1, RefSet::singleton(PeerId(2)));
+        g.routing_mut(PeerId(1)).set_level(1, &[PeerId(2)]);
         let err = g.check_invariants().unwrap_err();
         assert!(err.contains("same side"), "{err}");
     }
@@ -699,23 +700,19 @@ pub(crate) mod tests {
 
     #[test]
     fn invariant_checker_catches_self_reference() {
-        use crate::routing::RefSet;
         let mut g = small_grid();
         g.extend_peer_path(PeerId(0), 0);
-        g.routing_mut(PeerId(0))
-            .set_level(1, RefSet::singleton(PeerId(0)));
+        g.routing_mut(PeerId(0)).set_level(1, &[PeerId(0)]);
         let err = g.check_invariants().unwrap_err();
         assert!(err.contains("self-reference"), "{err}");
     }
 
     #[test]
     fn invariant_checker_catches_short_ref_target() {
-        use crate::routing::RefSet;
         let mut g = small_grid();
         g.extend_peer_path(PeerId(0), 0);
         // Peer 3 still has the empty path — it cannot be referenced at level 1.
-        g.routing_mut(PeerId(0))
-            .set_level(1, RefSet::singleton(PeerId(3)));
+        g.routing_mut(PeerId(0)).set_level(1, &[PeerId(3)]);
         let err = g.check_invariants().unwrap_err();
         assert!(err.contains("too short"), "{err}");
     }

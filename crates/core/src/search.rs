@@ -33,10 +33,11 @@ pub struct SearchOutcome {
     pub hops: u32,
 }
 
-/// Where the descent reads routing state from: the live peer structures or
-/// the frozen [`CompactRoutingTable`]. Both answer with the same slices in
-/// the same order (the descent's RNG consumes slice contents), so the
-/// source only decides how many cache lines a hop touches.
+/// Where the descent reads routing state from: the live peers (a hop reads
+/// the peer, then its one routing buffer) or the frozen
+/// [`CompactRoutingTable`]. Both answer with the same slices in the same
+/// order (the descent's RNG consumes slice contents), so the source only
+/// decides how many cache lines a hop touches.
 pub(crate) trait RoutingSource {
     /// The trie path of `peer`.
     fn path(&self, peer: PeerId) -> BitPath;
@@ -314,7 +315,6 @@ impl PGrid {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::routing::RefSet;
     use crate::PGridConfig;
     use pgrid_keys::BitPath;
     use pgrid_net::{AlwaysOnline, EpochOnline, NetStats};
@@ -346,8 +346,8 @@ pub(crate) mod tests {
         let side0 = [PeerId(0), PeerId(1), PeerId(2)];
         let side1 = [PeerId(3), PeerId(4), PeerId(5)];
         for (i, &a) in side0.iter().enumerate() {
-            g.routing_mut(a).set_level(1, RefSet::singleton(side1[i]));
-            g.routing_mut(side1[i]).set_level(1, RefSet::singleton(a));
+            g.routing_mut(a).set_level(1, &[side1[i]]);
+            g.routing_mut(side1[i]).set_level(1, &[a]);
         }
         // Level-2 refs: within each half, point to the other quarter.
         let pairs = [
@@ -497,7 +497,7 @@ pub(crate) mod tests {
         for i in 0..3u32 {
             g.extend_peer_path(PeerId(i), 0);
             g.routing_mut(PeerId(i))
-                .set_level(1, RefSet::singleton(PeerId((i + 1) % 3)));
+                .set_level(1, &[PeerId((i + 1) % 3)]);
         }
         let key = BitPath::from_str_lossy("1");
         let mut owned = owned_ctx();

@@ -12,7 +12,6 @@ use pgrid_net::PeerId;
 use pgrid_store::{DataItem, ItemId, Version};
 use pgrid_trace::json::JsonVal;
 
-use crate::routing::RefSet;
 use crate::{IndexEntry, PGrid, PGridConfig};
 
 /// The complete logical state of one peer.
@@ -117,8 +116,8 @@ impl GridSnapshot {
             }
             for (level0, refs) in snap.refs.iter().enumerate() {
                 // Restore exactly; bounding happened at capture time.
-                let set = RefSet::from_ids(refs.iter().copied().filter(|&r| r != snap.id));
-                grid.routing_mut(snap.id).set_level(level0 + 1, set);
+                let refs: Vec<PeerId> = refs.iter().copied().filter(|&r| r != snap.id).collect();
+                grid.overwrite_peer_refs(snap.id, level0 + 1, &refs);
             }
             let peer = grid.peer_mut(snap.id);
             for (key, entries) in &snap.index {

@@ -4,7 +4,7 @@
 //! corruption writes — the owned table never lags the grid (rule 8 of
 //! `check_invariants`, after every op); a [`CompactRoutingTable`] rebuilt
 //! after any op answers every path lookup, every level slice, and
-//! therefore every `route_step` decision identically to the live `RefSet`
+//! therefore every `route_step` decision identically to the live level
 //! walk; and a snapshot left *stale* never changes batched search results,
 //! because readers fall back to the live structures. Seeded loops: case `c`
 //! draws its scenario from `StdRng::seed_from_u64(c)`.

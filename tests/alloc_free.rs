@@ -153,10 +153,9 @@ fn seeding_an_index_entry_costs_at_most_two_allocations() {
 }
 
 /// Exchange allocation gate (DESIGN §9): 1 000 meetings on the converged
-/// fixture from a fresh context, scratch warm-up included. The one-shot
-/// double mix measured 320 allocation events over 16 087 `exchange` calls
-/// (0.0199 per call); the single union per level lands in the same warm
-/// scratch and may not raise that.
+/// fixture from a fresh context, scratch warm-up included. One buffer per
+/// peer's routing table measures 299 allocation events over 16 087
+/// `exchange` calls (0.0186 per call); a `Vec` per level made 318.
 #[test]
 fn exchange_allocates_at_most_one_event_per_fifty_calls() {
     const SEED: u64 = 42;
@@ -170,7 +169,7 @@ fn exchange_allocates_at_most_one_event_per_fifty_calls() {
     });
     let per_call = allocs as f64 / calls as f64;
     assert!(
-        per_call <= 0.0199,
+        per_call <= 0.0186,
         "{per_call:.4} allocations per exchange call ({allocs} over {calls})"
     );
 }
