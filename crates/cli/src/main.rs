@@ -1,18 +1,23 @@
 //! `pgrid` — command-line runner for the P-Grid experiments.
 //!
 //! ```text
-//! pgrid exp <id> [--small] [--seed S] [--csv] [--json]
+//! pgrid exp <id> [--small] [--seed S] [--csv | --json | --md]
 //! pgrid list
 //! ```
 //!
-//! `<id>` is one of: `t1 t2 t3 t4 t6 f4 f5 search scaling flooding sizing
-//! skew ablation all`. `--small` runs the laptop-fast preset instead of the
-//! paper-scale one; `--csv`/`--json` switch the output format.
+//! `pgrid list` prints every command and every experiment id, read from
+//! the one experiment table in this file (`EXPERIMENTS`). `--small` runs
+//! the laptop-fast preset instead of the paper-scale one; `--csv`, `--json`
+//! and `--md` switch the output format. `pgrid exp all` prints every
+//! reproducible experiment as `results/all_experiments.txt` holds it.
 
+use std::collections::HashMap;
 use std::env;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use pgrid_core::GridSizing;
+use pgrid_net::{AlwaysOnline, BernoulliOnline, OnlineModel};
 use pgrid_sim::experiments::{
     ablation, caching, engine, f4, f5, flooding, latency, mixed, repair, s52_search, s6_scaling,
     selfstab, sizing, skew, store, t1, t2, t3, t4t5, t6, timeline, variance,
@@ -20,14 +25,17 @@ use pgrid_sim::experiments::{
 use pgrid_sim::Table;
 use pgrid_store::BackendKind;
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Default, PartialEq)]
 enum Format {
+    #[default]
     Text,
     Csv,
     Json,
     Markdown,
 }
 
+/// The flags of `pgrid exp`, handed to every experiment's runner.
+#[derive(Default)]
 struct Options {
     small: bool,
     seed: Option<u64>,
@@ -37,19 +45,277 @@ struct Options {
     backend: Option<BackendKind>,
 }
 
+impl Options {
+    fn parse(args: &[String]) -> Result<Options, String> {
+        let mut opts = Options::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--small" => opts.small = true,
+                "--csv" => opts.format = Format::Csv,
+                "--json" => opts.format = Format::Json,
+                "--md" => opts.format = Format::Markdown,
+                "--seed" => {
+                    let s = it.next().ok_or("--seed needs a value")?;
+                    opts.seed = Some(s.parse().map_err(|_| format!("bad seed {s:?}"))?);
+                }
+                "--backend" => {
+                    let b = it.next().ok_or("--backend needs a value")?;
+                    opts.backend = Some(b.parse().map_err(|_| {
+                        format!("bad backend {b:?} (expected memory, hashfile, or log)")
+                    })?);
+                }
+                other => return Err(format!("unknown flag {other:?}")),
+            }
+        }
+        Ok(opts)
+    }
+
+    /// The laptop preset under `--small`, the paper-scale default otherwise.
+    fn preset<C: Default>(&self, small: fn() -> C) -> C {
+        if self.small {
+            small()
+        } else {
+            C::default()
+        }
+    }
+}
+
+/// One `pgrid exp` entry. Every command that names experiments — `exp`,
+/// `list`, `all` and the unknown-id error — reads [`EXPERIMENTS`].
+struct Experiment {
+    id: &'static str,
+    aliases: &'static [&'static str],
+    about: &'static str,
+    /// Its table holds wall-clock rates, so it cannot be byte-compared:
+    /// `exp all` (and so `results/all_experiments.txt`) leaves it out.
+    timed: bool,
+    run: Runner,
+}
+
+type Runner = fn(&Options) -> Result<(), String>;
+
+const fn exp(
+    id: &'static str,
+    aliases: &'static [&'static str],
+    about: &'static str,
+    run: Runner,
+) -> Experiment {
+    Experiment {
+        id,
+        aliases,
+        about,
+        timed: false,
+        run,
+    }
+}
+
+const fn timed(e: Experiment) -> Experiment {
+    Experiment { timed: true, ..e }
+}
+
+/// `$config`'s `--small` or default preset, with any `; field = value`
+/// settings, and `--seed` written to `cfg.<seed path>`.
+macro_rules! config {
+    ($opts:ident, $config:path, $($seed:ident).+ $(; $field:ident = $value:expr)*) => {{
+        let mut cfg = $opts.preset(<$config>::small);
+        $(cfg.$field = $value;)*
+        if let Some(s) = $opts.seed {
+            cfg.$($seed).+ = s;
+        }
+        cfg
+    }};
+}
+
+/// The runner of an experiment module whose `run(&Config)` returns its
+/// table second: its configuration (see `config!`), then the table.
+macro_rules! table {
+    ($exp:ident . $($seed:ident).+ $(; $field:ident = $value:expr)*) => {
+        |opts: &Options| {
+            let cfg = config!(opts, $exp::Config, $($seed).+ $(; $field = $value)*);
+            emit(&$exp::run(&cfg).1, opts.format);
+            Ok(())
+        }
+    };
+}
+
+/// Every experiment, in `exp all` (and `results/all_experiments.txt`) order.
+#[rustfmt::skip]
+const EXPERIMENTS: &[Experiment] = &[
+    exp("t1", &[], "construction cost vs community size", table!(t1.seed)),
+    exp("t2", &[], "construction cost vs maximal path length", table!(t2.seed)),
+    exp("t3", &[], "construction cost vs recursion depth", table!(t3.seed)),
+    // Divergence references keep recursion targets productive: the U-shape flattens.
+    exp("t3-extended", &[], "T3 with divergence references enabled",
+        table!(t3.seed; divergence_refs = true)),
+    exp("t4", &["t5", "t4t5"], "construction cost vs refmax (bounded and unbounded fan-out)",
+        table!(t4t5.seed)),
+    exp("f4", &[], "replica distribution of the big grid", run_f4),
+    exp("search", &["s52"], "search reliability at 30% availability (section 5.2)",
+        table!(s52_search.grid.seed)),
+    exp("f5", &[], "fraction of replicas found vs messages (3 strategies)", table!(f5.grid.seed)),
+    exp("t6", &[], "update/query cost tradeoff", run_t6),
+    exp("scaling", &["s6"], "P-Grid vs central server (section 6)", table!(s6_scaling.seed)),
+    exp("flooding", &[], "P-Grid vs Gnutella flooding", table!(flooding.seed)),
+    exp("sizing", &[], "the section-4 Gnutella sizing example", |opts| {
+        emit(&sizing::run(&GridSizing::gnutella_example()), opts.format);
+        Ok(())
+    }),
+    exp("skew", &[], "index imbalance under skewed keys", table!(skew.seed)),
+    exp("balance", &[], "skew adaptation to the balance fixpoint + flash-crowd replica scaling",
+        run_balance),
+    exp("repair", &[], "failure injection + self-repair of reference tables", table!(repair.seed)),
+    exp("selfstab", &[], "corruption injection + self-stabilization to a clean audit",
+        table!(selfstab.seed)),
+    exp("timeline", &[], "event-driven construction under session churn", table!(timeline.seed)),
+    exp("caching", &[], "client result caching under zipf query traffic", table!(caching.seed)),
+    exp("latency", &[], "end-to-end search latency under delay models", table!(latency.seed)),
+    exp("variance", &[], "T3 replicated over several seeds (mean +/- std)",
+        table!(variance.base.seed)),
+    exp("mixed", &[], "end-to-end mixed read/write workload (break-even, empirical)",
+        table!(mixed.seed)),
+    exp("ablation", &[], "design-knob ablations", table!(ablation.seed)),
+    timed(exp("engine", &[], "engine throughput: serial vs threaded vs compact routing table",
+        table!(engine.seed))),
+    timed(exp("store", &[], "storage backend equivalence + throughput (--backend picks one)",
+        run_store)),
+];
+
+fn run_f4(opts: &Options) -> Result<(), String> {
+    let cfg = config!(opts, f4::Config, seed);
+    let (outcome, table, _) = f4::run(&cfg);
+    emit(&table, opts.format);
+    if opts.format == Format::Text {
+        out(&format!(
+            "exchanges: {} ({:.1} per peer), avg depth {:.2}, mean replicas {:.2} (ideal {:.2}), per-key replicas {:.2}",
+            outcome.exchanges,
+            outcome.exchanges as f64 / cfg.n as f64,
+            outcome.avg_path_len,
+            outcome.mean_replicas,
+            outcome.ideal_replicas,
+            outcome.mean_key_replicas,
+        ));
+    }
+    Ok(())
+}
+
+fn run_t6(opts: &Options) -> Result<(), String> {
+    let cfg = config!(opts, t6::Config, grid.seed);
+    let (rows, table) = t6::run(&cfg);
+    emit(&table, opts.format);
+    if opts.format == Format::Text {
+        if let Some((cheap, expensive, ratio)) = t6::break_even(&rows) {
+            out(&format!(
+                "break-even: repetitive({},{}) insert {:.0}/query {:.1} vs \
+                 non-repetitive({},{}) insert {:.0}/query {:.1} -> the heavy \
+                 configuration needs at least {ratio:.0} queries per update to \
+                 break even (paper: ~160)",
+                cheap.recbreadth,
+                cheap.repetition,
+                cheap.insertion_cost,
+                cheap.query_cost,
+                expensive.recbreadth,
+                expensive.repetition,
+                expensive.insertion_cost,
+                expensive.query_cost,
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn run_balance(opts: &Options) -> Result<(), String> {
+    let cfg = config!(opts, skew::AdaptConfig, seed);
+    let mut fcfg = skew::FlashConfig::default();
+    if let Some(s) = opts.seed {
+        fcfg.seed = s;
+    }
+    let (rows, table) = skew::run_adaptation(&cfg);
+    emit(&table, opts.format);
+    let (flash_rows, flash_table) = skew::run_flash_crowd(&fcfg);
+    emit(&flash_table, opts.format);
+    // Blocking acceptance gates (CI runs this experiment): the balancer
+    // must reach its fixpoint below the 2x target, leave a clean audit,
+    // and stay thread-count invariant.
+    for r in &rows {
+        if !r.converged {
+            return Err(format!("balance did not converge at skew {}", r.skew));
+        }
+        if r.imbalance_after > 2.0 + 1e-9 {
+            return Err(format!(
+                "skew {}: fixpoint imbalance {:.2} above the 2.0 target",
+                r.skew, r.imbalance_after
+            ));
+        }
+        if r.violations_after != 0 {
+            return Err(format!(
+                "skew {}: {} audit violations after balancing",
+                r.skew, r.violations_after
+            ));
+        }
+        if !r.thread_invariant {
+            return Err(format!(
+                "skew {}: probe workload not identical at 1 vs 4 threads",
+                r.skew
+            ));
+        }
+    }
+    let (first, last) = (flash_rows.first(), flash_rows.last());
+    if let (Some(f), Some(l)) = (first, last) {
+        if l.replicas <= f.replicas {
+            return Err(format!(
+                "flash crowd: hot replica group did not grow ({} -> {})",
+                f.replicas, l.replicas
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn run_store(opts: &Options) -> Result<(), String> {
+    let mut cfg = config!(opts, store::Config, seed);
+    if let Some(kind) = opts.backend {
+        cfg.backends = vec![kind];
+    }
+    emit(&store::run(&cfg).1, opts.format);
+    Ok(())
+}
+
+/// The entry `id` names, by its id or an alias.
+fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|e| e.id == id || e.aliases.contains(&id))
+}
+
+fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
+    if id == "all" {
+        for e in EXPERIMENTS.iter().filter(|e| !e.timed) {
+            out(&format!("== {} ==", e.id));
+            (e.run)(opts)?;
+            out("");
+        }
+        return Ok(());
+    }
+    let e = experiment(id).ok_or_else(|| format!("unknown experiment {id:?}"))?;
+    (e.run)(opts)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "\
+fn usage() -> String {
+    let mut text = String::from(
+        "\
 usage:
   pgrid exp <id> [--small] [--seed S] [--backend memory|hashfile|log]
                  [--csv | --json | --md]
@@ -63,114 +329,96 @@ usage:
   pgrid list
 
 experiments:
-  t1        construction cost vs community size
-  t2        construction cost vs maximal path length
-  t3        construction cost vs recursion depth
-  t4        construction cost vs refmax (bounded and unbounded fan-out)
-  f4        replica distribution of the big grid
-  search    search reliability at 30% availability (section 5.2)
-  f5        fraction of replicas found vs messages (3 strategies)
-  t6        update/query cost tradeoff
-  scaling   P-Grid vs central server (section 6)
-  flooding  P-Grid vs Gnutella flooding
-  sizing    the section-4 Gnutella sizing example
-  skew      index imbalance under skewed keys
-  balance   skew adaptation to the balance fixpoint + flash-crowd replica scaling
-  repair    failure injection + self-repair of reference tables
-  selfstab  corruption injection + self-stabilization to a clean audit
-  timeline  event-driven construction under session churn
-  caching   client result caching under zipf query traffic
-  latency   end-to-end search latency under delay models
-  variance  T3 replicated over several seeds (mean +/- std)
-  mixed     end-to-end mixed read/write workload (break-even, empirical)
-  ablation  design-knob ablations
-  engine    engine throughput: serial vs threaded vs compact routing table
-  store     storage backend equivalence + throughput (--backend picks one)
-  all       every experiment in sequence (--small for the laptop presets)";
+",
+    );
+    for e in EXPERIMENTS {
+        text.push_str(&format!("  {:<9} {}\n", e.id, e.about));
+    }
+    text.push_str(
+        "  all       the untimed experiments above, as results/all_experiments.txt holds them",
+    );
+    text
+}
 
 fn run(args: &[String]) -> Result<(), String> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("list") => {
-            out(USAGE);
+    let (command, rest) = args.split_first().ok_or("missing command")?;
+    match command.as_str() {
+        "list" => {
+            out(&usage());
             Ok(())
         }
-        Some("grid") => grid_command(&mut it),
-        Some("trace") => trace_command(&mut it),
-        Some("exp") => {
-            let id = it.next().ok_or("missing experiment id")?.clone();
-            let mut opts = Options {
-                small: false,
-                seed: None,
-                format: Format::Text,
-                backend: None,
-            };
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--small" => opts.small = true,
-                    "--csv" => opts.format = Format::Csv,
-                    "--json" => opts.format = Format::Json,
-                    "--md" => opts.format = Format::Markdown,
-                    "--seed" => {
-                        let s = it.next().ok_or("--seed needs a value")?;
-                        opts.seed = Some(s.parse().map_err(|_| format!("bad seed {s:?}"))?);
-                    }
-                    "--backend" => {
-                        let b = it.next().ok_or("--backend needs a value")?;
-                        opts.backend = Some(b.parse().map_err(|_| {
-                            format!("bad backend {b:?} (expected memory, hashfile, or log)")
-                        })?);
-                    }
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            run_experiment(&id, &opts)
+        "grid" => grid_command(rest),
+        "trace" => trace_command(rest),
+        "exp" => {
+            let (id, flags) = rest.split_first().ok_or("missing experiment id")?;
+            run_experiment(id, &Options::parse(flags)?)
         }
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => Err("missing command".into()),
+        other => Err(format!("unknown command {other:?}")),
     }
 }
 
-fn grid_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
+/// The `--name value` flags of `grid` and `trace`.
+struct Flags(HashMap<String, String>);
+
+impl Flags {
+    fn parse(args: &[String]) -> Result<Flags, String> {
+        let mut flags = HashMap::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let name = flag
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected a flag, got {flag:?}"))?;
+            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            flags.insert(name.to_string(), value.clone());
+        }
+        Ok(Flags(flags))
+    }
+
+    /// `--name` parsed, or `default` when it is absent.
+    fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.0.get(name).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("bad --{name} {v:?}"))
+        })
+    }
+
+    /// `--name`, which `sub` cannot run without.
+    fn required(&self, sub: &str, name: &str, what: &str) -> Result<&str, String> {
+        self.0
+            .get(name)
+            .map(String::as_str)
+            .ok_or_else(|| format!("{sub} needs --{name} {what}"))
+    }
+
+    /// The availability model `--p-online` names: every peer online at the
+    /// default 1.0, independent Bernoulli draws below it.
+    fn online(&self) -> Result<Box<dyn OnlineModel>, String> {
+        let p: f64 = self.get("p-online", 1.0)?;
+        Ok(if (p - 1.0).abs() < f64::EPSILON {
+            Box::new(AlwaysOnline)
+        } else {
+            Box::new(BernoulliOnline::new(p))
+        })
+    }
+}
+
+fn grid_command(args: &[String]) -> Result<(), String> {
     use pgrid_core::{BuildOptions, Ctx, GridSnapshot, PGrid, PGridConfig};
-    use pgrid_net::{AlwaysOnline, BernoulliOnline, NetStats};
+    use pgrid_net::NetStats;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    let sub = it
-        .next()
+    let (sub, rest) = args
+        .split_first()
         .ok_or("grid needs a subcommand (build|info|query)")?;
-    let mut flags = std::collections::HashMap::new();
-    let mut key_iter = it.clone();
-    while let Some(flag) = key_iter.next() {
-        let name = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a flag, got {flag:?}"))?;
-        let value = key_iter
-            .next()
-            .ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    let get_usize = |name: &str, default: usize| -> Result<usize, String> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("bad --{name} {v:?}")))
-            .unwrap_or(Ok(default))
-    };
-    let get_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("bad --{name} {v:?}")))
-            .unwrap_or(Ok(default))
-    };
+    let flags = Flags::parse(rest)?;
 
     match sub.as_str() {
         "build" => {
-            let n = get_usize("n", 1000)?;
-            let maxl = get_usize("maxl", 6)?;
-            let refmax = get_usize("refmax", 4)?;
-            let seed = get_u64("seed", 42)?;
-            let out_path = flags.get("out").ok_or("build needs --out FILE")?;
+            let n = flags.get("n", 1000)?;
+            let maxl = flags.get("maxl", 6)?;
+            let refmax = flags.get("refmax", 4)?;
+            let seed = flags.get("seed", 42)?;
+            let out_path = flags.required(sub, "out", "FILE")?;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut online = AlwaysOnline;
             let mut stats = NetStats::new();
@@ -193,7 +441,7 @@ fn grid_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
             Ok(())
         }
         "info" => {
-            let path = flags.get("grid").ok_or("info needs --grid FILE")?;
+            let path = flags.required(sub, "grid", "FILE")?;
             let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
             let snapshot = GridSnapshot::from_json(&json)?;
             let grid = snapshot.restore()?;
@@ -214,32 +462,20 @@ fn grid_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
             Ok(())
         }
         "query" => {
-            let path = flags.get("grid").ok_or("query needs --grid FILE")?;
+            let path = flags.required(sub, "grid", "FILE")?;
             let key: pgrid_keys::BitPath = flags
-                .get("key")
-                .ok_or("query needs --key BITS")?
+                .required(sub, "key", "BITS")?
                 .parse()
                 .map_err(|e| format!("bad key: {e}"))?;
-            let seed = get_u64("seed", 7)?;
-            let p: f64 = flags
-                .get("p-online")
-                .map(|v| v.parse().map_err(|_| format!("bad --p-online {v:?}")))
-                .unwrap_or(Ok(1.0))?;
+            let seed = flags.get("seed", 7)?;
+            let mut online = flags.online()?;
             let json = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
             let grid = GridSnapshot::from_json(&json)?.restore()?;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut stats = NetStats::new();
-            let outcome = if (p - 1.0).abs() < f64::EPSILON {
-                let mut online = AlwaysOnline;
-                let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-                let start = grid.random_peer(&mut ctx);
-                grid.search_entries(start, &key, &mut ctx)
-            } else {
-                let mut online = BernoulliOnline::new(p);
-                let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-                let start = grid.random_peer(&mut ctx);
-                grid.search_entries(start, &key, &mut ctx)
-            };
+            let mut ctx = Ctx::new(&mut rng, &mut *online, &mut stats);
+            let start = grid.random_peer(&mut ctx);
+            let outcome = grid.search_entries(start, &key, &mut ctx);
             match outcome.0.responsible {
                 Some(peer) => out(&format!(
                     "{key} -> {peer} (path {}) in {} messages; {} index entries",
@@ -262,42 +498,18 @@ fn grid_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
 /// cross-checking its replay against the live `NetStats`; `replay` turns a
 /// trace file back into per-phase tallies and query hop chains; `diff`
 /// pinpoints the first divergent event between two traces.
-fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
+fn trace_command(args: &[String]) -> Result<(), String> {
     use pgrid_core::{BuildOptions, Ctx, PGrid, PGridConfig};
-    use pgrid_net::{AlwaysOnline, BernoulliOnline, MsgKind, NetStats};
+    use pgrid_net::{MsgKind, NetStats};
     use pgrid_sim::{run_query_plan_traced, QueryPlan};
     use pgrid_trace::{encode_line, first_divergence, merge_shards, summarize, MsgTag, RingTracer};
 
-    let sub = it
-        .next()
+    let (sub, rest) = args
+        .split_first()
         .ok_or("trace needs a subcommand (record|replay|diff)")?;
-    let mut flags = std::collections::HashMap::new();
-    let mut key_iter = it.clone();
-    while let Some(flag) = key_iter.next() {
-        let name = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected a flag, got {flag:?}"))?;
-        let value = key_iter
-            .next()
-            .ok_or_else(|| format!("--{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
-    }
-    let get_usize = |name: &str, default: usize| -> Result<usize, String> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("bad --{name} {v:?}")))
-            .unwrap_or(Ok(default))
-    };
-    let get_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        flags
-            .get(name)
-            .map(|v| v.parse().map_err(|_| format!("bad --{name} {v:?}")))
-            .unwrap_or(Ok(default))
-    };
+    let flags = Flags::parse(rest)?;
     let read_lines = |name: &str| -> Result<Vec<String>, String> {
-        let path = flags
-            .get(name)
-            .ok_or_else(|| format!("{sub} needs --{name} FILE"))?;
+        let path = flags.required(sub, name, "FILE")?;
         Ok(std::fs::read_to_string(path)
             .map_err(|e| format!("{path}: {e}"))?
             .lines()
@@ -307,17 +519,14 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
 
     match sub.as_str() {
         "record" => {
-            let n = get_usize("n", 256)?;
-            let maxl = get_usize("maxl", 5)?;
-            let queries = get_usize("queries", 200)?;
-            let shards = get_u64("shards", 4)?;
-            let threads = get_usize("threads", 1)?;
-            let seed = get_u64("seed", 42)?;
-            let p: f64 = flags
-                .get("p-online")
-                .map(|v| v.parse().map_err(|_| format!("bad --p-online {v:?}")))
-                .unwrap_or(Ok(1.0))?;
-            let out_path = flags.get("out").ok_or("record needs --out FILE")?;
+            let n = flags.get("n", 256)?;
+            let maxl: usize = flags.get("maxl", 5)?;
+            let queries = flags.get("queries", 200)?;
+            let shards = flags.get("shards", 4)?;
+            let threads = flags.get("threads", 1)?;
+            let seed = flags.get("seed", 42)?;
+            let online = flags.online()?;
+            let out_path = flags.required(sub, "out", "FILE")?;
 
             // Phase 1: construction, under a recorder big enough to never
             // drop (a drop would fail the reconciliation below).
@@ -340,12 +549,8 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
                 key_len: maxl as u8,
                 shards,
             };
-            let (outcome, query_events) = if (p - 1.0).abs() < f64::EPSILON {
-                run_query_plan_traced(&grid, &plan, seed, &AlwaysOnline, threads, 1 << 20)
-            } else {
-                let online = BernoulliOnline::new(p);
-                run_query_plan_traced(&grid, &plan, seed, &online, threads, 1 << 20)
-            };
+            let (outcome, query_events) =
+                run_query_plan_traced(&grid, &plan, seed, &*online, threads, 1 << 20);
 
             let events = merge_shards(vec![build_events, query_events]);
             let lines: Vec<String> = events.iter().map(encode_line).collect();
@@ -358,15 +563,8 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
             let mut total = NetStats::new();
             total.merge(&owned.stats);
             total.merge(&outcome.stats);
-            for kind in [
-                MsgKind::Exchange,
-                MsgKind::Query,
-                MsgKind::Update,
-                MsgKind::Flood,
-                MsgKind::Control,
-            ] {
-                let tag: MsgTag = kind.into();
-                let counted = total.count(kind);
+            for tag in MsgTag::ALL {
+                let counted = total.count(tag.into());
                 let traced = summary.count(tag);
                 if counted != traced {
                     return Err(format!(
@@ -389,17 +587,10 @@ fn trace_command(it: &mut std::slice::Iter<'_, String>) -> Result<(), String> {
         }
         "replay" => {
             let lines = read_lines("in")?;
-            let chains = get_usize("chains", 5)?;
+            let chains = flags.get("chains", 5)?;
             let summary = summarize(&lines)?;
-            out(&format!(
-                "{} events: exchange {}, query {}, update {}, flood {}, control {}",
-                summary.events,
-                summary.count(MsgTag::Exchange),
-                summary.count(MsgTag::Query),
-                summary.count(MsgTag::Update),
-                summary.count(MsgTag::Flood),
-                summary.count(MsgTag::Control),
-            ));
+            let counts = MsgTag::ALL.map(|tag| format!("{} {}", tag.name(), summary.count(tag)));
+            out(&format!("{} events: {}", summary.events, counts.join(", ")));
             if !summary.exchange_cases.is_empty() {
                 let cases: Vec<String> = summary
                     .exchange_cases
@@ -476,356 +667,6 @@ fn emit(table: &Table, format: Format) {
     }
 }
 
-fn run_experiment(id: &str, opts: &Options) -> Result<(), String> {
-    let small = opts.small;
-    match id {
-        "t1" => {
-            let mut cfg = if small {
-                t1::Config::small()
-            } else {
-                t1::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&t1::run(&cfg).1, opts.format);
-        }
-        "t2" => {
-            let mut cfg = if small {
-                t2::Config::small()
-            } else {
-                t2::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&t2::run(&cfg).1, opts.format);
-        }
-        "t3" => {
-            let mut cfg = if small {
-                t3::Config::small()
-            } else {
-                t3::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&t3::run(&cfg).1, opts.format);
-        }
-        "t3-extended" => {
-            // The variant with divergence references enabled: the U-shape
-            // flattens because recursion targets stay productive.
-            let mut cfg = if small {
-                t3::Config::small()
-            } else {
-                t3::Config::default()
-            };
-            cfg.divergence_refs = true;
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&t3::run(&cfg).1, opts.format);
-        }
-        "t4" | "t5" | "t4t5" => {
-            let mut cfg = if small {
-                t4t5::Config::small()
-            } else {
-                t4t5::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&t4t5::run(&cfg).1, opts.format);
-        }
-        "f4" => {
-            let mut cfg = if small {
-                f4::Config::small()
-            } else {
-                f4::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            let (outcome, table, _) = f4::run(&cfg);
-            emit(&table, opts.format);
-            if opts.format == Format::Text {
-                out(&format!(
-                    "exchanges: {} ({:.1} per peer), avg depth {:.2}, mean replicas {:.2} (ideal {:.2}), per-key replicas {:.2}",
-                    outcome.exchanges,
-                    outcome.exchanges as f64 / cfg.n as f64,
-                    outcome.avg_path_len,
-                    outcome.mean_replicas,
-                    outcome.ideal_replicas,
-                    outcome.mean_key_replicas,
-                ));
-            }
-        }
-        "search" | "s52" => {
-            let mut cfg = if small {
-                s52_search::Config::small()
-            } else {
-                s52_search::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.grid.seed = s;
-            }
-            emit(&s52_search::run(&cfg).1, opts.format);
-        }
-        "f5" => {
-            let mut cfg = if small {
-                f5::Config::small()
-            } else {
-                f5::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.grid.seed = s;
-            }
-            emit(&f5::run(&cfg).1, opts.format);
-        }
-        "t6" => {
-            let mut cfg = if small {
-                t6::Config::small()
-            } else {
-                t6::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.grid.seed = s;
-            }
-            let (rows, table) = t6::run(&cfg);
-            emit(&table, opts.format);
-            if opts.format == Format::Text {
-                if let Some((cheap, expensive, ratio)) = t6::break_even(&rows) {
-                    out(&format!(
-                        "break-even: repetitive({},{}) insert {:.0}/query {:.1} vs \
-                         non-repetitive({},{}) insert {:.0}/query {:.1} -> the heavy \
-                         configuration needs at least {ratio:.0} queries per update to \
-                         break even (paper: ~160)",
-                        cheap.recbreadth,
-                        cheap.repetition,
-                        cheap.insertion_cost,
-                        cheap.query_cost,
-                        expensive.recbreadth,
-                        expensive.repetition,
-                        expensive.insertion_cost,
-                        expensive.query_cost,
-                    ));
-                }
-            }
-        }
-        "scaling" | "s6" => {
-            let mut cfg = if small {
-                s6_scaling::Config::small()
-            } else {
-                s6_scaling::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&s6_scaling::run(&cfg).1, opts.format);
-        }
-        "flooding" => {
-            let mut cfg = if small {
-                flooding::Config::small()
-            } else {
-                flooding::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&flooding::run(&cfg).1, opts.format);
-        }
-        "sizing" => {
-            emit(&sizing::run(&GridSizing::gnutella_example()), opts.format);
-        }
-        "skew" => {
-            let mut cfg = if small {
-                skew::Config::small()
-            } else {
-                skew::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&skew::run(&cfg).1, opts.format);
-        }
-        "balance" => {
-            let mut cfg = if small {
-                skew::AdaptConfig::small()
-            } else {
-                skew::AdaptConfig::default()
-            };
-            let mut fcfg = skew::FlashConfig::default();
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-                fcfg.seed = s;
-            }
-            let (rows, table) = skew::run_adaptation(&cfg);
-            emit(&table, opts.format);
-            let (flash_rows, flash_table) = skew::run_flash_crowd(&fcfg);
-            emit(&flash_table, opts.format);
-            // Blocking acceptance gates (CI runs this experiment): the
-            // balancer must reach its fixpoint below the 2x target, leave
-            // a clean audit, and stay thread-count invariant.
-            for r in &rows {
-                if !r.converged {
-                    return Err(format!("balance did not converge at skew {}", r.skew));
-                }
-                if r.imbalance_after > 2.0 + 1e-9 {
-                    return Err(format!(
-                        "skew {}: fixpoint imbalance {:.2} above the 2.0 target",
-                        r.skew, r.imbalance_after
-                    ));
-                }
-                if r.violations_after != 0 {
-                    return Err(format!(
-                        "skew {}: {} audit violations after balancing",
-                        r.skew, r.violations_after
-                    ));
-                }
-                if !r.thread_invariant {
-                    return Err(format!(
-                        "skew {}: probe workload not identical at 1 vs 4 threads",
-                        r.skew
-                    ));
-                }
-            }
-            let (first, last) = (flash_rows.first(), flash_rows.last());
-            if let (Some(f), Some(l)) = (first, last) {
-                if l.replicas <= f.replicas {
-                    return Err(format!(
-                        "flash crowd: hot replica group did not grow ({} -> {})",
-                        f.replicas, l.replicas
-                    ));
-                }
-            }
-        }
-        "repair" => {
-            let mut cfg = if small {
-                repair::Config::small()
-            } else {
-                repair::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&repair::run(&cfg).1, opts.format);
-        }
-        "selfstab" => {
-            let mut cfg = if small {
-                selfstab::Config::small()
-            } else {
-                selfstab::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&selfstab::run(&cfg).1, opts.format);
-        }
-        "timeline" => {
-            let mut cfg = if small {
-                timeline::Config::small()
-            } else {
-                timeline::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&timeline::run(&cfg).1, opts.format);
-        }
-        "caching" => {
-            let mut cfg = if small {
-                caching::Config::small()
-            } else {
-                caching::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&caching::run(&cfg).1, opts.format);
-        }
-        "latency" => {
-            let mut cfg = if small {
-                latency::Config::small()
-            } else {
-                latency::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&latency::run(&cfg).1, opts.format);
-        }
-        "mixed" => {
-            let mut cfg = if small {
-                mixed::Config::small()
-            } else {
-                mixed::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&mixed::run(&cfg).1, opts.format);
-        }
-        "variance" => {
-            let mut cfg = if small {
-                variance::Config::small()
-            } else {
-                variance::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.base.seed = s;
-            }
-            emit(&variance::run(&cfg).1, opts.format);
-        }
-        "ablation" => {
-            let mut cfg = if small {
-                ablation::Config::small()
-            } else {
-                ablation::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&ablation::run(&cfg).1, opts.format);
-        }
-        "engine" => {
-            let mut cfg = if small {
-                engine::Config::small()
-            } else {
-                engine::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            emit(&engine::run(&cfg).1, opts.format);
-        }
-        "store" => {
-            let mut cfg = if small {
-                store::Config::small()
-            } else {
-                store::Config::default()
-            };
-            if let Some(s) = opts.seed {
-                cfg.seed = s;
-            }
-            if let Some(kind) = opts.backend {
-                cfg.backends = vec![kind];
-            }
-            emit(&store::run(&cfg).1, opts.format);
-        }
-        "all" => {
-            for id in [
-                "t1", "t2", "t3", "t4", "f4", "search", "f5", "t6", "scaling", "flooding",
-                "sizing", "skew", "balance", "repair", "selfstab", "timeline", "caching",
-                "latency", "variance", "mixed", "ablation",
-            ] {
-                run_experiment(id, opts)?;
-            }
-        }
-        other => return Err(format!("unknown experiment {other:?}")),
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,6 +685,30 @@ mod tests {
         assert!(run(&args(&["exp", "sizing", "--seed", "abc"])).is_err());
         assert!(run(&args(&["exp", "store", "--backend"])).is_err());
         assert!(run(&args(&["exp", "store", "--backend", "flash"])).is_err());
+    }
+
+    #[test]
+    fn experiment_registry_is_consistent() {
+        let mut names = std::collections::HashSet::new();
+        for e in EXPERIMENTS {
+            for name in std::iter::once(&e.id).chain(e.aliases) {
+                assert!(names.insert(*name), "{name} is declared twice");
+                assert_eq!(experiment(name).map(|found| found.id), Some(e.id));
+            }
+            assert!(
+                usage().contains(&format!("\n  {:<9} {}\n", e.id, e.about)),
+                "pgrid list misses {}",
+                e.id
+            );
+        }
+        assert!(!names.contains("all"), "`all` is reserved");
+        assert!(experiment("t7").is_none());
+        assert_eq!(
+            run(&args(&["exp", "t7"])),
+            Err("unknown experiment \"t7\"".to_string())
+        );
+        // Drives every untimed entry through the CLI.
+        assert!(run(&args(&["exp", "all", "--small"])).is_ok());
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod transport;
 pub use cluster::{Cluster, ClusterConfig, Community, TcpCluster};
 pub use fault::FaultPlan;
 pub use node::reseed_from_journal;
-pub use state::{NodeState, OfferOutcome, RouteDecision, DEFAULT_SUSPECT_AFTER};
+pub use state::NodeState;
 pub use tcp::{TcpTransport, TcpTransportConfig};
 pub use transport::{
     Frame, LocalTransport, RegisterError, SendStatus, Transport, DEFAULT_MAILBOX_DEPTH,

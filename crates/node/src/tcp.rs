@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use bytes::{Bytes, BytesMut};
 use pgrid_net::{NetStats, PeerId};
 use pgrid_store::AnyBackend;
-use pgrid_trace::{NullTracer, TraceEvent, Tracer};
+use pgrid_trace::Tracer;
 use pgrid_wire::{decode_frame, Message};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -250,21 +250,9 @@ struct TcpInner {
     handles: Mutex<Vec<JoinHandle<()>>>,
     stop: AtomicBool,
     next_worker: AtomicUsize,
-    trace_on: AtomicBool,
-    tracer: Mutex<Box<dyn Tracer>>,
 }
 
 impl TcpInner {
-    #[inline]
-    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
-        if self.trace_on.load(Ordering::Relaxed) {
-            let mut guard = lock(&self.tracer);
-            if guard.enabled() {
-                guard.record(event());
-            }
-        }
-    }
-
     fn wake(&self, worker: usize) {
         if let Some(h) = self.workers.get(worker) {
             h.wake();
@@ -292,19 +280,13 @@ impl TcpInner {
 
     /// Declares an outbound connection dead: queue failed, socket closed,
     /// revivable only after the cooloff. Counted once in `conn_lost`.
-    fn kill_conn(&self, conn: &Conn, st: &mut ConnState, now: Instant) {
-        let queued = st.wq.len() as u64;
+    fn kill_conn(&self, st: &mut ConnState, now: Instant) {
         self.fail_queue(st);
         st.sock = None;
         st.phase = Phase::Dead;
         st.attempt = 0;
         st.next_try = now + RECONNECT_COOLOFF;
         self.counters.conn_lost.fetch_add(1, Ordering::Relaxed);
-        self.trace(|| TraceEvent::ConnLost {
-            local: u64::from(conn.from.0),
-            remote: u64::from(conn.to.0),
-            queued,
-        });
     }
 
     /// Queues `bytes` on the `(from, to)` connection (creating it if
@@ -380,10 +362,6 @@ impl TcpInner {
             let depth = self.config.write_queue_depth;
             if !control && st.wq.len() >= depth {
                 self.counters.writes_shed.fetch_add(1, Ordering::Relaxed);
-                self.trace(|| TraceEvent::WriteShed {
-                    from: u64::from(from.0),
-                    to: u64::from(to.0),
-                });
                 SendStatus::Rejected
             } else {
                 st.wq.push_back(bytes);
@@ -482,8 +460,6 @@ impl TcpTransport {
             handles: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             next_worker: AtomicUsize::new(0),
-            trace_on: AtomicBool::new(false),
-            tracer: Mutex::new(Box::new(NullTracer)),
         });
         let mut joins = Vec::with_capacity(workers);
         for (idx, rx) in rxs.into_iter().enumerate() {
@@ -538,14 +514,6 @@ impl TcpTransport {
     /// trait in scope).
     pub fn delivered(&self) -> u64 {
         self.inner.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Attaches a flight recorder to the transport's connection-lifecycle
-    /// events (`ConnEstablished`/`ConnLost`/`WriteShed`/`PartialFrame`).
-    pub fn set_tracer(&self, tracer: Box<dyn Tracer>) {
-        let on = tracer.enabled();
-        *lock(&self.inner.tracer) = tracer;
-        self.inner.trace_on.store(on, Ordering::Relaxed);
     }
 
     /// Registers a locally hosted endpoint on the next worker, round-robin
@@ -895,11 +863,6 @@ impl Worker {
             .counters
             .conn_established
             .fetch_add(1, Ordering::Relaxed);
-        self.inner.trace(|| TraceEvent::ConnEstablished {
-            local: u64::from(local.0),
-            remote: u64::from(remote.0),
-            inbound: true,
-        });
         let conn = InConn {
             sock: p.sock,
             remote,
@@ -952,7 +915,7 @@ impl Worker {
                 }
                 let addr = read(&inner.registry).get(&conn.to).copied();
                 let Some(addr) = addr else {
-                    inner.kill_conn(conn, &mut st, now);
+                    inner.kill_conn(&mut st, now);
                     return true;
                 };
                 match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
@@ -967,17 +930,12 @@ impl Worker {
                             .counters
                             .conn_established
                             .fetch_add(1, Ordering::Relaxed);
-                        inner.trace(|| TraceEvent::ConnEstablished {
-                            local: u64::from(conn.from.0),
-                            remote: u64::from(conn.to.0),
-                            inbound: false,
-                        });
                         progress = true;
                     }
                     Err(_) => {
                         st.attempt += 1;
                         if st.attempt >= CONNECT_RETRY.max_attempts {
-                            inner.kill_conn(conn, &mut st, now);
+                            inner.kill_conn(&mut st, now);
                         } else {
                             let backoff = CONNECT_RETRY.backoff(st.attempt, &mut st.rng);
                             st.next_try = now + backoff;
@@ -999,7 +957,7 @@ impl Worker {
                 st.head_off = 0;
                 st.attempt += 1;
                 if st.attempt >= CONNECT_RETRY.max_attempts {
-                    inner.kill_conn(conn, &mut st, now);
+                    inner.kill_conn(&mut st, now);
                 } else {
                     let backoff = CONNECT_RETRY.backoff(st.attempt, &mut st.rng);
                     st.next_try = now + backoff;
@@ -1058,11 +1016,6 @@ impl Worker {
                     Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
                         inner.counters.conn_lost.fetch_add(1, Ordering::Relaxed);
-                        inner.trace(|| TraceEvent::ConnLost {
-                            local: u64::from(conn.local.0),
-                            remote: u64::from(conn.remote.0),
-                            queued: 0,
-                        });
                         dead = true;
                         break;
                     }
@@ -1099,11 +1052,6 @@ impl Worker {
                                     .counters
                                     .partial_frames
                                     .fetch_add(1, Ordering::Relaxed);
-                                inner.trace(|| TraceEvent::PartialFrame {
-                                    local: u64::from(conn.local.0),
-                                    remote: u64::from(conn.remote.0),
-                                    buffered: conn.acc.len() as u64,
-                                });
                             }
                             break;
                         }
@@ -1179,6 +1127,7 @@ fn flush_conn(inner: &TcpInner, st: &mut ConnState) -> (bool, bool) {
 mod tests {
     use super::*;
     use crate::FaultPlan;
+    use pgrid_trace::NullTracer;
     use pgrid_wire::encode_frame;
 
     fn transport() -> TcpTransport {

@@ -257,13 +257,20 @@ impl Inner {
     /// Puts a frame into `to`'s mailbox; `control` frames ignore the bound.
     fn push(&self, from: PeerId, to: PeerId, bytes: Bytes, control: bool) -> SendStatus {
         let guard = read(&self.mailboxes);
-        let sent = match guard.get(&to) {
-            None => return SendStatus::NoRoute,
-            Some(Mailbox::Frames(tx)) if control => tx
+        let Some(mailbox) = guard.get(&to) else {
+            return SendStatus::NoRoute;
+        };
+        // Counted before the hand-off, so a receiver that sees the frame
+        // also sees it counted: the channel's send and receive order this
+        // relaxed increment before the receiver's load. A refused hand-off
+        // takes the count back.
+        self.delivered.fetch_add(1, Ordering::Relaxed);
+        let sent = match mailbox {
+            Mailbox::Frames(tx) if control => tx
                 .send(Frame { from, bytes })
                 .map_err(|e| TrySendError::Disconnected(e.0)),
-            Some(Mailbox::Frames(tx)) => tx.try_send(Frame { from, bytes }),
-            Some(Mailbox::Client(tx)) => {
+            Mailbox::Frames(tx) => tx.try_send(Frame { from, bytes }),
+            Mailbox::Client(tx) => {
                 let mut buf = BytesMut::from(&bytes[..]);
                 match decode_frame(&mut buf) {
                     Ok(Some(msg)) => {
@@ -277,17 +284,17 @@ impl Inner {
                 Ok(())
             }
         };
-        match sent {
-            Ok(()) => {
-                self.delivered.fetch_add(1, Ordering::Relaxed);
-                SendStatus::Delivered
-            }
-            Err(TrySendError::Full(_)) => {
+        let Err(refused) = sent else {
+            return SendStatus::Delivered;
+        };
+        self.delivered.fetch_sub(1, Ordering::Relaxed);
+        match refused {
+            TrySendError::Full(_) => {
                 let rejected = &self.pump.gate.counters.rejected;
                 rejected.fetch_add(1, Ordering::Relaxed);
                 SendStatus::Rejected
             }
-            Err(TrySendError::Disconnected(_)) => SendStatus::NoRoute,
+            TrySendError::Disconnected(_) => SendStatus::NoRoute,
         }
     }
 

@@ -20,14 +20,14 @@ pub enum TimerToken {
     /// may ignore this: anti-entropy also runs at the head of every
     /// [`crate::ProtocolPeer::handle`] call.
     AntiEntropy,
-    /// Run one local self-stabilization pass
-    /// ([`crate::ProtocolPeer::stabilize`]): audit own state, correct what
-    /// is locally correctable. A strict no-op — zero effects, zero RNG
-    /// draws — when the state is already valid, so drivers may fire it on
-    /// any cadence without perturbing a deterministic run.
+    /// Run one local self-stabilization pass when
+    /// [`crate::ProtocolPeer::handle`] receives it: audit own state,
+    /// correct what is locally correctable. A strict no-op — zero effects,
+    /// zero RNG draws — when the state is already valid, so drivers may
+    /// fire it on any cadence without perturbing a deterministic run.
     Stabilize,
-    /// Run one local load-balancing pass
-    /// ([`crate::ProtocolPeer::balance`]): if the hosted index has
+    /// Run one local load-balancing pass when
+    /// [`crate::ProtocolPeer::handle`] receives it: if the hosted index has
     /// outgrown the configured hot threshold, specialize one bit toward
     /// the heavier child and re-home what the longer path no longer
     /// covers. A strict no-op — zero effects, zero RNG draws — below the

@@ -35,7 +35,7 @@ pub use event::{Effect, Event, TimerToken};
 pub use fig2::{route_step, RouteStep};
 pub use fig3::{classify, split_bits, ExchangeCase, SplitBitPolicy};
 pub use peer::{
-    OfferOutcome, ProtoCtx, ProtocolPeer, RouteDecision, ANSWER_CACHE_CAP, DEFAULT_RECMAX,
-    DEFAULT_SUSPECT_AFTER, SEEN_CAP,
+    ProtoCtx, ProtocolPeer, RouteDecision, ANSWER_CACHE_CAP, DEFAULT_RECMAX, DEFAULT_SUSPECT_AFTER,
+    SEEN_CAP,
 };
 pub use sim::SimNet;

@@ -52,7 +52,7 @@ impl ProtoCtx<'_> {
 /// What the responder tells the initiator, plus what the responder itself
 /// should do next.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OfferOutcome {
+struct OfferOutcome {
     /// Bit the initiator must append (Case 1/2).
     pub take_bit: Option<u8>,
     /// Levels the initiator must union into its table.
@@ -107,9 +107,9 @@ struct PendingExchange {
 }
 
 /// The protocol state machine of one peer. Fields are public because test
-/// harnesses and cluster drivers snapshot and pre-seed them; all *protocol
-/// transitions* go through [`ProtocolPeer::handle`] (or the finer-grained
-/// public methods it is built from).
+/// harnesses and cluster drivers snapshot and pre-seed them; every
+/// *protocol transition* goes through [`ProtocolPeer::handle`], the one
+/// entry point. The other public methods only read state or seed it.
 #[derive(Clone, Debug)]
 pub struct ProtocolPeer {
     /// This peer's id.
@@ -138,9 +138,10 @@ pub struct ProtocolPeer {
     pub failures: HashMap<PeerId, u32>,
     /// Failure count at which a peer is evicted from the routing table.
     pub suspect_after: u32,
-    /// Hosted-key count above which [`ProtocolPeer::balance`] specializes
-    /// one bit deeper. `usize::MAX` (the default) disables local
-    /// balancing, so existing drivers are unaffected until they opt in.
+    /// Hosted-key count above which a balancing pass
+    /// ([`TimerToken::Balance`]) specializes one bit deeper. `usize::MAX`
+    /// (the default) disables local balancing, so existing drivers are
+    /// unaffected until they opt in.
     pub balance_hot_threshold: usize,
     /// Correlation-id / hop-sequence counter (see
     /// [`ProtocolPeer::seed_sequence`]).
@@ -663,7 +664,7 @@ impl ProtocolPeer {
     /// draws, no trace events — which is what lets drivers fire
     /// [`TimerToken::Stabilize`] on any cadence without perturbing a
     /// deterministic run.
-    pub fn stabilize(&mut self, ctx: &mut ProtoCtx<'_>, out: &mut Vec<Effect>) {
+    fn stabilize(&mut self, ctx: &mut ProtoCtx<'_>, out: &mut Vec<Effect>) {
         let me = u64::from(self.id.0);
         // Path too long: the prefix is the only locally defensible truth.
         if self.path.len() > self.maxl {
@@ -773,7 +774,7 @@ impl ProtocolPeer {
     /// fire [`TimerToken::Balance`] on any cadence without perturbing a
     /// deterministic run. The default threshold of `usize::MAX` disables
     /// the pass entirely.
-    pub fn balance(&mut self, ctx: &mut ProtoCtx<'_>, out: &mut Vec<Effect>) {
+    fn balance(&mut self, ctx: &mut ProtoCtx<'_>, out: &mut Vec<Effect>) {
         if self.index.len() <= self.balance_hot_threshold || self.path.len() >= self.maxl {
             return;
         }
@@ -809,7 +810,7 @@ impl ProtocolPeer {
     // ---- the state methods the events are built from -----------------
 
     /// The digest shipped in an [`Message::ExchangeOffer`].
-    pub fn level_refs_digest(&self) -> Vec<(u16, Vec<PeerId>)> {
+    fn level_refs_digest(&self) -> Vec<(u16, Vec<PeerId>)> {
         self.refs
             .iter()
             .enumerate()
@@ -828,7 +829,7 @@ impl ProtocolPeer {
     /// softer signal of *repeated timeouts*, see
     /// [`ProtocolPeer::note_peer_failure`], which demotes gradually and
     /// calls this only once the failure budget is spent.
-    pub fn forget_peer(&mut self, peer: PeerId) {
+    fn forget_peer(&mut self, peer: PeerId) {
         for slot in &mut self.refs {
             slot.retain(|&p| p != peer);
         }
@@ -842,7 +843,7 @@ impl ProtocolPeer {
     /// returns `true` exactly when that eviction happened. A
     /// lossy-but-alive peer keeps its place as long as some traffic gets
     /// through ([`ProtocolPeer::note_peer_success`] resets the count).
-    pub fn note_peer_failure(&mut self, peer: PeerId) -> bool {
+    fn note_peer_failure(&mut self, peer: PeerId) -> bool {
         let count = self.failures.entry(peer).or_insert(0);
         *count += 1;
         if *count >= self.suspect_after {
@@ -855,13 +856,13 @@ impl ProtocolPeer {
 
     /// Records a successful interaction with `peer`, clearing its
     /// consecutive-failure count.
-    pub fn note_peer_success(&mut self, peer: PeerId) {
+    fn note_peer_success(&mut self, peer: PeerId) {
         self.failures.remove(&peer);
     }
 
     /// Unions `new` into the reference set at 1-based `level`, evicting a
     /// random entry while over `refmax`.
-    pub fn union_refs(&mut self, level: usize, new: &[PeerId], rng: &mut StdRng) {
+    fn union_refs(&mut self, level: usize, new: &[PeerId], rng: &mut StdRng) {
         assert!(level >= 1);
         if self.refs.len() < level {
             self.refs.resize_with(level, Vec::new);
@@ -910,7 +911,7 @@ impl ProtocolPeer {
 
     /// Reconstructs the full key of a query this peer received with
     /// `matched` of its own path bits consumed.
-    pub fn full_key(&self, remaining: &BitPath, matched: u16) -> Key {
+    fn full_key(&self, remaining: &BitPath, matched: u16) -> Key {
         let matched = (matched as usize).min(self.path.len());
         self.path.prefix(matched).append(remaining)
     }
@@ -940,7 +941,7 @@ impl ProtocolPeer {
     /// Drains every index entry this peer is no longer responsible for —
     /// called right after the path extends, so the entries can be
     /// re-routed to the peers now covering them.
-    pub fn extract_misplaced(&mut self) -> Vec<(Key, Vec<WireEntry>)> {
+    fn extract_misplaced(&mut self) -> Vec<(Key, Vec<WireEntry>)> {
         let path = self.path;
         let doomed: Vec<Key> = self
             .index
@@ -960,7 +961,7 @@ impl ProtocolPeer {
     /// The responder side of the Fig. 3 exchange. Applies this peer's half
     /// of the case (classified by [`classify`], the kernel shared with the
     /// simulator) and returns the initiator's instructions.
-    pub fn handle_offer(
+    fn handle_offer(
         &mut self,
         initiator: PeerId,
         initiator_path: &BitPath,
@@ -1070,7 +1071,7 @@ impl ProtocolPeer {
     /// at the level where the two paths diverge, if they do. Used by the
     /// confirm leg of the exchange handshake; also a generally safe way to
     /// learn about any peer, since paths only ever extend.
-    pub fn maybe_add_ref(&mut self, peer: PeerId, path: &BitPath, rng: &mut StdRng) {
+    fn maybe_add_ref(&mut self, peer: PeerId, path: &BitPath, rng: &mut StdRng) {
         if peer == self.id {
             return;
         }

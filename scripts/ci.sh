@@ -61,16 +61,9 @@ echo "==> balance convergence (skew adaptation to <= 2x max/mean + flash-crowd r
 cargo run --release -p pgrid-cli --bin pgrid -- exp balance --small \
     || { echo "FATAL: load balancing missed an acceptance gate"; exit 1; }
 
-echo "==> paper tables (regenerate every section of results/all_experiments.txt, byte-compare)"
+echo "==> paper tables (pgrid exp all regenerates results/all_experiments.txt, byte-compare)"
 tables="${trace_dir}/all_experiments.txt"
-: >"${tables}"
-for id in $(sed -n 's/^== \(.*\) ==$/\1/p' results/all_experiments.txt); do
-    {
-        echo "== ${id} =="
-        cargo run -q --release -p pgrid-cli --bin pgrid -- exp "${id}"
-        echo
-    } >>"${tables}"
-done
+cargo run -q --release -p pgrid-cli --bin pgrid -- exp all >"${tables}"
 cmp "${tables}" results/all_experiments.txt \
     || { echo "FATAL: a paper table moved; diff results/all_experiments.txt"; exit 1; }
 
