@@ -159,6 +159,29 @@ fn same_seed_replays_byte_identically() {
     }
 }
 
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The logs themselves, not only their repetition: a draw that moves, an
+/// effect that changes or a reordered candidate list changes a digest.
+#[test]
+fn effect_logs_are_pinned() {
+    for (seed, digest) in [
+        (7u64, 0xf191_4d69_1435_e356),
+        (20260805, 0x4413_761f_d634_4102),
+    ] {
+        assert_eq!(
+            fnv1a(effect_log(seed).as_bytes()),
+            digest,
+            "seed {seed}: the effect log moved"
+        );
+    }
+}
+
 #[test]
 fn different_seeds_diverge() {
     let a = effect_log(7);
