@@ -21,10 +21,9 @@
 
 use pgrid_keys::Key;
 use pgrid_net::{MsgKind, PeerId};
-use pgrid_proto::{classify, split_bits, ExchangeCase, SplitBitPolicy};
+use pgrid_proto::{classify, random_select, split_bits, union_into, ExchangeCase, SplitBitPolicy};
 use pgrid_trace::TraceEvent;
 
-use crate::routing::{random_select, union_into};
 use crate::{Ctx, IndexEntry, PGrid, Peer};
 
 /// After one or both partners specialized, move index entries to

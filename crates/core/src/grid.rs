@@ -6,8 +6,7 @@ use std::sync::OnceLock;
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::{draw, PeerId};
 
-use crate::routing::RoutingTable;
-use crate::{CompactRoutingTable, Ctx, IndexEntry, PGridConfig, Peer};
+use crate::{CompactRoutingTable, Ctx, IndexEntry, PGridConfig, Peer, RoutingTable};
 
 /// The whole peer community and its access structure.
 ///
@@ -632,6 +631,36 @@ pub(crate) mod tests {
         );
         g.build(&crate::BuildOptions::default(), ctx);
         g
+    }
+
+    /// Footprint gate: after a converged build with `refmax` 20 the
+    /// routing buffers hold almost no spare slots beyond the depth word,
+    /// the level ends and the references.
+    #[test]
+    fn converged_build_reserves_no_spare_reference_slots() {
+        let refmax = 20;
+        let mut g = PGrid::new(
+            1024,
+            PGridConfig {
+                maxl: 6,
+                refmax,
+                ..PGridConfig::default()
+            },
+        );
+        let mut owned = Ctx::fork_for_task(9, 0, Box::new(AlwaysOnline));
+        let report = g.build(&crate::BuildOptions::default(), &mut owned.ctx());
+        assert!(report.reached_threshold);
+        let (mut used, mut slots) = (0usize, 0usize);
+        for p in g.peers() {
+            let t = p.routing();
+            assert!(t.depth() > 0, "{} never specialized", p.id());
+            used += 1 + t.depth() + t.total_refs();
+            slots += t.capacity();
+        }
+        assert!(
+            slots as f64 <= 1.02 * used as f64,
+            "{slots} slots for {used} depths, ends and references"
+        );
     }
 
     #[test]

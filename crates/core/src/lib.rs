@@ -51,7 +51,6 @@ mod metrics;
 mod peer;
 mod range;
 mod repair;
-mod routing;
 mod scratch;
 mod search;
 mod snapshot;
@@ -72,9 +71,9 @@ pub use grid::PGrid;
 pub use invariants::Violation;
 pub use metrics::GridMetrics;
 pub use peer::{IndexEntry, Peer};
+pub use pgrid_proto::{LevelRefs, RoutingTable};
 pub use range::RangeOutcome;
 pub use repair::{RepairReport, StabilizeReport};
-pub use routing::{LevelRefs, RoutingTable};
 pub use scratch::Scratch;
 pub use search::SearchOutcome;
 pub use snapshot::{GridSnapshot, PeerSnapshot};

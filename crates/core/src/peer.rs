@@ -6,7 +6,7 @@ use pgrid_keys::{BitPath, Key};
 use pgrid_net::PeerId;
 use pgrid_store::{AnyBackend, ItemId, LocalStore, TrieIndex, Version};
 
-use crate::routing::RoutingTable;
+use crate::RoutingTable;
 
 /// One entry of a peer's leaf-level index `D ⊆ ADDR × K`: *which peer hosts
 /// which item*, plus the version this replica believes is current (§5.2

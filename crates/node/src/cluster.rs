@@ -361,9 +361,8 @@ impl<T: Transport> Community<T> {
                 continue; // killed
             }
             node.check()?;
-            for (i, slot) in node.refs.iter().enumerate() {
-                let level = i + 1;
-                for r in slot {
+            for (level, refs) in node.refs.iter() {
+                for r in refs.as_slice() {
                     let other = &snapshot[r.index()];
                     if other.maxl == 0 {
                         continue; // stale reference to a departed peer
@@ -639,8 +638,8 @@ impl<T: Transport> Community<T> {
         let mut out = Vec::new();
         for s in &self.states {
             let g = lock(s);
-            for slot in &g.refs {
-                for &r in slot {
+            for (_, refs) in g.refs.iter() {
+                for &r in refs.as_slice() {
                     out.push((g.id, r));
                 }
             }

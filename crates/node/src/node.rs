@@ -695,7 +695,7 @@ mod tests {
         let transport = LocalTransport::new();
         let mut peer = NodeState::new(NODE, 4, 2, 2);
         peer.path = path.parse().unwrap();
-        peer.refs = refs;
+        peer.refs = refs.into_iter().collect();
         let state = Arc::new(Mutex::new(peer));
         let mailboxes = [A, B, C, CLIENT]
             .into_iter()

@@ -107,7 +107,7 @@ fn ignores_unsolicited_protocol_messages() {
         "unsolicited answer must not extend the path"
     );
     assert!(
-        guard.refs.iter().all(Vec::is_empty),
+        guard.refs.total_refs() == 0,
         "unsolicited answer must not install references"
     );
     drop(guard);

@@ -9,6 +9,8 @@
 //! * [`classify`] / [`split_bits`] — the pure Fig. 3 case analysis, shared
 //!   by the simulator's synchronous exchange and the live offer/answer
 //!   handshake;
+//! * [`RoutingTable`] — a peer's references per level in one buffer and
+//!   the kernels that mix them, for the engine's peers and these alike;
 //! * [`ProtocolPeer`] — one peer's full protocol state, advanced by typed
 //!   [`Event`]s into typed [`Effect`]s ([`ProtocolPeer::handle`]), with all
 //!   randomness supplied through [`ProtoCtx`];
@@ -29,6 +31,7 @@ mod event;
 mod fig2;
 mod fig3;
 mod peer;
+mod routing;
 mod sim;
 
 pub use event::{Effect, Event, TimerToken};
@@ -38,4 +41,5 @@ pub use peer::{
     ProtoCtx, ProtocolPeer, RouteDecision, ANSWER_CACHE_CAP, DEFAULT_RECMAX, DEFAULT_SUSPECT_AFTER,
     SEEN_CAP,
 };
+pub use routing::{random_select, union_into, LevelRefs, LevelRefsMut, RoutingTable};
 pub use sim::SimNet;

@@ -11,10 +11,10 @@
 //! fixed seed plus a fixed event order reproduces every decision
 //! bit-for-bit.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use pgrid_keys::{BitPath, Key};
-use pgrid_net::{draw, BoundedMap, BoundedSet, PeerId};
+use pgrid_net::{BoundedMap, BoundedSet, PeerId};
 use pgrid_trace::{TraceEvent, Tracer, ViolationTag};
 use pgrid_wire::{Message, WireEntry};
 use rand::rngs::StdRng;
@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use crate::event::{Effect, Event, TimerToken};
 use crate::fig2::{route_step, RouteStep};
 use crate::fig3::{classify, split_bits, ExchangeCase, SplitBitPolicy};
+use crate::routing::{random_select, union_into, LevelRefs, RoutingTable};
 
 /// Execution context threaded into [`ProtocolPeer::handle`]: the driver
 /// owns the RNG, so a driver-chosen seed reproduces every protocol draw.
@@ -116,8 +117,8 @@ pub struct ProtocolPeer {
     pub id: PeerId,
     /// Trie path.
     pub path: BitPath,
-    /// References per level (`refs[i]` = level `i + 1`).
-    pub refs: Vec<Vec<PeerId>>,
+    /// References per level, in the engine's one-buffer layout.
+    pub refs: RoutingTable,
     /// Leaf-level index: full key → entries.
     pub index: BTreeMap<Key, Vec<WireEntry>>,
     /// Buddies (same-path peers met at `maxl`).
@@ -165,7 +166,7 @@ impl ProtocolPeer {
         ProtocolPeer {
             id,
             path: BitPath::EMPTY,
-            refs: Vec::new(),
+            refs: RoutingTable::new(),
             index: BTreeMap::new(),
             buddies: Vec::new(),
             misplaced: false,
@@ -312,7 +313,12 @@ impl ProtocolPeer {
                 id: xid,
                 depth,
                 path: self.path,
-                level_refs: self.level_refs_digest(),
+                level_refs: self
+                    .refs
+                    .iter()
+                    .filter(|(_, r)| !r.is_empty())
+                    .map(|(level, r)| (level as u16, r.as_slice().to_vec()))
+                    .collect(),
             },
         });
     }
@@ -520,9 +526,13 @@ impl ProtocolPeer {
         });
         for (level, refs) in adopt_refs {
             // Valid even after concurrent growth: levels ≤ the offer-time
-            // path depend only on prefixes, which never change.
-            if level >= 1 {
-                self.union_refs(level as usize, &refs, ctx.rng);
+            // path depend only on prefixes, which never change. An honest
+            // responder names only `lc` and `lc + 1`, both within `maxl`.
+            let level = usize::from(level);
+            if (1..=self.maxl).contains(&level) {
+                let refs = distinct(&refs, &[self.id]);
+                let slot = self.refs.level_mut(level);
+                slot.union_bounded(&refs, self.refmax, ctx.rng);
             }
         }
         if take_bit.is_some() {
@@ -710,31 +720,19 @@ impl ProtocolPeer {
         // self-references, trim overfull levels from the back (the front
         // holds the older, battle-tested references). All deterministic.
         let plen = self.path.len();
-        let id = self.id;
-        let refmax = self.refmax;
-        for i in 0..self.refs.len() {
-            let level = (i + 1) as u32;
-            let mut removed: Vec<PeerId> = Vec::new();
-            if i + 1 > plen {
-                removed.append(&mut self.refs[i]);
-            } else {
-                let slot = &mut self.refs[i];
-                let mut j = 0;
-                while j < slot.len() {
-                    if slot[j] == id {
-                        removed.push(slot.remove(j));
-                    } else {
-                        j += 1;
-                    }
-                }
-                while slot.len() > refmax {
-                    removed.push(slot.pop().expect("len > refmax >= 1"));
-                }
+        for level in 1..=self.refs.depth() {
+            let ids = self.refs.level(level).as_slice();
+            let (mut kept, mut removed): (Vec<PeerId>, Vec<PeerId>) =
+                ids.iter().partition(|&&r| level <= plen && r != self.id);
+            removed.extend(kept.drain(self.refmax.min(kept.len())..).rev());
+            if removed.is_empty() {
+                continue;
             }
+            self.refs.level_mut(level).overwrite(&kept);
             for r in removed {
                 ctx.trace(|| TraceEvent::RefEvicted {
                     peer: me,
-                    level,
+                    level: level as u32,
                     target: u64::from(r.0),
                 });
             }
@@ -809,29 +807,14 @@ impl ProtocolPeer {
 
     // ---- the state methods the events are built from -----------------
 
-    /// The digest shipped in an [`Message::ExchangeOffer`].
-    fn level_refs_digest(&self) -> Vec<(u16, Vec<PeerId>)> {
-        self.refs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(i, r)| ((i + 1) as u16, r.clone()))
-            .collect()
-    }
-
-    fn level(&self, level: usize) -> &[PeerId] {
-        assert!(level >= 1);
-        self.refs.get(level - 1).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Removes a reference everywhere it appears — used when a delivery
     /// definitively fails (no mailbox: the peer is gone for good). For the
     /// softer signal of *repeated timeouts*, see
     /// [`ProtocolPeer::note_peer_failure`], which demotes gradually and
     /// calls this only once the failure budget is spent.
     fn forget_peer(&mut self, peer: PeerId) {
-        for slot in &mut self.refs {
-            slot.retain(|&p| p != peer);
+        for level in 1..=self.refs.depth() {
+            self.refs.level_mut(level).remove(peer);
         }
         self.buddies.retain(|&p| p != peer);
         self.failures.remove(&peer);
@@ -860,26 +843,6 @@ impl ProtocolPeer {
         self.failures.remove(&peer);
     }
 
-    /// Unions `new` into the reference set at 1-based `level`, evicting a
-    /// random entry while over `refmax`.
-    fn union_refs(&mut self, level: usize, new: &[PeerId], rng: &mut StdRng) {
-        assert!(level >= 1);
-        if self.refs.len() < level {
-            self.refs.resize_with(level, Vec::new);
-        }
-        let slot = &mut self.refs[level - 1];
-        for &p in new {
-            if p != self.id && !slot.contains(&p) {
-                slot.push(p);
-            }
-        }
-        while slot.len() > self.refmax {
-            use rand::Rng;
-            let victim = rng.gen_range(0..slot.len());
-            slot.swap_remove(victim);
-        }
-    }
-
     /// `true` when this peer must answer queries for `key`.
     pub fn responsible_for(&self, key: &Key) -> bool {
         self.path.responsible_for(key)
@@ -894,11 +857,11 @@ impl ProtocolPeer {
         match route_step(&self.path, matched as usize, key) {
             RouteStep::Responsible => RouteDecision::Responsible,
             RouteStep::Forward { consumed, level } => {
-                let mut candidates = self.level(level).to_vec();
+                let mut candidates = Vec::new();
+                self.refs.level(level).shuffled_into(rng, &mut candidates);
                 if candidates.is_empty() {
                     return RouteDecision::Dead;
                 }
-                draw::shuffle(rng, &mut candidates);
                 let matched = (matched as usize).min(self.path.len());
                 RouteDecision::Forward {
                     key: key.suffix(consumed),
@@ -974,31 +937,23 @@ impl ProtocolPeer {
         }
         let (lc, case) = classify(initiator_path, &self.path, self.maxl);
 
-        let refs_of = |level: usize| -> Vec<PeerId> {
-            initiator_refs
-                .iter()
-                .find(|(l, _)| *l as usize == level)
-                .map(|(_, r)| r.clone())
-                .unwrap_or_default()
+        let refs_of = |level: usize| -> &[PeerId] {
+            let found = initiator_refs.iter().find(|(l, _)| *l as usize == level);
+            found.map_or(&[], |(_, r)| r)
         };
 
-        // Mix reference sets at the deepest common level.
+        // Mix reference sets at the deepest common level: each peer takes a
+        // `refmax` selection of the union of both, neither peer included.
+        let refmax = self.refmax;
         if lc > 0 {
-            let theirs = refs_of(lc);
-            let mut union: Vec<PeerId> = self.level(lc).to_vec();
-            for p in &theirs {
-                if !union.contains(p) {
-                    union.push(*p);
-                }
-            }
-            union.retain(|&p| p != self.id && p != initiator);
-            let mut for_me = union.clone();
-            draw::shuffle(rng, &mut for_me);
-            for_me.truncate(self.refmax);
-            let mut for_them = union;
-            draw::shuffle(rng, &mut for_them);
-            for_them.truncate(self.refmax);
-            self.union_refs(lc, &for_me, rng);
+            let theirs = distinct(refs_of(lc), &[self.id, initiator]);
+            let (mine, mut for_me) = (self.refs.level(lc).as_slice(), Vec::new());
+            union_into(mine, &theirs, &mut for_me, &mut Vec::new());
+            for_me.retain(|&p| p != self.id && p != initiator);
+            let mut for_them = for_me.clone();
+            random_select(&mut for_me, refmax, rng);
+            random_select(&mut for_them, refmax, rng);
+            self.refs.level_mut(lc).union_bounded(&for_me, refmax, rng);
             if !for_them.is_empty() {
                 out.adopt_refs.push((lc as u16, for_them));
             }
@@ -1017,7 +972,7 @@ impl ProtocolPeer {
             ExchangeCase::Split => {
                 let (initiator_bit, responder_bit) = split_bits(SplitBitPolicy::Random, rng);
                 self.path = self.path.child(responder_bit);
-                self.set_level(lc + 1, Vec::new());
+                self.refs.level_mut(lc + 1).overwrite(&[]);
                 out.take_bit = Some(initiator_bit);
                 out.adopt_refs.push(((lc + 1) as u16, vec![self.id]));
             }
@@ -1038,29 +993,18 @@ impl ProtocolPeer {
             // specialize opposite to its next bit.
             ExchangeCase::SecondSpecializes { bit } => {
                 self.path = self.path.child(bit);
-                self.set_level(lc + 1, vec![initiator]);
+                self.refs.level_mut(lc + 1).overwrite(&[initiator]);
                 out.adopt_refs.push(((lc + 1) as u16, vec![self.id]));
             }
             // Case 4: divergence — learn each other, recurse both ways.
             ExchangeCase::Diverged => {
-                self.union_refs(lc + 1, &[initiator], rng);
-                out.adopt_refs.push(((lc + 1) as u16, vec![self.id]));
-                let mut mine: Vec<PeerId> = self
-                    .level(lc + 1)
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != initiator)
-                    .collect();
-                draw::shuffle(rng, &mut mine);
-                mine.truncate(self.recfanout);
-                out.recurse_initiator = mine;
-                let mut theirs: Vec<PeerId> = refs_of(lc + 1)
-                    .into_iter()
-                    .filter(|&p| p != self.id)
-                    .collect();
-                draw::shuffle(rng, &mut theirs);
-                theirs.truncate(self.recfanout);
-                out.recurse_responder = theirs;
+                let (level, k) = (lc + 1, self.recfanout);
+                let slot = self.refs.level_mut(level);
+                slot.insert_bounded(initiator, refmax, rng);
+                out.adopt_refs.push((level as u16, vec![self.id]));
+                let (mine, theirs) = (self.refs.level(level), LevelRefs::of(refs_of(level)));
+                mine.sample_excluding_into(k, initiator, rng, &mut out.recurse_initiator);
+                theirs.sample_excluding_into(k, self.id, rng, &mut out.recurse_responder);
             }
             ExchangeCase::Saturated => {}
         }
@@ -1077,15 +1021,9 @@ impl ProtocolPeer {
         }
         let lc = self.path.common_prefix_len(path);
         if self.path.len() > lc && path.len() > lc {
-            self.union_refs(lc + 1, &[peer], rng);
+            let slot = self.refs.level_mut(lc + 1);
+            slot.insert_bounded(peer, self.refmax, rng);
         }
-    }
-
-    fn set_level(&mut self, level: usize, refs: Vec<PeerId>) {
-        if self.refs.len() < level {
-            self.refs.resize_with(level, Vec::new);
-        }
-        self.refs[level - 1] = refs;
     }
 
     /// Structural invariant: references never point to this peer itself
@@ -1094,22 +1032,30 @@ impl ProtocolPeer {
         if self.path.len() > self.maxl {
             return Err(format!("{}: path exceeds maxl", self.id));
         }
-        for (i, slot) in self.refs.iter().enumerate() {
-            if slot.len() > self.refmax {
-                return Err(format!("{}: refmax exceeded at level {}", self.id, i + 1));
+        for (level, refs) in self.refs.iter() {
+            if refs.len() > self.refmax {
+                return Err(format!("{}: refmax exceeded at level {level}", self.id));
             }
-            if slot.contains(&self.id) {
-                return Err(format!("{}: self-reference at level {}", self.id, i + 1));
+            if refs.contains(self.id) {
+                return Err(format!("{}: self-reference at level {level}", self.id));
             }
         }
         Ok(())
     }
 }
 
+/// `ids` without `not` and without repeats, first occurrences in order: a
+/// list from the wire may repeat ids, and the union kernels assume not.
+fn distinct(ids: &[PeerId], not: &[PeerId]) -> Vec<PeerId> {
+    let mut seen: HashSet<PeerId> = not.iter().copied().collect();
+    ids.iter().copied().filter(|&id| seen.insert(id)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use pgrid_net::draw;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -1117,6 +1063,11 @@ mod tests {
 
     fn path(s: &str) -> BitPath {
         BitPath::from_str_lossy(s)
+    }
+
+    /// A table holding `levels[i]` at level `i + 1`.
+    fn table(levels: &[&[PeerId]]) -> RoutingTable {
+        levels.iter().copied().collect()
     }
 
     #[test]
@@ -1130,14 +1081,14 @@ mod tests {
         assert_eq!(responder.path.len(), 1);
         assert_eq!(responder.path.bit(0), taken ^ 1);
         assert!(
-            responder.level(1).is_empty(),
+            responder.refs.level(1).is_empty(),
             "refs wait for the confirm leg"
         );
         assert_eq!(out.adopt_refs, vec![(1, vec![PeerId(1)])]);
         // The confirm leg records the initiator once its path is known.
         let initiator_path = BitPath::EMPTY.child(taken);
         responder.maybe_add_ref(PeerId(0), &initiator_path, &mut r);
-        assert_eq!(responder.level(1), &[PeerId(0)]);
+        assert_eq!(responder.refs.level(1).as_slice(), [PeerId(0)]);
         responder.check().unwrap();
     }
 
@@ -1145,16 +1096,16 @@ mod tests {
     fn case2_initiator_specializes_opposite() {
         let mut responder = ProtocolPeer::new(PeerId(1), 4, 2, 2);
         responder.path = path("10");
-        responder.refs = vec![vec![], vec![]];
+        responder.refs = table(&[&[], &[]]);
         let mut r = rng();
         let out = responder.handle_offer(PeerId(0), &BitPath::EMPTY, &[], &mut r);
         assert_eq!(out.take_bit, Some(0), "flip of our bit 0 (1)");
         assert!(
-            responder.level(1).is_empty(),
+            responder.refs.level(1).is_empty(),
             "refs wait for the confirm leg"
         );
         responder.maybe_add_ref(PeerId(0), &path("0"), &mut r);
-        assert!(responder.level(1).contains(&PeerId(0)));
+        assert!(responder.refs.level(1).contains(PeerId(0)));
         responder.check().unwrap();
     }
 
@@ -1165,7 +1116,7 @@ mod tests {
         let out = responder.handle_offer(PeerId(0), &path("01"), &[], &mut r);
         assert_eq!(out.take_bit, None);
         assert_eq!(responder.path, path("1"), "opposite of initiator's bit 0");
-        assert_eq!(responder.level(1), &[PeerId(0)]);
+        assert_eq!(responder.refs.level(1).as_slice(), [PeerId(0)]);
         assert_eq!(out.adopt_refs, vec![(1, vec![PeerId(1)])]);
     }
 
@@ -1173,7 +1124,7 @@ mod tests {
     fn case4_divergence_recursion_candidates() {
         let mut responder = ProtocolPeer::new(PeerId(1), 4, 4, 2);
         responder.path = path("1");
-        responder.refs = vec![vec![PeerId(5), PeerId(6), PeerId(7)]];
+        responder.refs = table(&[&[PeerId(5), PeerId(6), PeerId(7)]]);
         let mut r = rng();
         let out = responder.handle_offer(
             PeerId(0),
@@ -1183,7 +1134,7 @@ mod tests {
         );
         assert_eq!(out.take_bit, None);
         // We learned the initiator; it learns us.
-        assert!(responder.level(1).contains(&PeerId(0)));
+        assert!(responder.refs.level(1).contains(PeerId(0)));
         assert!(out.adopt_refs.contains(&(1, vec![PeerId(1)])));
         // Recursion bounded by recfanout = 2.
         assert_eq!(out.recurse_initiator.len(), 2);
@@ -1215,12 +1166,12 @@ mod tests {
     fn ref_mixing_at_common_level() {
         let mut responder = ProtocolPeer::new(PeerId(1), 4, 2, 2);
         responder.path = path("010");
-        responder.refs = vec![vec![], vec![PeerId(3)], vec![]];
+        responder.refs = table(&[&[], &[PeerId(3)], &[]]);
         let mut r = rng();
         // Initiator shares prefix "01" (lc = 2) and has refs at level 2.
         let out = responder.handle_offer(PeerId(0), &path("011"), &[(2, vec![PeerId(4)])], &mut r);
         // Level-2 union {3, 4} is bounded to refmax = 2 on both sides.
-        assert!(responder.level(2).len() <= 2 && !responder.level(2).is_empty());
+        assert!(responder.refs.level(2).len() <= 2 && !responder.refs.level(2).is_empty());
         let adopted = out.adopt_refs.iter().find(|(l, _)| *l == 2);
         assert!(adopted.is_some(), "initiator receives a level-2 mix");
     }
@@ -1229,12 +1180,7 @@ mod tests {
     fn routing_decisions() {
         let mut state = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         state.path = path("0110");
-        state.refs = vec![
-            vec![PeerId(1)],
-            vec![PeerId(2)],
-            vec![PeerId(3)],
-            vec![PeerId(4)],
-        ];
+        state.refs = table(&[&[PeerId(1)], &[PeerId(2)], &[PeerId(3)], &[PeerId(4)]]);
         let mut r = rng();
         assert_eq!(
             state.route(&path("0110"), 0, &mut r),
@@ -1269,7 +1215,7 @@ mod tests {
             }
             other => panic!("expected forward, got {other:?}"),
         }
-        state.refs[1].clear();
+        state.refs.level_mut(2).overwrite(&[]);
         assert_eq!(state.route(&path("00"), 0, &mut r), RouteDecision::Dead);
     }
 
@@ -1300,12 +1246,12 @@ mod tests {
     #[test]
     fn repeated_failures_evict_a_peer() {
         let mut state = ProtocolPeer::new(PeerId(0), 4, 2, 2);
-        state.refs = vec![vec![PeerId(1), PeerId(2)]];
+        state.refs = table(&[&[PeerId(1), PeerId(2)]]);
         state.buddies = vec![PeerId(1)];
         assert!(!state.note_peer_failure(PeerId(1)));
         assert!(!state.note_peer_failure(PeerId(1)));
         assert!(state.note_peer_failure(PeerId(1)), "third strike evicts");
-        assert_eq!(state.refs[0], vec![PeerId(2)]);
+        assert_eq!(state.refs.level(1).as_slice(), [PeerId(2)]);
         assert!(state.buddies.is_empty());
         assert!(!state.failures.contains_key(&PeerId(1)));
     }
@@ -1313,27 +1259,305 @@ mod tests {
     #[test]
     fn success_resets_the_failure_count() {
         let mut state = ProtocolPeer::new(PeerId(0), 4, 2, 2);
-        state.refs = vec![vec![PeerId(1)]];
+        state.refs = table(&[&[PeerId(1)]]);
         assert!(!state.note_peer_failure(PeerId(1)));
         assert!(!state.note_peer_failure(PeerId(1)));
         state.note_peer_success(PeerId(1));
         assert!(!state.note_peer_failure(PeerId(1)));
         assert!(!state.note_peer_failure(PeerId(1)));
-        assert_eq!(state.refs[0], vec![PeerId(1)], "still referenced");
+        assert_eq!(
+            state.refs.level(1).as_slice(),
+            [PeerId(1)],
+            "still referenced"
+        );
     }
 
     #[test]
     fn union_refs_bounds_and_excludes_self() {
         let mut state = ProtocolPeer::new(PeerId(0), 4, 3, 2);
         let mut r = rng();
-        state.union_refs(
-            2,
-            &[PeerId(0), PeerId(1), PeerId(2), PeerId(3), PeerId(4)],
-            &mut r,
-        );
-        assert!(state.level(2).len() <= 3);
-        assert!(!state.level(2).contains(&PeerId(0)));
+        let meet = Event::Meet {
+            with: PeerId(9),
+            depth: 0,
+        };
+        let Effect::SendOffer { id, .. } = drive(&mut state, &mut r, meet)[0] else {
+            panic!("expected an offer")
+        };
+        let answer = Event::AnswerReceived {
+            from: PeerId(9),
+            id,
+            take_bit: None,
+            adopt_refs: vec![(2, (0..5).map(PeerId).collect())],
+            recurse_with: Vec::new(),
+        };
+        drive(&mut state, &mut r, answer);
+        assert!(state.refs.level(2).len() <= 3);
+        assert!(!state.refs.level(2).contains(PeerId(0)));
         state.check().unwrap();
+    }
+
+    /// The old `union_refs` body, which the offer's own-level union and an
+    /// answer's adopted levels ran: push each new id that is neither this
+    /// peer nor already held, then `swap_remove` a `gen_range` victim while
+    /// over `refmax`.
+    fn union_refs_by_old_body(
+        slot: &mut Vec<PeerId>,
+        me: PeerId,
+        refmax: usize,
+        new: &[PeerId],
+        rng: &mut StdRng,
+    ) {
+        for &p in new {
+            if p != me && !slot.contains(&p) {
+                slot.push(p);
+            }
+        }
+        while slot.len() > refmax {
+            let victim = rng.gen_range(0..slot.len());
+            slot.swap_remove(victim);
+        }
+    }
+
+    /// The responder's level mix before the table: a `contains` union
+    /// without both peers, a shuffle-and-truncate per side, then
+    /// `union_refs` of this peer's selection. Returns the initiator's.
+    fn mix_by_old_body(
+        slot: &mut Vec<PeerId>,
+        (me, initiator): (PeerId, PeerId),
+        refmax: usize,
+        theirs: &[PeerId],
+        rng: &mut StdRng,
+    ) -> Vec<PeerId> {
+        let mut union = slot.clone();
+        for p in theirs {
+            if !union.contains(p) {
+                union.push(*p);
+            }
+        }
+        union.retain(|&p| p != me && p != initiator);
+        let mut for_me = union.clone();
+        draw::shuffle(rng, &mut for_me);
+        for_me.truncate(refmax);
+        let mut for_them = union;
+        draw::shuffle(rng, &mut for_them);
+        for_them.truncate(refmax);
+        union_refs_by_old_body(slot, me, refmax, &for_me, rng);
+        for_them
+    }
+
+    /// 512 seeded cases, each an offer's level mix and then an answer's
+    /// adopted list on the same level (between two others, so every write
+    /// splices), driven through `handle`: own levels below, at and above
+    /// `refmax` (a few past the kernels' 128-id scan), remote lists that
+    /// overlap the level, repeat ids and name this peer and the initiator.
+    /// The kernel path leaves every level the old bodies leave, id for id,
+    /// answers the same selection and leaves the RNG where they do.
+    #[test]
+    fn level_unions_match_the_old_bodies() {
+        let (me, initiator, responder) = (PeerId(0), PeerId(1), PeerId(2));
+        let (below, above) = ([PeerId(5_000)], [PeerId(5_001), PeerId(5_002)]);
+        let mut cases = StdRng::seed_from_u64(0xad07);
+        for case in 0..512 {
+            let refmax = if case % 16 == 15 {
+                cases.gen_range(100..=160)
+            } else {
+                cases.gen_range(1..=6)
+            };
+            let universe = 3 * refmax as u32 + 4;
+            let mut own: Vec<PeerId> = Vec::new();
+            for _ in 0..cases.gen_range(0..=2 * refmax + 1) {
+                let id = PeerId(cases.gen_range(0..universe));
+                if !own.contains(&id) {
+                    own.push(id);
+                }
+            }
+            let list = |cases: &mut StdRng| -> Vec<PeerId> {
+                let n = cases.gen_range(0..=3 * refmax);
+                (0..n)
+                    .map(|_| PeerId(cases.gen_range(0..universe)))
+                    .collect()
+            };
+            let (theirs, adopted) = (list(&mut cases), list(&mut cases));
+            // Replicas at `maxl` 2: the level-2 mix is the offer's only draw.
+            let mut peer = ProtocolPeer::new(me, 2, refmax, 2);
+            peer.path = path("01");
+            peer.refs = table(&[&below, &own, &above]);
+            let seed: u64 = cases.gen();
+            let (mut new_rng, mut old_rng) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+
+            let offer = Event::OfferReceived {
+                from: initiator,
+                id: 1,
+                depth: 0,
+                path: path("01"),
+                level_refs: vec![(2, theirs.clone())],
+            };
+            let out = drive(&mut peer, &mut new_rng, offer);
+            let Effect::Send {
+                msg: Message::ExchangeAnswer { adopt_refs, .. },
+                ..
+            } = &out[0]
+            else {
+                panic!("case {case}: expected the answer, got {out:?}")
+            };
+            let answer = adopt_refs.iter().find(|(l, _)| *l == 2);
+            let want = mix_by_old_body(&mut own, (me, initiator), refmax, &theirs, &mut old_rng);
+            assert_eq!(
+                answer.map_or(&[][..], |(_, ids)| ids),
+                want,
+                "case {case}: the initiator's selection"
+            );
+            assert_eq!(peer.refs.level(2).as_slice(), own, "case {case}: mix");
+
+            let meet = Event::Meet {
+                with: responder,
+                depth: 0,
+            };
+            let Effect::SendOffer { id, .. } = drive(&mut peer, &mut new_rng, meet)[0] else {
+                panic!("case {case}: expected an offer")
+            };
+            let answer = Event::AnswerReceived {
+                from: responder,
+                id,
+                take_bit: None,
+                adopt_refs: vec![(2, adopted.clone())],
+                recurse_with: Vec::new(),
+            };
+            drive(&mut peer, &mut new_rng, answer);
+            union_refs_by_old_body(&mut own, me, refmax, &adopted, &mut old_rng);
+            assert_eq!(peer.refs.level(2).as_slice(), own, "case {case}: adopt");
+            assert_eq!(peer.refs.level(1).as_slice(), below, "case {case}");
+            assert_eq!(peer.refs.level(3).as_slice(), above, "case {case}");
+            assert_eq!(
+                new_rng.gen::<u64>(),
+                old_rng.gen::<u64>(),
+                "case {case}: RNG position"
+            );
+        }
+    }
+
+    /// Any connected peer can send an offer or an answer whose levels hold
+    /// up to 2^20 ids: a level of 2^15 distinct ids plus repeats, this
+    /// peer and the initiator leaves at most `refmax` distinct references
+    /// per level on both sides, neither peer among them.
+    #[test]
+    fn oversized_remote_levels_stay_bounded_and_distinct() {
+        let (responder_id, initiator_id) = (PeerId(0), PeerId(1));
+        let mut huge: Vec<PeerId> = (2..2 + (1 << 15)).map(PeerId).collect();
+        huge.extend_from_within(..1 << 10);
+        huge.extend([responder_id, initiator_id, PeerId(2), PeerId(3)]);
+        let assert_bounded = |peer: &ProtocolPeer, not: PeerId| {
+            for (level, refs) in peer.refs.iter() {
+                let mut ids = refs.as_slice().to_vec();
+                assert!(ids.len() <= peer.refmax, "level {level}: {ids:?}");
+                assert!(
+                    !ids.contains(&peer.id) && !ids.contains(&not),
+                    "level {level}"
+                );
+                ids.sort_unstable();
+                ids.dedup();
+                assert_eq!(ids.len(), refs.len(), "level {level}: a repeated id");
+            }
+        };
+
+        // Responder: both paths share "0" and are at maxl, so the level-1
+        // mix is the only reference write.
+        let mut responder = ProtocolPeer::new(responder_id, 1, 3, 2);
+        responder.path = path("0");
+        responder.refs = table(&[&[PeerId(7)]]);
+        let mut r = rng();
+        let out = drive(
+            &mut responder,
+            &mut r,
+            Event::OfferReceived {
+                from: initiator_id,
+                id: 5,
+                depth: 0,
+                path: path("0"),
+                level_refs: vec![(1, huge.clone())],
+            },
+        );
+        assert_bounded(&responder, initiator_id);
+        let Effect::Send {
+            msg: Message::ExchangeAnswer { adopt_refs, .. },
+            ..
+        } = &out[0]
+        else {
+            panic!("expected the answer, got {out:?}")
+        };
+        let [(1, answer)] = adopt_refs.as_slice() else {
+            panic!("one level-1 selection expected, got {adopt_refs:?}")
+        };
+        assert_eq!(answer.len(), 3);
+        assert!(!answer.contains(&responder_id) && !answer.contains(&initiator_id));
+
+        // Initiator: an answer adopting the same list.
+        let mut initiator = ProtocolPeer::new(initiator_id, 4, 3, 2);
+        initiator.path = path("0");
+        let offer = drive(
+            &mut initiator,
+            &mut r,
+            Event::Meet {
+                with: responder_id,
+                depth: 0,
+            },
+        );
+        let Effect::SendOffer { id, .. } = offer[0] else {
+            panic!("expected an offer")
+        };
+        drive(
+            &mut initiator,
+            &mut r,
+            Event::AnswerReceived {
+                from: responder_id,
+                id,
+                take_bit: None,
+                adopt_refs: vec![(1, huge.clone()), (2, huge)],
+                recurse_with: Vec::new(),
+            },
+        );
+        assert_eq!(initiator.refs.depth(), 2);
+        assert_bounded(&initiator, responder_id);
+        initiator.check().unwrap();
+    }
+
+    /// An honest responder names only `lc` and `lc + 1`, both within
+    /// `maxl`; an answer naming a deeper level leaves the table as deep as
+    /// the levels it may hold.
+    #[test]
+    fn adopted_levels_beyond_maxl_are_skipped() {
+        let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
+        let mut r = rng();
+        let offer = drive(
+            &mut p,
+            &mut r,
+            Event::Meet {
+                with: PeerId(1),
+                depth: 0,
+            },
+        );
+        let Effect::SendOffer { id, .. } = offer[0] else {
+            panic!("expected an offer")
+        };
+        drive(
+            &mut p,
+            &mut r,
+            Event::AnswerReceived {
+                from: PeerId(1),
+                id,
+                take_bit: None,
+                adopt_refs: vec![
+                    (u16::MAX, vec![PeerId(3)]),
+                    (5, vec![PeerId(4)]),
+                    (4, vec![PeerId(5)]),
+                ],
+                recurse_with: Vec::new(),
+            },
+        );
+        assert_eq!(p.refs.depth(), 4, "levels past maxl 4 were adopted");
+        assert_eq!(p.refs.level(4).as_slice(), [PeerId(5)]);
+        assert_eq!(p.refs.total_refs(), 1);
     }
 
     // ---- event-layer tests -------------------------------------------
@@ -1484,8 +1708,8 @@ mod tests {
             },
         );
         assert_eq!(
-            b.level(1),
-            &[PeerId(0)],
+            b.refs.level(1).as_slice(),
+            [PeerId(0)],
             "confirm leg records the initiator"
         );
         assert!(
@@ -1550,14 +1774,14 @@ mod tests {
             BitPath::EMPTY.child(1),
             "path unchanged by the answer"
         );
-        assert!(a.refs.iter().all(Vec::is_empty), "no refs adopted");
+        assert_eq!(a.refs.total_refs(), 0, "no refs adopted");
     }
 
     #[test]
     fn query_events_route_answer_and_dead_end() {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("0");
-        p.refs = vec![vec![PeerId(1)]];
+        p.refs = table(&[&[PeerId(1)]]);
         let mut r = rng();
         // Responsible: answer the origin, ack the upstream hop.
         let out = drive(
@@ -1635,7 +1859,7 @@ mod tests {
             }
         ));
         // Dead end mid-route: nack upstream.
-        p.refs[0].clear();
+        p.refs.level_mut(1).overwrite(&[]);
         let out = drive(
             &mut p,
             &mut r,
@@ -1679,7 +1903,7 @@ mod tests {
     fn insert_events_store_forward_and_keep_custody() {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("0");
-        p.refs = vec![vec![PeerId(1)]];
+        p.refs = table(&[&[PeerId(1)]]);
         p.seed_sequence(5);
         let mut r = rng();
         let e = WireEntry {
@@ -1767,16 +1991,16 @@ mod tests {
     #[test]
     fn failure_events_demote_and_evict() {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
-        p.refs = vec![vec![PeerId(1), PeerId(2)]];
+        p.refs = table(&[&[PeerId(1), PeerId(2)]]);
         let mut r = rng();
         assert!(drive(&mut p, &mut r, Event::PeerSuspected { peer: PeerId(1) }).is_empty());
         assert!(drive(&mut p, &mut r, Event::PeerSuspected { peer: PeerId(1) }).is_empty());
         let out = drive(&mut p, &mut r, Event::PeerSuspected { peer: PeerId(1) });
         assert!(matches!(out[0], Effect::PeerEvicted { peer: PeerId(1) }));
-        assert_eq!(p.refs[0], vec![PeerId(2)]);
+        assert_eq!(p.refs.level(1).as_slice(), [PeerId(2)]);
         // Definitive departure prunes immediately, silently.
         assert!(drive(&mut p, &mut r, Event::PeerGone { peer: PeerId(2) }).is_empty());
-        assert!(p.refs[0].is_empty());
+        assert!(p.refs.level(1).is_empty());
     }
 
     #[test]
@@ -1784,7 +2008,7 @@ mod tests {
         use rand::RngCore;
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("01");
-        p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
+        p.refs = table(&[&[PeerId(1)], &[PeerId(2)]]);
         p.index_insert(
             path("0110"),
             WireEntry {
@@ -1821,12 +2045,12 @@ mod tests {
         // Path beyond maxl, self-reference, overfull level, refs beyond
         // the (truncated) path.
         p.path = path("01101");
-        p.refs = vec![
-            vec![PeerId(1), PeerId(0), PeerId(2), PeerId(3)],
-            vec![PeerId(4)],
-            vec![PeerId(5)],
-            vec![PeerId(6)], // beyond the truncated path
-        ];
+        p.refs = table(&[
+            &[PeerId(1), PeerId(0), PeerId(2), PeerId(3)],
+            &[PeerId(4)],
+            &[PeerId(5)],
+            &[PeerId(6)], // beyond the truncated path
+        ]);
         let mut r = rng();
         let out = drive(
             &mut p,
@@ -1841,13 +2065,13 @@ mod tests {
         );
         assert_eq!(p.path, path("011"), "truncated to maxl");
         assert_eq!(
-            p.refs[0],
-            vec![PeerId(1), PeerId(2)],
+            p.refs.level(1).as_slice(),
+            [PeerId(1), PeerId(2)],
             "self dropped, then back-trimmed"
         );
-        assert_eq!(p.refs[1], vec![PeerId(4)]);
-        assert_eq!(p.refs[2], vec![PeerId(5)]);
-        assert!(p.refs[3].is_empty(), "level 4 is beyond the path");
+        assert_eq!(p.refs.level(2).as_slice(), [PeerId(4)]);
+        assert_eq!(p.refs.level(3).as_slice(), [PeerId(5)]);
+        assert!(p.refs.level(4).is_empty(), "level 4 is beyond the path");
         p.check().unwrap();
     }
 
@@ -1855,7 +2079,7 @@ mod tests {
     fn stabilize_rederives_an_orphaned_path_from_hosted_data() {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("10"); // corrupted: the data below says "01..."
-        p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
+        p.refs = table(&[&[PeerId(1)], &[PeerId(2)]]);
         let e = WireEntry {
             item: 1,
             holder: PeerId(9),
@@ -1888,7 +2112,7 @@ mod tests {
     fn stabilize_rehomes_a_foreign_entry() {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("0");
-        p.refs = vec![vec![PeerId(1)]];
+        p.refs = table(&[&[PeerId(1)]]);
         let e = WireEntry {
             item: 7,
             holder: PeerId(9),
@@ -1942,7 +2166,7 @@ mod tests {
         use rand::RngCore;
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("01");
-        p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
+        p.refs = table(&[&[PeerId(1)], &[PeerId(2)]]);
         let e = WireEntry {
             item: 1,
             holder: PeerId(9),
@@ -1973,7 +2197,7 @@ mod tests {
         // A hot peer already at maxl has no bit left to take: same contract.
         let mut q = ProtocolPeer::new(PeerId(0), 2, 2, 2);
         q.path = path("01");
-        q.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
+        q.refs = table(&[&[PeerId(1)], &[PeerId(2)]]);
         q.index_insert(path("01"), e);
         q.balance_hot_threshold = 0;
         let mut r2 = rng();
@@ -1994,7 +2218,7 @@ mod tests {
     fn balance_splits_toward_the_heavier_child_and_rehomes() {
         let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         p.path = path("0");
-        p.refs = vec![vec![PeerId(1)], vec![PeerId(2)]];
+        p.refs = table(&[&[PeerId(1)], &[PeerId(2)]]);
         let e = WireEntry {
             item: 1,
             holder: PeerId(9),

@@ -416,8 +416,8 @@ mod tests {
         assert_eq!(p1.len(), 1);
         assert_eq!(p0.bit(0), p1.bit(0) ^ 1, "opposite sides of the split");
         // Confirm leg registered mutual references.
-        assert!(net.peer(PeerId(0)).refs[0].contains(&PeerId(1)));
-        assert!(net.peer(PeerId(1)).refs[0].contains(&PeerId(0)));
+        assert!(net.peer(PeerId(0)).refs.level(1).contains(PeerId(1)));
+        assert!(net.peer(PeerId(1)).refs.level(1).contains(PeerId(0)));
         // An insert routes to the responsible side; a query finds it.
         let key = BitPath::from_str_lossy("0110");
         net.insert(PeerId(0), 1, key, entry(42));

@@ -81,7 +81,8 @@ pub enum Message {
         responder_path: BitPath,
         /// Bit the initiator must append, if any.
         take_bit: Option<u8>,
-        /// Reference sets the initiator must adopt (replacing those levels).
+        /// Reference sets per (1-based) level that the initiator unions
+        /// into its own levels, evicting random references above `refmax`.
         adopt_refs: Vec<(u16, Vec<PeerId>)>,
         /// Peers the initiator should run recursive exchanges with.
         recurse_with: Vec<PeerId>,

@@ -67,6 +67,9 @@ cargo run -q --release -p pgrid-cli --bin pgrid -- exp all >"${tables}"
 cmp "${tables}" results/all_experiments.txt \
     || { echo "FATAL: a paper table moved; diff results/all_experiments.txt"; exit 1; }
 
+echo "==> benchmark build (benchmark/src/probes.rs builds ProtocolPeers from engine tables)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --features node-crate
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> chaos suite (fault injection, three fixed seeds)"
     cargo test --release --test live_chaos -- --nocapture
