@@ -25,7 +25,7 @@ use pgrid_net::{MsgKind, NetStats, PeerId};
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CentralServer {
-    index: BTreeMap<Key, Vec<PeerId>>,
+    holders: BTreeMap<Key, Vec<PeerId>>,
     /// Messages the server has processed (registrations + queries).
     pub server_messages: u64,
 }
@@ -40,7 +40,7 @@ impl CentralServer {
     pub fn register(&mut self, key: Key, holder: PeerId, stats: &mut NetStats) {
         self.server_messages += 1;
         stats.record(MsgKind::Control);
-        let slot = self.index.entry(key).or_default();
+        let slot = self.holders.entry(key).or_default();
         if !slot.contains(&holder) {
             slot.push(holder);
         }
@@ -51,17 +51,17 @@ impl CentralServer {
     pub fn query(&mut self, key: &Key, stats: &mut NetStats) -> &[PeerId] {
         self.server_messages += 1;
         stats.record(MsgKind::Query);
-        self.index.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.holders.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Index entries the server stores — `O(D)`.
     pub fn storage(&self) -> usize {
-        self.index.values().map(Vec::len).sum()
+        self.holders.values().map(Vec::len).sum()
     }
 
     /// Number of distinct keys registered.
     pub fn distinct_keys(&self) -> usize {
-        self.index.len()
+        self.holders.len()
     }
 }
 

@@ -51,6 +51,7 @@ use pgrid_trace::TraceEvent;
 
 use crate::ctx::Ctx;
 use crate::peer::IndexEntry;
+use crate::KeyEntries;
 use crate::PGrid;
 
 /// Tuning knobs of [`PGrid::balance_round`]. All thresholds are integer
@@ -525,8 +526,8 @@ impl PGrid {
                         // The other side of the split owns these now.
                         report.entries_rebalanced += entries.len() as u64;
                         for &o in others {
-                            for e in &entries {
-                                self.peer_mut(o).index_insert(key, *e);
+                            for &e in entries.iter() {
+                                self.peer_mut(o).index_insert(key, e);
                             }
                         }
                     } else {
@@ -592,8 +593,8 @@ impl PGrid {
             } else if old_path.responsible_for(&key) {
                 report.entries_rebalanced += entries.len() as u64;
                 for &o in &old_group {
-                    for e in &entries {
-                        self.peer_mut(o).index_insert(key, *e);
+                    for &e in entries.iter() {
+                        self.peer_mut(o).index_insert(key, e);
                     }
                 }
             } else {
@@ -610,10 +611,9 @@ impl PGrid {
         let copied: Vec<(Key, Vec<IndexEntry>)> = self
             .peer(anchor)
             .index()
-            .entries()
-            .into_iter()
+            .iter()
             .filter(|(k, _)| path.responsible_for(k))
-            .map(|(k, v)| (k, v.clone()))
+            .map(|(k, v)| (*k, v.to_vec()))
             .collect();
         for (key, entries) in copied {
             report.entries_rebalanced += entries.len() as u64;
@@ -701,9 +701,11 @@ impl PGrid {
             .collect();
         let mut absorbed: Vec<(Key, Vec<IndexEntry>)> = Vec::new();
         for s in sources {
-            for (key, entries) in self.peer(s).index().entries_under(&sibling) {
-                absorbed.push((key, entries.clone()));
-            }
+            self.peer(s)
+                .index()
+                .for_each_under(&sibling, |key, entries| {
+                    absorbed.push((key, entries.to_vec()))
+                });
         }
         for (key, entries) in absorbed {
             report.entries_rebalanced += entries.len() as u64;
@@ -817,8 +819,8 @@ fn next_donor(donors: &mut [(BitPath, Vec<PeerId>)]) -> Option<(BitPath, PeerId)
 
 /// Reinstalls extracted entries at `peer` (used for coarser-than-path
 /// keys, which `extract_not_under` pulls out, and for custody strays).
-fn reinsert(grid: &mut PGrid, peer: PeerId, key: Key, entries: Vec<IndexEntry>) {
-    for e in entries {
+fn reinsert(grid: &mut PGrid, peer: PeerId, key: Key, entries: KeyEntries<IndexEntry>) {
+    for &e in entries.iter() {
         grid.peer_mut(peer).index_insert(key, e);
     }
 }

@@ -24,7 +24,7 @@ use pgrid_net::{MsgKind, PeerId};
 use pgrid_proto::{classify, random_select, split_bits, union_into, ExchangeCase, SplitBitPolicy};
 use pgrid_trace::TraceEvent;
 
-use crate::{Ctx, IndexEntry, PGrid, Peer};
+use crate::{Ctx, IndexEntry, KeyEntries, PGrid, Peer};
 
 /// After one or both partners specialized, move index entries to
 /// whichever of the two is (still) responsible.
@@ -42,7 +42,11 @@ fn rebalance_pair(p1: &mut Peer, p2: &mut Peer) {
 /// when the longer partner is more specific than the key's branch) stays
 /// at `fallback` with its *misplaced* flag set, to be re-homed by the
 /// anti-entropy step of a later meeting.
-fn place_entries_pair(moved: Vec<(Key, Vec<IndexEntry>)>, prefer: &mut Peer, fallback: &mut Peer) {
+fn place_entries_pair(
+    moved: Vec<(Key, KeyEntries<IndexEntry>)>,
+    prefer: &mut Peer,
+    fallback: &mut Peer,
+) {
     for (key, entries) in moved {
         let target = if prefer.responsible_for(&key) {
             &mut *prefer
@@ -50,7 +54,7 @@ fn place_entries_pair(moved: Vec<(Key, Vec<IndexEntry>)>, prefer: &mut Peer, fal
             &mut *fallback
         };
         let misplaced = !target.responsible_for(&key);
-        for e in entries {
+        for &e in entries.iter() {
             target.index_insert(key, e);
         }
         if misplaced {
@@ -83,7 +87,7 @@ fn settle_misplaced_pair(holder: &mut Peer, partner: &mut Peer) {
         if to_partner {
             if let Some(entries) = holder.index_mut().remove(&key) {
                 let misplaced = !partner.responsible_for(&key);
-                for e in entries {
+                for &e in entries.iter() {
                     partner.index_insert(key, e);
                 }
                 if misplaced {

@@ -71,7 +71,7 @@ pub use grid::PGrid;
 pub use invariants::Violation;
 pub use metrics::GridMetrics;
 pub use peer::{IndexEntry, Peer};
-pub use pgrid_proto::{LevelRefs, RoutingTable};
+pub use pgrid_proto::{KeyEntries, LeafEntry, LeafIndex, LevelRefs, RoutingTable};
 pub use range::RangeOutcome;
 pub use repair::{RepairReport, StabilizeReport};
 pub use scratch::Scratch;

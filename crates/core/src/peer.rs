@@ -4,9 +4,9 @@ use std::collections::BTreeSet;
 
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::PeerId;
-use pgrid_store::{AnyBackend, ItemId, LocalStore, TrieIndex, Version};
+use pgrid_store::{AnyBackend, ItemId, LocalStore, Version};
 
-use crate::RoutingTable;
+use crate::{LeafEntry, LeafIndex, RoutingTable};
 
 /// One entry of a peer's leaf-level index `D ⊆ ADDR × K`: *which peer hosts
 /// which item*, plus the version this replica believes is current (§5.2
@@ -21,6 +21,15 @@ pub struct IndexEntry {
     pub version: Version,
 }
 
+impl LeafEntry for IndexEntry {
+    fn id(&self) -> (u64, PeerId) {
+        (self.item.0, self.holder)
+    }
+    fn version_mut(&mut self) -> &mut u64 {
+        &mut self.version.0
+    }
+}
+
 /// A P-Grid peer: its trie path, its per-level references, its leaf-level
 /// data index, its buddy list, and the items it physically hosts.
 #[derive(Clone, Debug)]
@@ -29,7 +38,7 @@ pub struct Peer {
     path: BitPath,
     routing: RoutingTable,
     /// Leaf-level index: key → entries for items under this peer's path.
-    index: TrieIndex<Vec<IndexEntry>>,
+    index: LeafIndex<IndexEntry>,
     /// Peers known to share exactly this peer's path (update strategy 2).
     buddies: BTreeSet<PeerId>,
     /// Items this peer physically hosts (independent of responsibility).
@@ -58,7 +67,7 @@ impl Peer {
             id,
             path: BitPath::EMPTY,
             routing: RoutingTable::new(),
-            index: TrieIndex::new(),
+            index: LeafIndex::new(),
             buddies: BTreeSet::new(),
             store: LocalStore::with_backend(backend),
             misplaced: false,
@@ -107,49 +116,28 @@ impl Peer {
     /// Adds `entry` under `key` (idempotent per `(item, holder)` pair; a
     /// newer version overwrites an older one).
     pub fn index_insert(&mut self, key: Key, entry: IndexEntry) {
-        let slot = self.index.get_or_insert_with(key, Vec::new);
-        match slot
-            .iter_mut()
-            .find(|e| e.item == entry.item && e.holder == entry.holder)
-        {
-            Some(existing) => {
-                if entry.version > existing.version {
-                    existing.version = entry.version;
-                }
-            }
-            None => slot.push(entry),
-        }
+        self.index.insert(key, entry);
     }
 
     /// The index entries stored under exactly `key`.
     pub fn index_lookup(&self, key: &Key) -> &[IndexEntry] {
-        self.index.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.index.lookup(key)
     }
 
     /// Applies an update: sets the version of `item` under `key` if the
     /// entry exists and the version is newer. Returns whether anything
     /// changed.
     pub fn index_apply_update(&mut self, key: &Key, item: ItemId, version: Version) -> bool {
-        let Some(slot) = self.index.get_mut(key) else {
-            return false;
-        };
-        let mut changed = false;
-        for e in slot.iter_mut() {
-            if e.item == item && version > e.version {
-                e.version = version;
-                changed = true;
-            }
-        }
-        changed
+        self.index.apply_update(key, item.0, version.0)
     }
 
     /// The whole index (read-only).
-    pub fn index(&self) -> &TrieIndex<Vec<IndexEntry>> {
+    pub fn index(&self) -> &LeafIndex<IndexEntry> {
         &self.index
     }
 
     /// Mutable index access for construction-time hand-offs.
-    pub(crate) fn index_mut(&mut self) -> &mut TrieIndex<Vec<IndexEntry>> {
+    pub(crate) fn index_mut(&mut self) -> &mut LeafIndex<IndexEntry> {
         &mut self.index
     }
 
@@ -192,27 +180,22 @@ impl Peer {
     /// itself as holder of everything it still physically stores.
     /// Returns how many entries were inserted (or version-upgraded).
     pub fn index_hosted_under(&mut self) -> usize {
-        let mut hosted: Vec<(Key, IndexEntry)> = Vec::new();
-        let holder = self.id;
+        let (holder, index, mut count) = (self.id, &mut self.index, 0);
         self.store.for_each_under(&self.path, &mut |item| {
-            hosted.push((
-                item.key,
-                IndexEntry {
-                    item: item.id,
-                    holder,
-                    version: item.version,
-                },
-            ));
+            count += 1;
+            let entry = IndexEntry {
+                item: item.id,
+                holder,
+                version: item.version,
+            };
+            index.insert(item.key, entry);
         });
-        let count = hosted.len();
-        for (key, entry) in hosted {
-            self.index_insert(key, entry);
-        }
         count
     }
 
-    /// Storage cost in index entries — the §6 metric: references for routing
-    /// plus leaf-level index entries ("ignoring local indexing cost").
+    /// Storage cost — the §6 metric: references for routing plus the
+    /// distinct keys of the leaf-level index ("ignoring local indexing
+    /// cost"). A key with several holders counts once.
     pub fn storage_cost(&self) -> usize {
         self.routing.total_refs() + self.index.len()
     }
@@ -314,10 +297,19 @@ mod tests {
     }
 
     #[test]
-    fn storage_cost_counts_refs_and_entries() {
+    fn storage_cost_counts_refs_and_distinct_keys() {
         let mut p = Peer::new(PeerId(0));
         p.index_insert(key("01"), entry(1, 2, 0));
         p.index_insert(key("011"), entry(2, 2, 0));
         assert_eq!(p.storage_cost(), 2);
+    }
+
+    #[test]
+    fn storage_cost_counts_a_key_with_two_holders_once() {
+        let mut p = Peer::new(PeerId(0));
+        p.index_insert(key("01"), entry(1, 2, 0));
+        p.index_insert(key("01"), entry(1, 3, 0));
+        assert_eq!(p.index_lookup(&key("01")).len(), 2);
+        assert_eq!(p.storage_cost(), 1);
     }
 }

@@ -7,13 +7,12 @@
 //! path *extends* the prefix covers only part of it, so the remainder is
 //! split and searched again.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use pgrid_keys::{range_cover_into, Key};
 use pgrid_net::PeerId;
 
-use crate::{Ctx, IndexEntry, PGrid};
+use crate::{Ctx, IndexEntry, LeafIndex, PGrid};
 
 /// Result of a distributed range query.
 #[derive(Clone, Debug, Default)]
@@ -88,9 +87,9 @@ impl PGrid {
         lo: &Key,
         hi: &Key,
         ctx: &mut Ctx<'_>,
-    ) -> (RangeOutcome, BTreeMap<Key, Vec<IndexEntry>>) {
+    ) -> (RangeOutcome, LeafIndex<IndexEntry>) {
         let outcome = self.search_range(start, lo, hi, ctx);
-        let mut merged: BTreeMap<Key, Vec<IndexEntry>> = BTreeMap::new();
+        let mut merged = LeafIndex::new();
         for &peer in &outcome.peers {
             self.peer(peer)
                 .index()
@@ -103,19 +102,8 @@ impl PGrid {
                     // matches prefix-granularity semantics).
                     let head = key.prefix(lo.len().min(key.len()));
                     if head >= lo.prefix(head.len()) && head <= hi.prefix(head.len()) {
-                        let slot = merged.entry(key).or_default();
-                        for e in entries {
-                            match slot
-                                .iter_mut()
-                                .find(|x| x.item == e.item && x.holder == e.holder)
-                            {
-                                Some(existing) => {
-                                    if e.version > existing.version {
-                                        existing.version = e.version;
-                                    }
-                                }
-                                None => slot.push(*e),
-                            }
+                        for &e in entries {
+                            merged.insert(key, e);
                         }
                     }
                 });
@@ -199,8 +187,8 @@ mod tests {
         let hi = BitPath::from_value(19, 5);
         let (_, entries) = grid.range_entries(PeerId(3), &lo, &hi, &mut ctx);
         let mut found: Vec<u64> = entries
-            .values()
-            .flat_map(|v| v.iter().map(|e| e.item.0))
+            .iter()
+            .flat_map(|(_, v)| v.iter().map(|e| e.item.0))
             .collect();
         found.sort_unstable();
         found.dedup();

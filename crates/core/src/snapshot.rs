@@ -56,12 +56,7 @@ impl GridSnapshot {
                 id: p.id(),
                 path: p.path(),
                 refs: p.routing().clone(),
-                index: p
-                    .index()
-                    .entries()
-                    .into_iter()
-                    .map(|(k, v)| (k, v.clone()))
-                    .collect(),
+                index: p.index().iter().map(|(k, v)| (*k, v.to_vec())).collect(),
                 buddies: p.buddies().collect(),
                 hosted: {
                     let mut items = Vec::with_capacity(p.store().len());
@@ -379,7 +374,7 @@ mod tests {
                 y.sort();
                 assert_eq!(x, y, "refs at level {level} of {}", a.id());
             }
-            assert_eq!(a.index().entries().len(), b.index().entries().len());
+            assert_eq!(a.index().len(), b.index().len());
         }
         restored.check_invariants().unwrap();
     }

@@ -11,6 +11,8 @@
 //!   handshake;
 //! * [`RoutingTable`] — a peer's references per level in one buffer and
 //!   the kernels that mix them, for the engine's peers and these alike;
+//! * [`LeafIndex`] — a peer's leaf index and its insert rule, again for
+//!   the engine's peers and these alike;
 //! * [`ProtocolPeer`] — one peer's full protocol state, advanced by typed
 //!   [`Event`]s into typed [`Effect`]s ([`ProtocolPeer::handle`]), with all
 //!   randomness supplied through [`ProtoCtx`];
@@ -30,6 +32,7 @@
 mod event;
 mod fig2;
 mod fig3;
+mod leaf_index;
 mod peer;
 mod routing;
 mod sim;
@@ -37,6 +40,7 @@ mod sim;
 pub use event::{Effect, Event, TimerToken};
 pub use fig2::{route_step, RouteStep};
 pub use fig3::{classify, split_bits, ExchangeCase, SplitBitPolicy};
+pub use leaf_index::{KeyEntries, LeafEntry, LeafIndex};
 pub use peer::{
     ProtoCtx, ProtocolPeer, RouteDecision, ANSWER_CACHE_CAP, DEFAULT_RECMAX, DEFAULT_SUSPECT_AFTER,
     SEEN_CAP,

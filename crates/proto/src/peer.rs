@@ -11,7 +11,7 @@
 //! fixed seed plus a fixed event order reproduces every decision
 //! bit-for-bit.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::{BoundedMap, BoundedSet, PeerId};
@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use crate::event::{Effect, Event, TimerToken};
 use crate::fig2::{route_step, RouteStep};
 use crate::fig3::{classify, split_bits, ExchangeCase, SplitBitPolicy};
+use crate::leaf_index::{KeyEntries, LeafIndex};
 use crate::routing::{random_select, union_into, LevelRefs, RoutingTable};
 
 /// Execution context threaded into [`ProtocolPeer::handle`]: the driver
@@ -120,7 +121,7 @@ pub struct ProtocolPeer {
     /// References per level, in the engine's one-buffer layout.
     pub refs: RoutingTable,
     /// Leaf-level index: full key → entries.
-    pub index: BTreeMap<Key, Vec<WireEntry>>,
+    pub index: LeafIndex<WireEntry>,
     /// Buddies (same-path peers met at `maxl`).
     pub buddies: Vec<PeerId>,
     /// Set when the index may hold entries outside this peer's
@@ -167,7 +168,7 @@ impl ProtocolPeer {
             id,
             path: BitPath::EMPTY,
             refs: RoutingTable::new(),
-            index: BTreeMap::new(),
+            index: LeafIndex::new(),
             buddies: Vec::new(),
             misplaced: false,
             maxl,
@@ -460,7 +461,7 @@ impl ProtocolPeer {
         if self.path != before {
             // Case 1/3 specialized us: entries outside the new path must
             // find their new homes.
-            let strays = self.extract_misplaced();
+            let strays = self.index.extract_foreign(&self.path);
             self.rehome(strays, ctx, out);
         }
         let answer = Message::ExchangeAnswer {
@@ -537,7 +538,7 @@ impl ProtocolPeer {
         }
         if take_bit.is_some() {
             // Taking a bit may strand entries on the other side.
-            let strays = self.extract_misplaced();
+            let strays = self.index.extract_foreign(&self.path);
             self.rehome(strays, ctx, out);
         }
         // Third leg: tell the responder what we actually hold so it can
@@ -630,19 +631,19 @@ impl ProtocolPeer {
     /// peers that treat this one as covering their coarser prefix).
     fn rehome(
         &mut self,
-        strays: Vec<(BitPath, Vec<WireEntry>)>,
+        strays: Vec<(BitPath, KeyEntries<WireEntry>)>,
         ctx: &mut ProtoCtx<'_>,
         out: &mut Vec<Effect>,
     ) {
         for (key, entries) in strays {
             match self.route(&key, 0, ctx.rng) {
                 RouteDecision::Forward { candidates, .. } => {
-                    for entry in entries {
+                    for &entry in entries.iter() {
                         self.forward_insert(key, entry, candidates.clone(), out);
                     }
                 }
                 _ => {
-                    for entry in entries {
+                    for &entry in entries.iter() {
                         self.keep_misplaced(key, entry, out);
                     }
                 }
@@ -655,7 +656,7 @@ impl ProtocolPeer {
             return;
         }
         self.misplaced = false;
-        let strays = self.extract_misplaced();
+        let strays = self.index.extract_foreign(&self.path);
         self.rehome(strays, ctx, out);
     }
 
@@ -697,8 +698,8 @@ impl ProtocolPeer {
         // are the best local evidence of the true one.
         if !self.misplaced && !self.index.is_empty() {
             let path = self.path;
-            if self.index.keys().all(|k| !path.responsible_for(k)) {
-                let mut keys = self.index.keys();
+            if self.index.iter().all(|(k, _)| !path.responsible_for(k)) {
+                let mut keys = self.index.iter().map(|(k, _)| k);
                 let first = *keys.next().expect("index is non-empty");
                 let derived = keys.fold(first, |acc, k| acc.common_prefix(k));
                 let from_len = self.path.len() as u32;
@@ -742,8 +743,8 @@ impl ProtocolPeer {
         // other stray; with no route they stay flagged for anti-entropy.
         if !self.misplaced {
             let path = self.path;
-            if self.index.keys().any(|k| !path.responsible_for(k)) {
-                let strays = self.extract_misplaced();
+            if self.index.iter().any(|(k, _)| !path.responsible_for(k)) {
+                let strays = self.index.extract_foreign(&self.path);
                 for _ in &strays {
                     ctx.trace(|| TraceEvent::ViolationFound {
                         peer: me,
@@ -782,7 +783,7 @@ impl ProtocolPeer {
         let c0 = self.path.child(0);
         let mut under0 = 0usize;
         let mut covered = 0usize;
-        for key in self.index.keys() {
+        for (key, _) in self.index.iter() {
             if c0.is_prefix_of(key) {
                 under0 += 1;
                 covered += 1;
@@ -801,7 +802,7 @@ impl ProtocolPeer {
             peer: u64::from(self.id.0),
             to_len: self.path.len() as u32,
         });
-        let strays = self.extract_misplaced();
+        let strays = self.index.extract_foreign(&self.path);
         self.rehome(strays, ctx, out);
     }
 
@@ -882,43 +883,12 @@ impl ProtocolPeer {
     /// Inserts an index entry (idempotent per `(item, holder)`, newest
     /// version wins).
     pub fn index_insert(&mut self, key: Key, entry: WireEntry) {
-        let slot = self.index.entry(key).or_default();
-        match slot
-            .iter_mut()
-            .find(|e| e.item == entry.item && e.holder == entry.holder)
-        {
-            Some(existing) => {
-                if entry.version > existing.version {
-                    existing.version = entry.version;
-                }
-            }
-            None => slot.push(entry),
-        }
+        self.index.insert(key, entry);
     }
 
     /// The entries stored under exactly `key`.
     pub fn index_lookup(&self, key: &Key) -> &[WireEntry] {
-        self.index.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Drains every index entry this peer is no longer responsible for —
-    /// called right after the path extends, so the entries can be
-    /// re-routed to the peers now covering them.
-    fn extract_misplaced(&mut self) -> Vec<(Key, Vec<WireEntry>)> {
-        let path = self.path;
-        let doomed: Vec<Key> = self
-            .index
-            .keys()
-            .filter(|k| !path.responsible_for(k))
-            .copied()
-            .collect();
-        doomed
-            .into_iter()
-            .map(|k| {
-                let v = self.index.remove(&k).expect("listed above");
-                (k, v)
-            })
-            .collect()
+        self.index.lookup(key)
     }
 
     /// The responder side of the Fig. 3 exchange. Applies this peer's half
@@ -2124,7 +2094,7 @@ mod tests {
             version: 0,
         };
         p.index_insert(path("00"), local); // keeps the index non-orphaned
-        p.index.insert(path("11"), vec![e]); // injected foreign entry
+        p.index.insert(path("11"), e); // injected foreign entry
         let mut r = rng();
         let out = drive(
             &mut p,
@@ -2148,7 +2118,7 @@ mod tests {
         let mut q = ProtocolPeer::new(PeerId(0), 4, 2, 2);
         q.path = path("0");
         q.index_insert(path("00"), local);
-        q.index.insert(path("11"), vec![e]);
+        q.index.insert(path("11"), e);
         let out = drive(
             &mut q,
             &mut r,

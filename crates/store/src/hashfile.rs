@@ -1,6 +1,6 @@
 //! The hashmap-on-disk backend: one record file, offsets in RAM.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -9,6 +9,7 @@ use pgrid_keys::{BitPath, Key};
 
 use crate::backend::{BackendKind, StorageBackend, StoreError};
 use crate::recfile::{self, Record};
+use crate::trie::KeyIds;
 use crate::{DataItem, ItemId, Version};
 
 /// Where an item's latest record sits in the file.
@@ -35,7 +36,7 @@ pub struct HashFileBackend {
     /// Length of the valid region; appends land here.
     end: u64,
     index: BTreeMap<ItemId, Loc>,
-    by_key: BTreeMap<Key, BTreeSet<ItemId>>,
+    by_key: KeyIds,
     scratch: Vec<u8>,
 }
 
@@ -52,18 +53,12 @@ impl HashFileBackend {
             .open(&path)?;
 
         let mut index: BTreeMap<ItemId, Loc> = BTreeMap::new();
-        let mut by_key: BTreeMap<Key, BTreeSet<ItemId>> = BTreeMap::new();
-        let link = |index: &mut BTreeMap<ItemId, Loc>,
-                    by_key: &mut BTreeMap<Key, BTreeSet<ItemId>>,
-                    id: ItemId,
-                    loc: Loc| {
-            if let Some(prev) = index.insert(id, loc) {
-                if prev.key != loc.key {
-                    unlink(by_key, prev.key, id);
-                }
-            }
-            by_key.entry(loc.key).or_default().insert(id);
-        };
+        let mut by_key = KeyIds::default();
+        let link =
+            |index: &mut BTreeMap<ItemId, Loc>, by_key: &mut KeyIds, id: ItemId, loc: Loc| {
+                let prev = index.insert(id, loc);
+                by_key.link(prev.map(|p| p.key), loc.key, id);
+            };
         let outcome = recfile::scan_file(&path, &file, |scanned| match scanned.record {
             Record::Put(item) => link(
                 &mut index,
@@ -78,7 +73,7 @@ impl HashFileBackend {
             ),
             Record::Remove(id) => {
                 if let Some(prev) = index.remove(&id) {
-                    unlink(&mut by_key, prev.key, id);
+                    by_key.unlink(prev.key, id);
                 }
             }
         })?;
@@ -151,21 +146,8 @@ impl HashFileBackend {
             key: item.key,
             version: item.version,
         };
-        if let Some(prev) = self.index.insert(item.id, loc) {
-            if prev.key != loc.key {
-                unlink(&mut self.by_key, prev.key, item.id);
-            }
-        }
-        self.by_key.entry(item.key).or_default().insert(item.id);
-    }
-}
-
-fn unlink(by_key: &mut BTreeMap<Key, BTreeSet<ItemId>>, key: Key, id: ItemId) {
-    if let Some(ids) = by_key.get_mut(&key) {
-        ids.remove(&id);
-        if ids.is_empty() {
-            by_key.remove(&key);
-        }
+        let prev = self.index.insert(item.id, loc);
+        self.by_key.link(prev.map(|p| p.key), loc.key, item.id);
     }
 }
 
@@ -199,7 +181,7 @@ impl StorageBackend for HashFileBackend {
         recfile::encode_remove_frame(id, &mut self.scratch);
         self.append_scratch();
         self.index.remove(&id);
-        unlink(&mut self.by_key, loc.key, id);
+        self.by_key.unlink(loc.key, id);
         Some(prev)
     }
 
@@ -224,11 +206,9 @@ impl StorageBackend for HashFileBackend {
     }
 
     fn for_each_under(&self, path: &BitPath, f: &mut dyn FnMut(DataItem)) {
-        for (_, ids) in crate::trie::prefix_range(&self.by_key, path) {
-            for id in ids {
-                if let Some(loc) = self.index.get(id) {
-                    f(self.read_loc(*loc));
-                }
+        for id in self.by_key.under(path) {
+            if let Some(loc) = self.index.get(&id) {
+                f(self.read_loc(*loc));
             }
         }
     }

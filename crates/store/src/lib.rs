@@ -6,17 +6,17 @@
 //! `DI`, each characterized by an index term (a binary key), and peers that
 //! are responsible for a trie path additionally keep an **index**
 //! `D ⊆ ADDR × K` mapping the keys under their path to the addresses of the
-//! hosting peers. This crate provides both halves:
+//! hosting peers. This crate holds the first half and the key ranges the
+//! second is built on (the index itself is `pgrid_proto::LeafIndex`):
 //!
 //! * [`DataItem`] / [`LocalStore`] — the versioned items a peer hosts;
 //! * [`StorageBackend`] and its implementations [`MemoryBackend`],
 //!   [`HashFileBackend`], [`LogBackend`] — where those items physically
 //!   live (RAM, one record file, or a compacting segment log), selected per
 //!   deployment via [`StorageSpec`] without touching any protocol code;
-//! * [`TrieIndex`] — an ordered key index with the prefix operations the
-//!   P-Grid algorithms need (prefix lookup, split-off on specialization);
-//! * [`prefix_range`] — the `BTreeMap`-range formulation of prefix lookup
-//!   that `TrieIndex` and the backends' key indexes are built on.
+//! * [`prefix_range`] / [`subtree_upper`] — a trie subtree as one range of
+//!   an ordered key map, which the backends' key scans and the peers' leaf
+//!   index (`pgrid_proto::LeafIndex`) are built on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,4 +36,4 @@ pub use item::{DataItem, ItemId, Version};
 pub use local::LocalStore;
 pub use log::{LogBackend, LogOptions};
 pub use memory::MemoryBackend;
-pub use trie::{prefix_range, TrieIndex};
+pub use trie::{prefix_range, subtree_upper};

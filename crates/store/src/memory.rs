@@ -1,11 +1,11 @@
 //! The in-RAM backend: the ordered maps `LocalStore` has always used.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use pgrid_keys::{BitPath, Key};
+use pgrid_keys::BitPath;
 
 use crate::backend::{BackendKind, StorageBackend, StoreError};
+use crate::trie::KeyIds;
 use crate::{DataItem, ItemId, Version};
 
 /// Items in a `BTreeMap` by id plus a secondary ordered key index.
@@ -15,22 +15,13 @@ use crate::{DataItem, ItemId, Version};
 #[derive(Clone, Debug, Default)]
 pub struct MemoryBackend {
     items: BTreeMap<ItemId, DataItem>,
-    by_key: BTreeMap<Key, BTreeSet<ItemId>>,
+    by_key: KeyIds,
 }
 
 impl MemoryBackend {
     /// Creates an empty backend.
     pub fn new() -> Self {
         MemoryBackend::default()
-    }
-
-    fn unlink_key(&mut self, key: Key, id: ItemId) {
-        if let Entry::Occupied(mut e) = self.by_key.entry(key) {
-            e.get_mut().remove(&id);
-            if e.get().is_empty() {
-                e.remove();
-            }
-        }
     }
 
     /// Borrowing lookup — only the memory backend can hand out references,
@@ -62,18 +53,13 @@ impl StorageBackend for MemoryBackend {
         // and key are captured for the secondary index.
         let (id, key) = (item.id, item.key);
         let prev = self.items.insert(id, item);
-        match prev {
-            Some(ref p) if p.key == key => {}
-            Some(ref p) => self.unlink_key(p.key, id),
-            None => {}
-        }
-        self.by_key.entry(key).or_default().insert(id);
+        self.by_key.link(prev.as_ref().map(|p| p.key), key, id);
         prev
     }
 
     fn remove(&mut self, id: ItemId) -> Option<DataItem> {
         let item = self.items.remove(&id)?;
-        self.unlink_key(item.key, id);
+        self.by_key.unlink(item.key, id);
         Some(item)
     }
 
@@ -92,11 +78,9 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn for_each_under(&self, path: &BitPath, f: &mut dyn FnMut(DataItem)) {
-        for (_, ids) in crate::trie::prefix_range(&self.by_key, path) {
-            for id in ids {
-                if let Some(item) = self.items.get(id) {
-                    f(item.clone());
-                }
+        for id in self.by_key.under(path) {
+            if let Some(item) = self.items.get(&id) {
+                f(item.clone());
             }
         }
     }

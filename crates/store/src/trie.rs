@@ -1,18 +1,14 @@
-//! Ordered key index and prefix-range lookup.
-//!
-//! Peers keep their leaf-level index `D` (key → hosting peers) in a structure
-//! that must answer two of the trie's questions efficiently during
-//! construction and search:
-//! *"which entries fall under trie path `p`?"* (when answering a query for a
-//! whole subtree) and *"hand me everything **not** under `p`"* (when a peer
-//! specializes its path and transfers the other half of its index to its
-//! exchange partner). Under [`BitPath`]'s lexicographic order a subtree is one
-//! contiguous key range, so an ordered map answers both.
+//! Prefix ranges over ordered key collections: under [`BitPath`]'s
+//! lexicographic order a trie subtree is one contiguous key range, so an
+//! ordered map or set answers "which keys fall under path `p`?" with one
+//! range scan and hands off "everything not under `p`" with two splits.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use pgrid_keys::{BitPath, Key};
+
+use crate::ItemId;
 
 /// Iterates over the entries of an ordered map whose keys have `path` as a
 /// prefix.
@@ -33,7 +29,9 @@ pub fn prefix_range<'a, V>(
 
 /// The smallest path lexicographically greater than every extension of
 /// `path`, or `None` when no such path exists (`path` is empty or all ones).
-fn subtree_upper(path: &BitPath) -> Option<BitPath> {
+/// Splitting an ordered map at `path` and at this bound isolates the
+/// subtree.
+pub fn subtree_upper(path: &BitPath) -> Option<BitPath> {
     let mut p = *path;
     while !p.is_empty() && p.last_bit() == 1 {
         p = p.parent();
@@ -45,134 +43,34 @@ fn subtree_upper(path: &BitPath) -> Option<BitPath> {
     }
 }
 
-/// An ordered index mapping exact keys to values, answering the trie's
-/// subtree questions as key ranges.
-///
-/// ```
-/// use pgrid_keys::BitPath;
-/// use pgrid_store::TrieIndex;
-///
-/// let mut index = TrieIndex::new();
-/// index.insert("0110".parse().unwrap(), "a");
-/// index.insert("0111".parse().unwrap(), "b");
-/// index.insert("10".parse().unwrap(), "c");
-///
-/// // Everything under the "01" subtree, in key order:
-/// let under: Vec<&str> = index
-///     .entries_under(&"01".parse().unwrap())
-///     .into_iter()
-///     .map(|(_, v)| *v)
-///     .collect();
-/// assert_eq!(under, vec!["a", "b"]);
-///
-/// // A peer specializing to "0" hands everything else away:
-/// let moved = index.extract_not_under(&"0".parse().unwrap());
-/// assert_eq!(moved.len(), 1);
-/// assert_eq!(index.len(), 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TrieIndex<V> {
-    map: BTreeMap<Key, V>,
-}
+/// The storage backends' secondary key index: one set element per
+/// `(key, id)` pair, so a key holding one item costs no collection of its
+/// own, and a prefix scan yields ids in key order, then id order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct KeyIds(BTreeSet<(Key, ItemId)>);
 
-impl<V> Default for TrieIndex<V> {
-    fn default() -> Self {
-        TrieIndex {
-            map: BTreeMap::new(),
+impl KeyIds {
+    /// Files `id` under `key`, unfiling it from `prev`, the key it had.
+    pub(crate) fn link(&mut self, prev: Option<Key>, key: Key, id: ItemId) {
+        if let Some(prev) = prev.filter(|&p| p != key) {
+            self.unlink(prev, id);
         }
-    }
-}
-
-impl<V> TrieIndex<V> {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        TrieIndex::default()
+        self.0.insert((key, id));
     }
 
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// Unfiles `id` from `key`.
+    pub(crate) fn unlink(&mut self, key: Key, id: ItemId) {
+        self.0.remove(&(key, id));
     }
 
-    /// `true` when no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Inserts `value` at `key`, returning the previous value if present.
-    pub fn insert(&mut self, key: Key, value: V) -> Option<V> {
-        self.map.insert(key, value)
-    }
-
-    /// Looks up the value stored at exactly `key`.
-    pub fn get(&self, key: &Key) -> Option<&V> {
-        self.map.get(key)
-    }
-
-    /// Mutable lookup at exactly `key`.
-    pub fn get_mut(&mut self, key: &Key) -> Option<&mut V> {
-        self.map.get_mut(key)
-    }
-
-    /// Returns the entry for `key`, inserting `default()` if absent.
-    pub fn get_or_insert_with(&mut self, key: Key, default: impl FnOnce() -> V) -> &mut V {
-        self.map.entry(key).or_insert_with(default)
-    }
-
-    /// Removes and returns the value at `key`.
-    pub fn remove(&mut self, key: &Key) -> Option<V> {
-        self.map.remove(key)
-    }
-
-    /// Visits every `(key, value)` whose key has `path` as a prefix, in
-    /// lexicographic key order.
-    pub fn for_each_under<'a>(&'a self, path: &BitPath, mut f: impl FnMut(Key, &'a V)) {
-        for (k, v) in prefix_range(&self.map, path) {
-            f(*k, v);
-        }
-    }
-
-    /// Collects every `(key, value)` under `path`.
-    pub fn entries_under(&self, path: &BitPath) -> Vec<(Key, &V)> {
-        prefix_range(&self.map, path)
-            .map(|(k, v)| (*k, v))
-            .collect()
-    }
-
-    /// All entries, in lexicographic key order.
-    pub fn entries(&self) -> Vec<(Key, &V)> {
-        self.entries_under(&BitPath::EMPTY)
-    }
-
-    /// Number of keys under `path`.
-    pub fn count_under(&self, path: &BitPath) -> usize {
-        prefix_range(&self.map, path).count()
-    }
-
-    /// Removes and returns, in key order, every entry whose key does **not**
-    /// have `path` as a prefix — the index half a peer hands to its partner
-    /// when it specializes its own path to `path`.
-    ///
-    /// Entries whose key is a *proper prefix* of `path` (coarser than the new
-    /// responsibility) are also extracted: the specialized peer can no longer
-    /// claim authority over the whole coarser subtree.
-    pub fn extract_not_under(&mut self, path: &BitPath) -> Vec<(Key, V)> {
-        // What stays is the contiguous range `[path, subtree_upper(path))`.
-        let mut kept = self.map.split_off(path);
-        let after = match subtree_upper(path) {
-            Some(upper) => kept.split_off(&upper),
-            None => BTreeMap::new(),
+    /// The ids filed under keys that have `path` as a prefix.
+    pub(crate) fn under(&self, path: &BitPath) -> impl Iterator<Item = ItemId> + '_ {
+        let lower = Bound::Included((*path, ItemId(0)));
+        let upper = match subtree_upper(path) {
+            Some(u) => Bound::Excluded((u, ItemId(0))),
+            None => Bound::Unbounded,
         };
-        let before = std::mem::replace(&mut self.map, kept);
-        before.into_iter().chain(after).collect()
-    }
-}
-
-impl<V> FromIterator<(Key, V)> for TrieIndex<V> {
-    fn from_iter<T: IntoIterator<Item = (Key, V)>>(iter: T) -> Self {
-        TrieIndex {
-            map: iter.into_iter().collect(),
-        }
+        self.0.range((lower, upper)).map(|&(_, id)| id)
     }
 }
 
@@ -182,82 +80,6 @@ mod tests {
 
     fn k(s: &str) -> Key {
         BitPath::from_str_lossy(s)
-    }
-
-    #[test]
-    fn insert_get_remove_round_trip() {
-        let mut t = TrieIndex::new();
-        assert!(t.is_empty());
-        assert_eq!(t.insert(k("0101"), 1), None);
-        assert_eq!(t.insert(k("0101"), 2), Some(1));
-        assert_eq!(t.insert(k("01"), 3), None);
-        assert_eq!(t.insert(k(""), 4), None);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get(&k("0101")), Some(&2));
-        assert_eq!(t.get(&k("01")), Some(&3));
-        assert_eq!(t.get(&k("")), Some(&4));
-        assert_eq!(t.get(&k("010")), None);
-        assert_eq!(t.remove(&k("01")), Some(3));
-        assert_eq!(t.remove(&k("01")), None);
-        assert_eq!(t.len(), 2);
-        assert_eq!(
-            t.get(&k("0101")),
-            Some(&2),
-            "removal must not disturb deeper keys"
-        );
-    }
-
-    #[test]
-    fn get_mut_and_get_or_insert() {
-        let mut t = TrieIndex::new();
-        *t.get_or_insert_with(k("11"), || 0) += 5;
-        *t.get_or_insert_with(k("11"), || 100) += 1;
-        assert_eq!(t.get(&k("11")), Some(&6));
-        *t.get_mut(&k("11")).unwrap() = 9;
-        assert_eq!(t.get(&k("11")), Some(&9));
-        assert!(t.get_mut(&k("10")).is_none());
-    }
-
-    #[test]
-    fn entries_under_subtree() {
-        let mut t = TrieIndex::new();
-        for (i, s) in ["000", "001", "01", "0110", "10", "11"].iter().enumerate() {
-            t.insert(k(s), i);
-        }
-        let under_0: Vec<String> = t
-            .entries_under(&k("0"))
-            .iter()
-            .map(|(key, _)| key.to_string())
-            .collect();
-        assert_eq!(under_0, vec!["000", "001", "01", "0110"]);
-        assert_eq!(t.count_under(&k("")), 6);
-        assert_eq!(t.count_under(&k("011")), 1);
-        assert_eq!(t.count_under(&k("0111")), 0);
-    }
-
-    #[test]
-    fn entries_are_sorted() {
-        let mut t = TrieIndex::new();
-        for s in ["11", "0", "10", "011", "000"] {
-            t.insert(k(s), ());
-        }
-        let keys: Vec<String> = t.entries().iter().map(|(key, _)| key.to_string()).collect();
-        assert_eq!(keys, vec!["0", "000", "011", "10", "11"]);
-    }
-
-    #[test]
-    fn extract_not_under_splits_index() {
-        let mut t = TrieIndex::new();
-        for s in ["000", "001", "010", "011", "10", "0"] {
-            t.insert(k(s), s.to_string());
-        }
-        let moved = t.extract_not_under(&k("01"));
-        let moved_keys: Vec<String> = moved.iter().map(|(key, _)| key.to_string()).collect();
-        // "0" is a proper prefix of "01" and must be extracted too.
-        assert_eq!(moved_keys, vec!["0", "000", "001", "10"]);
-        assert_eq!(t.len(), 2);
-        assert!(t.get(&k("010")).is_some());
-        assert!(t.get(&k("011")).is_some());
     }
 
     #[test]
@@ -302,29 +124,18 @@ mod tests {
         assert_eq!(subtree_upper(&k("0")), Some(k("1")));
     }
 
-    /// `TrieIndex` against a naive `Vec<(Key, V)>` (linear prefix filters,
-    /// sort by `Ord`): same results, same returned order, same remainder.
-    /// Key lengths 0–12 make proper prefixes of the split path, the empty
-    /// path and all-ones paths (`subtree_upper == None`) all occur.
+    /// `KeyIds` against a naive `Vec<(Key, ItemId)>` (linear prefix
+    /// filter, sort by `Ord`): re-keying links, unlinks and scans agree.
+    /// Key lengths 0–12 with one path in eight all ones make the empty
+    /// path and the unbounded range (`subtree_upper == None`) occur.
     #[test]
     fn seeded_ops_match_a_naive_vec_model() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        fn sorted_under(model: &[(Key, u32)], path: &BitPath) -> Vec<(Key, u32)> {
-            let mut under: Vec<(Key, u32)> = model
-                .iter()
-                .filter(|(k, _)| path.is_prefix_of(k))
-                .copied()
-                .collect();
-            under.sort();
-            under
-        }
-
         let mut rng = StdRng::seed_from_u64(23);
         let random_path = |rng: &mut StdRng| {
             let len = rng.gen_range(0..=12u8);
-            // One path in eight is all ones, so the unbounded range occurs.
             let bits = if rng.gen_range(0..8) == 0 {
                 u128::MAX
             } else {
@@ -332,72 +143,41 @@ mod tests {
             };
             BitPath::from_raw(bits, len)
         };
-        let mut trie: TrieIndex<u32> = TrieIndex::new();
-        let mut model: Vec<(Key, u32)> = Vec::new();
-        let (mut empty_splits, mut ones_splits, mut coarser_extracted) = (0, 0, 0);
-
-        for step in 0..4000u32 {
-            let key = random_path(&mut rng);
-            let slot = model.iter().position(|(k, _)| *k == key);
-            match rng.gen_range(0..10) {
-                0..=3 => {
-                    let prev = slot.map(|i| std::mem::replace(&mut model[i].1, step));
-                    if prev.is_none() {
-                        model.push((key, step));
+        let mut ids = KeyIds::default();
+        let mut model: Vec<(Key, ItemId)> = Vec::new();
+        let (mut unbounded_scans, mut rekeys) = (0, 0);
+        for _ in 0..4000 {
+            let id = ItemId(rng.gen_range(0..64));
+            let slot = model.iter().position(|&(_, i)| i == id);
+            match rng.gen_range(0..6) {
+                0..=2 => {
+                    let key = random_path(&mut rng);
+                    let prev = slot.map(|i| model.swap_remove(i).0);
+                    rekeys += usize::from(prev.is_some_and(|p| p != key));
+                    ids.link(prev, key, id);
+                    model.push((key, id));
+                }
+                3 => {
+                    if let Some(i) = slot {
+                        let (key, _) = model.swap_remove(i);
+                        ids.unlink(key, id);
                     }
-                    assert_eq!(trie.insert(key, step), prev);
-                }
-                4 => {
-                    let got = *trie.get_or_insert_with(key, || step);
-                    match slot {
-                        Some(i) => assert_eq!(got, model[i].1),
-                        None => {
-                            assert_eq!(got, step);
-                            model.push((key, step));
-                        }
-                    }
-                }
-                5 | 6 => {
-                    assert_eq!(trie.remove(&key), slot.map(|i| model.swap_remove(i).1));
-                }
-                7 | 8 => {
-                    let expect = sorted_under(&model, &key);
-                    let got: Vec<(Key, u32)> = trie
-                        .entries_under(&key)
-                        .into_iter()
-                        .map(|(k, v)| (k, *v))
-                        .collect();
-                    assert_eq!(got, expect, "entries_under({key})");
-                    assert_eq!(trie.count_under(&key), expect.len());
                 }
                 _ => {
-                    let (stay, mut go): (Vec<_>, Vec<_>) = model
+                    let path = random_path(&mut rng);
+                    unbounded_scans += usize::from(subtree_upper(&path).is_none());
+                    let mut want: Vec<(Key, ItemId)> = model
                         .iter()
+                        .filter(|(k, _)| path.is_prefix_of(k))
                         .copied()
-                        .partition(|(k, _)| key.is_prefix_of(k));
-                    go.sort();
-                    empty_splits += usize::from(key.is_empty());
-                    ones_splits += usize::from(!key.is_empty() && subtree_upper(&key).is_none());
-                    coarser_extracted += go.iter().filter(|(k, _)| k.is_prefix_of(&key)).count();
-                    assert_eq!(trie.extract_not_under(&key), go, "extract_not_under({key})");
-                    model = stay;
+                        .collect();
+                    want.sort();
+                    let want: Vec<ItemId> = want.into_iter().map(|(_, i)| i).collect();
+                    assert_eq!(ids.under(&path).collect::<Vec<_>>(), want, "under({path})");
                 }
             }
-            assert_eq!(trie.len(), model.len());
-            assert_eq!(
-                trie.get(&key),
-                model.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-            );
+            assert_eq!(ids.0.len(), model.len());
         }
-        let remaining: Vec<(Key, u32)> = trie.entries().into_iter().map(|(k, v)| (k, *v)).collect();
-        assert_eq!(remaining, sorted_under(&model, &BitPath::EMPTY));
-        assert!(empty_splits > 0 && ones_splits > 0 && coarser_extracted > 0);
-    }
-
-    #[test]
-    fn from_iterator() {
-        let t: TrieIndex<u32> = [(k("01"), 1), (k("10"), 2)].into_iter().collect();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(&k("10")), Some(&2));
+        assert!(unbounded_scans > 0 && rekeys > 0);
     }
 }

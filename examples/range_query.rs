@@ -66,7 +66,7 @@ fn main() {
     }
 
     let (outcome, entries) = grid.range_entries(PeerId(0), &lo, &hi, &mut ctx);
-    let hits: usize = entries.values().map(Vec::len).sum();
+    let hits: usize = entries.iter().map(|(_, v)| v.len()).sum();
     let expected = temps
         .iter()
         .filter(|&&t| (lo_t..=hi_t).contains(&t))

@@ -15,6 +15,12 @@ if grep -rn "SliceRandom" crates/*/src; then
     exit 1
 fi
 
+echo "==> one leaf index (peers hold pgrid_proto::LeafIndex)"
+if grep -rnE "TrieIndex<|index: BTreeMap<Key" crates/*/src; then
+    echo "FATAL: a second per-peer index shape under crates/*/src; use pgrid_proto::LeafIndex"
+    exit 1
+fi
+
 echo "==> clippy (all targets, warnings are errors, perf lints on)"
 cargo clippy --all-targets -- -D warnings -D clippy::perf -W clippy::redundant_clone
 

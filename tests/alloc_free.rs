@@ -3,50 +3,64 @@
 //! every scratch buffer to its high-water mark; the measured operations
 //! then run under a counting allocator and must leave the calling thread's
 //! count where it was. `exchange` rewrites reference sets, which is peer
-//! state rather than scratch, so it gets a per-call ceiling instead.
+//! state rather than scratch, so it gets a per-call ceiling instead. The
+//! allocator also tracks live heap bytes, which gate what a peer keeps per
+//! leaf-index entry.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pgrid::core::{
-    BatchQuery, BuildOptions, CompactRoutingTable, Ctx, IndexEntry, PGrid, PGridConfig,
+    BatchQuery, BuildOptions, CompactRoutingTable, Ctx, IndexEntry, KeyEntries, PGrid, PGridConfig,
+    Peer,
 };
 use pgrid::keys::BitPath;
 use pgrid::net::{AlwaysOnline, NetStats, PeerId};
+use pgrid::proto::ProtocolPeer;
 use pgrid::store::{ItemId, Version};
+use pgrid::wire::WireEntry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 thread_local! {
     /// Allocation events (fresh allocations and reallocations) of this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread allocated minus those it freed.
+    static BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// System-allocator delegate that counts allocation events per thread, so
-/// the test harness's own threads cannot disturb a measurement.
+/// System-allocator delegate that counts allocation events and live bytes
+/// per thread, so the test harness's own threads cannot disturb a
+/// measurement.
 struct CountingAlloc;
 
-fn count() {
+fn count(bytes: i64) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    release(-bytes);
+}
+
+fn release(bytes: i64) {
+    let _ = BYTES.try_with(|c| c.set(c.get() - bytes));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        release(layout.size() as i64);
         System.dealloc(ptr, layout)
     }
 }
@@ -124,32 +138,113 @@ fn search_and_batched_query_do_not_allocate_when_warm() {
     assert!(sink > 0);
 }
 
-/// Footprint gate (DESIGN §9): what a peer keeps per index entry. Seeding
-/// 1 000 random 64-bit keys costs 1.25 allocation events per resulting
-/// index entry with the ordered leaf index — the entry's own `Vec` plus its
-/// share of a B-tree node — where the node-per-bit trie it replaced took
-/// 56.2.
-#[test]
-fn seeding_an_index_entry_costs_at_most_two_allocations() {
-    let mut grid = converged_grid(42);
+/// Allocation events and live heap bytes of `seed` on this thread.
+fn measured(seed: impl FnOnce()) -> (u64, i64) {
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    seed();
+    (
+        ALLOCS.with(Cell::get) - allocs,
+        BYTES.with(Cell::get) - bytes,
+    )
+}
+
+/// The footprint fixture: 1 000 random 64-bit keys, entry `i` held by
+/// peer `i mod 256`.
+fn seeding_keys() -> Vec<(BitPath, IndexEntry)> {
     let mut rng = StdRng::seed_from_u64(1);
-    let before = ALLOCS.with(Cell::get);
-    for i in 0..1000u32 {
-        let entry = IndexEntry {
-            item: ItemId(u64::from(i)),
-            holder: PeerId(i % 256),
-            version: Version(0),
-        };
-        grid.seed_index(BitPath::random(&mut rng, 64), entry);
-    }
-    let allocs = ALLOCS.with(Cell::get) - before;
+    (0..1000u32)
+        .map(|i| {
+            let entry = IndexEntry {
+                item: ItemId(u64::from(i)),
+                holder: PeerId(i % 256),
+                version: Version(0),
+            };
+            (BitPath::random(&mut rng, 64), entry)
+        })
+        .collect()
+}
+
+/// Seeds the fixture into the converged grid; returns allocation events
+/// and live heap bytes, each per resulting index entry.
+fn engine_seeding_cost() -> (f64, f64) {
+    let mut grid = converged_grid(42);
+    let keys = seeding_keys();
+    let (allocs, bytes) = measured(|| {
+        for &(key, entry) in &keys {
+            grid.seed_index(key, entry);
+        }
+    });
     let entries: usize = grid.peers().map(|p| p.index().len()).sum();
     assert!(entries >= 1000, "every key lands on at least one peer");
-    let per_entry = allocs as f64 / entries as f64;
+    (
+        allocs as f64 / entries as f64,
+        bytes as f64 / entries as f64,
+    )
+}
+
+/// Footprint gate (DESIGN §9): what a peer keeps per index entry. Seeding
+/// 1 000 random 64-bit keys (17 158 entries over the replicas) costs 0.249
+/// allocation events per resulting index entry: B-tree nodes and
+/// `replicas_of`'s scratch list, since a key's only entry sits inline in
+/// its slot. A `Vec` per key took 1.25, and the node-per-bit trie before
+/// it 56.2.
+#[test]
+fn seeding_an_index_entry_costs_at_most_two_allocations() {
+    let (per_entry, _) = engine_seeding_cost();
     assert!(
-        per_entry <= 2.0,
-        "{per_entry:.2} allocations per index entry ({allocs} over {entries})"
+        per_entry <= 0.3,
+        "{per_entry:.3} allocations per index entry"
     );
+}
+
+/// Byte gate (DESIGN §9) on the same fixture, for the engine's `Peer` and
+/// for `ProtocolPeer`s at the grid's paths holding the same replicas: an
+/// entry keeps 100.1 live heap bytes in both — its share of B-tree nodes
+/// holding 32-byte keys and 32-byte slots — where a `Vec` per key kept
+/// 185.2.
+#[test]
+fn an_index_entry_holds_at_most_112_heap_bytes() {
+    let (_, engine) = engine_seeding_cost();
+    let grid = converged_grid(42);
+    let keys = seeding_keys();
+    let mut peers: Vec<ProtocolPeer> = grid
+        .peers()
+        .map(|p| {
+            let mut peer = ProtocolPeer::new(p.id(), 4, 4, 2);
+            peer.path = p.path();
+            peer
+        })
+        .collect();
+    let (_, bytes) = measured(|| {
+        for &(key, e) in &keys {
+            let entry = WireEntry {
+                item: e.item.0,
+                holder: e.holder,
+                version: e.version.0,
+            };
+            for peer in peers.iter_mut().filter(|p| p.path.is_prefix_of(&key)) {
+                peer.index_insert(key, entry);
+            }
+        }
+    });
+    let entries: usize = peers.iter().map(|p| p.index.len()).sum();
+    let live = bytes as f64 / entries as f64;
+    for (who, per_entry) in [("Peer", engine), ("ProtocolPeer", live)] {
+        assert!(
+            per_entry <= 112.0,
+            "{who}: {per_entry:.1} heap bytes per index entry"
+        );
+    }
+}
+
+/// The sizes DESIGN §9 budgets on 64-bit targets: a `Peer` (ROADMAP keeps
+/// it at 272 B) and the leaf index's slot value, one entry inline.
+#[test]
+#[cfg(target_pointer_width = "64")]
+fn peer_and_index_slot_sizes_hold() {
+    assert_eq!(std::mem::size_of::<Peer>(), 272);
+    assert!(std::mem::size_of::<KeyEntries<IndexEntry>>() <= 32);
+    assert!(std::mem::size_of::<KeyEntries<WireEntry>>() <= 32);
 }
 
 /// Exchange allocation gate (DESIGN §9): 1 000 meetings on the converged

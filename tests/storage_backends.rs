@@ -136,7 +136,7 @@ fn disk_backed_peers_survive_reopen_and_reindex() {
             let expect = peer.store().len();
             assert_eq!(peer.index_hosted_under(), expect);
             // Peers 0–7 host two items under one key: count entries, not keys.
-            let entries: usize = peer.index().entries().iter().map(|(_, e)| e.len()).sum();
+            let entries: usize = peer.index().iter().map(|(_, e)| e.len()).sum();
             assert_eq!(entries, expect);
         }
         std::fs::remove_dir_all(&dir).unwrap();
