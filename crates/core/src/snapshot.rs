@@ -129,6 +129,17 @@ impl GridSnapshot {
         Ok(grid)
     }
 
+    /// The key-space prefixes no peer's path covers: each shortest prefix
+    /// that no path is a prefix of and no path extends, in key order.
+    /// Empty when every key has a responsible peer. A snapshot holds live
+    /// peers only, so a hole is a subtree where no query can be answered.
+    pub fn uncovered(&self) -> Vec<BitPath> {
+        let paths: Vec<BitPath> = self.peers.iter().map(|p| p.path).collect();
+        let mut holes = Vec::new();
+        holes_under(BitPath::EMPTY, &paths, &mut holes);
+        holes
+    }
+
     /// Serializes to one line of JSON: `{"config":{…},"peers":[…]}`, the
     /// struct fields by name, paths and keys as bit strings, ids, versions
     /// and payload bytes as integers, an index entry as `[key, [entry…]]`.
@@ -207,6 +218,27 @@ impl GridSnapshot {
             .map(|(i, p)| peer_from_json(p).map_err(|e| format!("peer {i}: {e}")))
             .collect::<Result<_, _>>()?;
         Ok(GridSnapshot { config, peers })
+    }
+}
+
+/// Appends the holes under `prefix` to `holes`, given the `paths` that
+/// extend (or equal) it.
+fn holes_under(prefix: BitPath, paths: &[BitPath], holes: &mut Vec<BitPath>) {
+    if paths.is_empty() {
+        holes.push(prefix);
+        return;
+    }
+    let depth = prefix.len();
+    if paths.iter().any(|p| p.len() == depth) {
+        return;
+    }
+    for bit in 0..2 {
+        let under: Vec<BitPath> = paths
+            .iter()
+            .filter(|p| p.bit(depth) == bit)
+            .copied()
+            .collect();
+        holes_under(prefix.child(bit), &under, holes);
     }
 }
 
@@ -505,80 +537,66 @@ mod tests {
         assert!(old.peers.iter().all(|p| !p.misplaced));
     }
 
-    /// 64-bit FNV-1a of `bytes`.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
-    /// The live protocol's routing state, pinned: 64 `SimNet` peers
-    /// (`maxl` 5, `refmax` 2, `recmax` 2) meet in seeded rounds with
-    /// queries between them, so route shuffles, Cases 1–4, the offer's
-    /// level mix, adopted levels and multi-id evictions all draw from the
-    /// peers' streams before the snapshot is taken.
-    #[test]
-    fn simnet_snapshot_json_is_pinned() {
-        use pgrid_proto::{ProtocolPeer, SimNet};
-        const N: u32 = 64;
-        const MAXL: usize = 5;
-        let mut net = SimNet::new(PeerId(u32::MAX - 1));
-        for i in 0..N {
-            let mut peer = ProtocolPeer::new(PeerId(i), MAXL, 2, 2);
-            peer.recmax = 2;
-            net.add_peer(peer, 0x5eed ^ (u64::from(i) << 20));
-        }
-        let mut rng = StdRng::seed_from_u64(36);
-        let mut qid = 0;
-        for _ in 0..8 {
-            for _ in 0..N {
-                let (a, b) = (rng.gen_range(0..N), rng.gen_range(0..N));
-                net.meet(PeerId(a), PeerId(b));
-            }
-            for _ in 0..16 {
-                let key = (0..MAXL).fold(BitPath::EMPTY, |k, _| k.child(rng.gen_range(0..2)));
-                qid += 1;
-                net.query(PeerId(rng.gen_range(0..N)), qid, key, 32);
-            }
-        }
-        let peers = net
-            .peer_ids()
-            .into_iter()
-            .map(|id| {
-                let p = net.peer(id);
-                PeerSnapshot {
-                    id,
-                    path: p.path,
-                    refs: p.refs.clone(),
-                    index: p
-                        .index
-                        .iter()
-                        .map(|(k, entries)| {
-                            let entries = entries.iter().map(|e| IndexEntry {
-                                item: ItemId(e.item),
-                                holder: e.holder,
-                                version: Version(e.version),
-                            });
-                            (*k, entries.collect())
-                        })
-                        .collect(),
-                    buddies: p.buddies.clone(),
-                    hosted: Vec::new(),
-                    misplaced: p.misplaced,
-                }
+    /// A snapshot of bare peers on `paths` (no references or index).
+    fn of_paths(paths: &[&str]) -> GridSnapshot {
+        let peers = paths
+            .iter()
+            .enumerate()
+            .map(|(i, path)| PeerSnapshot {
+                id: PeerId::from_index(i),
+                path: BitPath::from_str_lossy(path),
+                refs: RoutingTable::default(),
+                index: Vec::new(),
+                buddies: Vec::new(),
+                hosted: Vec::new(),
+                misplaced: false,
             })
             .collect();
-        let snap = GridSnapshot {
-            config: PGridConfig {
-                maxl: MAXL,
-                refmax: 2,
-                recmax: 2,
-                recfanout: Some(2),
-                ..PGridConfig::default()
-            },
+        GridSnapshot {
+            config: PGridConfig::default(),
             peers,
-        };
-        assert_eq!(fnv1a(snap.to_json().as_bytes()), 0xbe25_4443_812a_37ff);
+        }
+    }
+
+    fn holes(paths: &[&str]) -> Vec<String> {
+        let holes = of_paths(paths).uncovered();
+        holes.iter().map(BitPath::to_string).collect()
+    }
+
+    #[test]
+    fn uncovered_names_each_hole_once_and_shortest() {
+        assert_eq!(holes(&[]), [""]);
+        assert!(holes(&[""]).is_empty());
+        assert!(holes(&["", "01", "1"]).is_empty());
+        assert!(holes(&["00", "01", "1", "1"]).is_empty());
+        assert_eq!(holes(&["0", "10"]), ["11"]);
+        assert_eq!(holes(&["000", "1"]), ["001", "01"]);
+        assert_eq!(holes(&["0110"]), ["00", "010", "0111", "1"]);
+        // A shorter path covers its whole subtree, longer paths under it
+        // included.
+        assert!(holes(&["0", "011", "1", "1010"]).is_empty());
+    }
+
+    /// The synchronous exchange applies both halves of a split at once, so
+    /// the engine's construction leaves no key without a responsible peer
+    /// in the benchmark's smoke shape.
+    #[test]
+    fn engine_builds_cover_every_key() {
+        for seed in 1..=50u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut online = AlwaysOnline;
+            let mut stats = NetStats::new();
+            let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
+            let config = PGridConfig {
+                maxl: 3,
+                refmax: 2,
+                ..PGridConfig::default()
+            };
+            let mut grid = PGrid::new(16, config);
+            grid.build(&BuildOptions::default(), &mut ctx);
+            let holes = GridSnapshot::capture(&grid).uncovered();
+            assert!(holes.is_empty(), "seed {seed}: uncovered {holes:?}");
+        }
     }
 
     #[test]

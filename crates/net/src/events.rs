@@ -89,6 +89,11 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
+    /// When the next event fires, if one is scheduled.
+    pub fn next_at(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(s)| s.at)
+    }
+
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(u64, E)> {
         let Reverse(s) = self.heap.pop()?;

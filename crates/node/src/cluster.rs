@@ -2,7 +2,7 @@
 
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pgrid_keys::Key;
 use pgrid_net::{draw, NetStats, PeerId};
@@ -10,10 +10,10 @@ use pgrid_store::StorageSpec;
 use pgrid_trace::NullTracer;
 use pgrid_wire::{encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::{
-    lock, reseed_from_journal, FaultPlan, LocalTransport, NodeState, TcpTransport,
+    lock, reseed_from_journal, FaultPlan, LocalTransport, NodeState, SimTransport, TcpTransport,
     TcpTransportConfig, Transport, DEFAULT_MAILBOX_DEPTH,
 };
 
@@ -32,7 +32,8 @@ pub struct ClusterConfig {
     pub recfanout: usize,
     /// Query hop budget.
     pub ttl: u16,
-    /// RNG seed (thread scheduling still makes runs non-deterministic).
+    /// RNG seed (over threads and sockets, scheduling still makes runs
+    /// non-deterministic; on the virtual clock it fixes the run).
     pub seed: u64,
     /// Mailbox depth per node — over sockets, the per-connection write
     /// queue depth. At least one.
@@ -95,6 +96,10 @@ pub type Cluster = Community<LocalTransport>;
 /// threads.
 pub type TcpCluster = Community<TcpTransport>;
 
+/// The virtual-clock community: every shell on the caller's thread, frames
+/// in one deterministic queue ([`SimTransport`]), so a seed fixes the run.
+pub type SimCluster = Community<SimTransport>;
+
 impl Community<LocalTransport> {
     /// Spawns `config.n` node threads (index custody stays in RAM).
     pub fn spawn(config: ClusterConfig) -> Self {
@@ -112,6 +117,15 @@ impl Community<LocalTransport> {
 
     fn mailboxes(config: &ClusterConfig) -> LocalTransport {
         LocalTransport::with_mailbox_depth(config.mailbox_depth)
+    }
+}
+
+impl Community<SimTransport> {
+    /// Hosts `config.n` shells on a fresh virtual-clock transport (index
+    /// custody stays in RAM; the queue is unbounded, so `mailbox_depth` is
+    /// not used).
+    pub fn spawn(config: ClusterConfig) -> Self {
+        Self::over(SimTransport::new(), config, None)
     }
 }
 
@@ -258,8 +272,8 @@ impl<T: Transport> Community<T> {
             return;
         }
         for _ in 0..meetings {
-            let i = self.rng.gen_range(0..n);
-            let mut j = self.rng.gen_range(0..n - 1);
+            let i = draw::below(&mut self.rng, n);
+            let mut j = draw::below(&mut self.rng, n - 1);
             if j >= i {
                 j += 1;
             }
@@ -285,7 +299,7 @@ impl<T: Transport> Community<T> {
         if live.is_empty() {
             return;
         }
-        let entry_node = live[self.rng.gen_range(0..live.len())];
+        let entry_node = live[draw::below(&mut self.rng, live.len())];
         self.insert_at(key, entry, entry_node);
     }
 
@@ -306,7 +320,7 @@ impl<T: Transport> Community<T> {
         let mut last = self.transport.delivered();
         let mut stable_rounds = 0;
         while stable_rounds < 5 {
-            std::thread::sleep(T::SETTLE_POLL);
+            self.transport.settle_poll();
             self.drain_client();
             let now = self.transport.delivered();
             if now == last && self.transport.in_flight() == 0 {
@@ -434,11 +448,8 @@ impl<T: Transport> Community<T> {
         if !self.transport.send(self.client_id, entry_node, frame) {
             return None;
         }
-        let deadline = Instant::now() + Duration::from_millis(self.config.query_timeout_ms);
-        while let Ok((from, msg)) = self
-            .client_rx
-            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-        {
+        let deadline = self.transport.now() + Duration::from_millis(self.config.query_timeout_ms);
+        while let Some((from, msg)) = self.transport.recv_client(&self.client_rx, deadline) {
             match msg {
                 Message::QueryOk {
                     id,

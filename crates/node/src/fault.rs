@@ -10,11 +10,12 @@
 //! Peer crash/restart is a *cluster*-level fault (an endpoint disappears
 //! and later reappears); see `Community::crash_node` / `restart_node`.
 //!
-//! The [`FaultGate`] is the one place a frame's fate is applied: both
-//! transports send through [`dispatch`], which rolls the plan, counts the
+//! The [`FaultGate`] is the one place a frame's fate is applied: every
+//! transport sends through [`dispatch`], which rolls the plan, counts the
 //! outcome, and either drops the frame, hands it (and a duplicate) to the
 //! transport's `deliver_now`, or parks it in the holdback heap until the
-//! transport's releaser calls [`FaultGate::release`].
+//! transport's releaser calls [`FaultGate::release`]. Holdback delays are
+//! measured on the transport's clock ([`Transport::now`]).
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
@@ -352,7 +353,7 @@ pub(crate) fn dispatch<T: Transport>(
         counters.delayed.fetch_add(1, Ordering::Relaxed);
     }
     lock(&gate.holdback).push(Held {
-        due: Instant::now() + Duration::from_millis(ms),
+        due: transport.now() + Duration::from_millis(ms),
         seq: gate.held_seq.fetch_add(1, Ordering::Relaxed),
         from,
         to,

@@ -1,32 +1,36 @@
 //! # pgrid-node
 //!
-//! A **live** P-Grid deployment: every peer is an actor thread that speaks
-//! the binary wire protocol ([`pgrid_wire`]) over an in-process transport.
-//! This is the "it actually runs as a distributed system" counterpart to the
+//! A **live** P-Grid deployment: every peer is a node shell that speaks
+//! the binary wire protocol ([`pgrid_wire`]) over a transport. This is the
+//! "it actually runs as a distributed system" counterpart to the
 //! sequential simulator in [`pgrid_core`]:
 //!
 //! * [`Transport`] — the I/O seam. [`LocalTransport`] routes encoded frames
 //!   between threads through in-process mailboxes; [`TcpTransport`] ships
 //!   the same frames over real sockets, multiplexing many peers per OS
-//!   thread with an event-loop driver — nothing above the seam changes;
+//!   thread with an event-loop driver; [`SimTransport`] queues them on a
+//!   virtual clock and runs every shell on the caller's thread — nothing
+//!   above the seam changes;
 //! * [`NodeState`] — the protocol state machine, an alias of
 //!   [`pgrid_proto::ProtocolPeer`]: all decision logic (Fig. 2 routing,
 //!   Fig. 3 exchange cases, dedup, anti-entropy) lives in the sans-I/O
-//!   core crate, shared with the deterministic simulator;
+//!   core crate;
 //! * [`Transport::host`] — the one way a peer goes live: a pure I/O shell
 //!   decoding frames into events, encoding effects into frames, and owning
 //!   the retransmission / failover machinery, run on an actor thread
-//!   (mailboxes) or an event-loop worker (sockets);
-//! * [`Community`] — spawns a community over either transport
-//!   ([`Cluster`], [`TcpCluster`]), drives random meetings, issues queries
-//!   from a client endpoint, and snapshots convergence.
+//!   (mailboxes), an event-loop worker (sockets) or the driving thread
+//!   (virtual clock);
+//! * [`Community`] — spawns a community over any transport ([`Cluster`],
+//!   [`TcpCluster`], [`SimCluster`]), drives random meetings, issues
+//!   queries from a client endpoint, and snapshots convergence.
 //!
-//! Unlike the inline simulator, the live cluster is asynchronous and
-//! therefore not bit-deterministic under concurrency; its tests assert
-//! *invariants* (structure validity, convergence, query soundness). Under
-//! sequential driving, a seeded cluster reproduces the decisions of a
-//! seeded [`pgrid_proto::SimNet`] exactly — the differential test at the
-//! workspace root asserts that.
+//! Over threads and sockets the community is asynchronous and therefore
+//! not bit-deterministic under concurrency; those tests assert
+//! *invariants* (structure validity, convergence, query soundness). On the
+//! virtual clock a seed fixes the whole run, recursion and faults
+//! included. Under sequential driving, a seeded mailbox or socket
+//! community reproduces the decisions of the seeded [`SimCluster`]
+//! exactly — the differential tests at the workspace root assert that.
 //!
 //! ## Failure model
 //!
@@ -44,13 +48,15 @@
 mod cluster;
 mod fault;
 mod node;
+mod sim;
 mod state;
 mod tcp;
 mod transport;
 
-pub use cluster::{Cluster, ClusterConfig, Community, TcpCluster};
+pub use cluster::{Cluster, ClusterConfig, Community, SimCluster, TcpCluster};
 pub use fault::FaultPlan;
 pub use node::reseed_from_journal;
+pub use sim::SimTransport;
 pub use state::NodeState;
 pub use tcp::{TcpTransport, TcpTransportConfig};
 pub use transport::{

@@ -1,5 +1,5 @@
-//! The I/O shell of a live node: an actor loop driving the sans-I/O
-//! protocol core.
+//! The I/O shell of a live node: the one driver of the sans-I/O protocol
+//! core, over every transport.
 //!
 //! Every protocol decision lives in [`pgrid_proto::ProtocolPeer`] — this
 //! module owns only I/O: decoding frames into [`Event`]s, encoding
@@ -8,7 +8,7 @@
 //! randomness from one seeded stream (`proto_rng`) and the shell draws its
 //! retransmit jitter from a *separate* stream (`io_rng`), a node's protocol
 //! decisions are a pure function of its seed and event order — which is what
-//! lets the inline simulator ([`pgrid_proto::SimNet`]) reproduce them.
+//! lets [`crate::SimTransport`] reproduce them on a virtual clock.
 //!
 //! # Reliability
 //!
@@ -218,10 +218,10 @@ pub fn reseed_from_journal(state: &Mutex<NodeState>, journal: &AnyBackend) -> us
 
 /// The I/O shell around one [`ProtocolPeer`](pgrid_proto::ProtocolPeer):
 /// decode, retransmission timers, failover. Generic over the transport seam
-/// so the same shell runs thread-per-peer over [`LocalTransport`] mailboxes
-/// *and* multiplexed inside the [`crate::TcpTransport`] event loop — the
-/// two deployments differ only in who calls [`NodeRt::handle_message`] /
-/// [`NodeRt::tick`], never in what they do.
+/// so the same shell runs thread-per-peer over [`LocalTransport`] mailboxes,
+/// inside the [`crate::TcpTransport`] event loop and on the caller's thread
+/// over [`crate::SimTransport`] — they differ only in who calls
+/// [`NodeRt::handle_message`] / [`NodeRt::tick`] and with which clock.
 pub(crate) struct NodeRt<T: Transport> {
     id: PeerId,
     state: Arc<Mutex<NodeState>>,
@@ -560,7 +560,7 @@ impl<T: Transport> NodeRt<T> {
 
     /// Starts the retransmit schedule of `frame`, just transmitted to `to`.
     fn track(&mut self, id: u64, op: Op, to: PeerId, frame: Bytes, rest: Vec<PeerId>) {
-        let deadline = Instant::now() + op.retry().backoff(1, &mut self.io_rng);
+        let deadline = self.transport.now() + op.retry().backoff(1, &mut self.io_rng);
         let pending = Pending {
             op,
             to,

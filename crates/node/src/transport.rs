@@ -44,16 +44,20 @@ pub enum SendStatus {
 
 /// The transport seam: everything that differs between deployments.
 ///
-/// [`LocalTransport`] (in-process mailboxes, one actor thread per peer) and
+/// [`LocalTransport`] (in-process mailboxes, one actor thread per peer),
 /// [`crate::TcpTransport`] (real sockets behind an event-loop worker pool)
-/// both implement it. The node shell and the [`Community`](crate::Community)
+/// and [`crate::SimTransport`] (one queue on a virtual clock, no thread)
+/// implement it. The node shell and the [`Community`](crate::Community)
 /// harness are generic over this trait, so the sans-I/O
 /// [`ProtocolPeer`](pgrid_proto::ProtocolPeer) runs byte-identically over
-/// either. A deployment says how a frame moves ([`Transport::deliver_now`],
+/// each. A deployment says how a frame moves ([`Transport::deliver_now`],
 /// [`Transport::send_control`]), how a peer shell is hosted and evicted,
 /// how the harness client receives, and how to tell the network is quiet;
 /// fault injection ([`FaultPlan`]) and the counters are shared, provided
-/// here over [`Transport::gate`].
+/// here over [`Transport::gate`]. Its clock and its two waits
+/// ([`Transport::now`], [`Transport::settle_poll`],
+/// [`Transport::recv_client`]) default to wall time, which only the
+/// virtual clock replaces.
 ///
 /// The trait names crate-internal types, so it cannot be implemented
 /// outside this crate.
@@ -184,6 +188,49 @@ pub trait Transport: Clone + Send + Sync + 'static {
     fn net_stats(&self) -> NetStats {
         self.gate().counters.snapshot()
     }
+
+    /// The clock that retransmit deadlines, fault delays and query
+    /// deadlines are measured on.
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    /// One quiescence polling round of
+    /// [`Community::settle`](crate::Community::settle): lets the network
+    /// run for [`Transport::SETTLE_POLL`].
+    fn settle_poll(&self) {
+        std::thread::sleep(Self::SETTLE_POLL);
+    }
+
+    /// Waits until `deadline` for the next message on the harness client
+    /// endpoint `rx` (see [`Transport::open_client`]).
+    fn recv_client(
+        &self,
+        rx: &Receiver<(PeerId, Message)>,
+        deadline: Instant,
+    ) -> Option<(PeerId, Message)> {
+        rx.recv_timeout(deadline.saturating_duration_since(self.now()))
+            .ok()
+    }
+}
+
+/// Hands a frame to the harness client, which has no shell: it is decoded
+/// on arrival, and one that fails to decode is counted as malformed.
+pub(crate) fn hand_to_client(
+    tx: &Sender<(PeerId, Message)>,
+    from: PeerId,
+    bytes: &[u8],
+    gate: &FaultGate,
+) {
+    let mut buf = BytesMut::from(bytes);
+    match decode_frame(&mut buf) {
+        Ok(Some(msg)) => {
+            let _ = tx.send((from, msg));
+        }
+        Ok(None) | Err(_) => {
+            gate.counters.malformed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Why a registration was refused.
@@ -271,16 +318,7 @@ impl Inner {
                 .map_err(|e| TrySendError::Disconnected(e.0)),
             Mailbox::Frames(tx) => tx.try_send(Frame { from, bytes }),
             Mailbox::Client(tx) => {
-                let mut buf = BytesMut::from(&bytes[..]);
-                match decode_frame(&mut buf) {
-                    Ok(Some(msg)) => {
-                        let _ = tx.send((from, msg));
-                    }
-                    Ok(None) | Err(_) => {
-                        let malformed = &self.pump.gate.counters.malformed;
-                        malformed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                hand_to_client(tx, from, &bytes, &self.pump.gate);
                 Ok(())
             }
         };

@@ -1,10 +1,10 @@
 //! The sans-I/O vocabulary: typed input events and output effects.
 //!
 //! A [`crate::ProtocolPeer`] consumes [`Event`]s and appends [`Effect`]s —
-//! it never touches a socket, channel, clock, or thread. Drivers own all
-//! I/O: the live node maps effects onto wire frames, a faulty transport,
-//! retransmission timers, and candidate failover; the deterministic
-//! simulator ([`crate::SimNet`]) applies them inline over a FIFO queue.
+//! it never touches a socket, channel, clock, or thread. The driver, the
+//! node shell of `pgrid-node`, owns all I/O: it maps frames onto events and
+//! effects onto wire frames, a faulty transport, retransmission timers, and
+//! candidate failover, over threads, sockets or a virtual clock.
 //! Anything that can *observe* the outside world arrives as an event;
 //! anything that can *affect* it leaves as an effect.
 

@@ -15,16 +15,15 @@
 //!   the engine's peers and these alike;
 //! * [`ProtocolPeer`] — one peer's full protocol state, advanced by typed
 //!   [`Event`]s into typed [`Effect`]s ([`ProtocolPeer::handle`]), with all
-//!   randomness supplied through [`ProtoCtx`];
-//! * [`SimNet`] — the inline deterministic driver: the same peers the live
-//!   node runs, exercised over a faultless FIFO network with no threads,
-//!   sockets, or clocks.
+//!   randomness supplied through [`ProtoCtx`].
 //!
 //! Drivers own everything else: frames, retransmission, timeouts,
-//! failover, threads. Because every protocol decision (and every protocol
-//! RNG draw) lives here, a seeded [`SimNet`] run and a seeded live-cluster
-//! run of the *same* peers make identical decisions — which the
-//! differential test in the workspace root asserts.
+//! failover, threads, clocks. There is one, the node shell of `pgrid-node`,
+//! over threads, sockets or a virtual clock. Because every protocol
+//! decision (and every protocol RNG draw) lives here, a seeded run on the
+//! virtual clock and a seeded threaded or socket run of the *same* peers
+//! make identical decisions — which the differential tests in the
+//! workspace root assert.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +34,6 @@ mod fig3;
 mod leaf_index;
 mod peer;
 mod routing;
-mod sim;
 
 pub use event::{Effect, Event, TimerToken};
 pub use fig2::{route_step, RouteStep};
@@ -46,4 +44,3 @@ pub use peer::{
     SEEN_CAP,
 };
 pub use routing::{random_select, union_into, LevelRefs, LevelRefsMut, RoutingTable};
-pub use sim::SimNet;

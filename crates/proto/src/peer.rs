@@ -6,10 +6,9 @@
 //! events in, effects out, randomness only via the caller's [`ProtoCtx`].
 //! There are no channels, clocks, sockets, or threads in this module, which
 //! is precisely what makes the *production* protocol deterministically
-//! simulable: the same peer type runs under the live actor shell
-//! (`pgrid-node`) and under the inline simulator ([`crate::SimNet`]), and a
-//! fixed seed plus a fixed event order reproduces every decision
-//! bit-for-bit.
+//! simulable: one node shell (`pgrid-node`) runs this peer type over
+//! threads, sockets or a virtual clock, and a fixed seed plus a fixed event
+//! order reproduces every decision bit-for-bit.
 
 use std::collections::{HashMap, HashSet};
 

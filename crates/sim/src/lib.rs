@@ -53,7 +53,6 @@ pub use engine::{
 };
 pub use report::{fmt_f, Table};
 pub use runner::{built_grid, BuiltGrid};
-// The sans-I/O protocol core and its inline message-queue driver, re-exported
-// so experiment code can script event-level scenarios (and differential runs
-// against the live cluster) without a separate dependency.
-pub use pgrid_proto::{ProtocolPeer, SimNet};
+// The sans-I/O protocol core, re-exported so experiment code can script
+// event-level scenarios without a separate dependency.
+pub use pgrid_proto::ProtocolPeer;

@@ -21,6 +21,13 @@ if grep -rnE "TrieIndex<|index: BTreeMap<Key" crates/*/src; then
     exit 1
 fi
 
+echo "==> one frame->event mapping (only the node shell turns frames into protocol events)"
+if grep -rnE "Event::(OfferReceived|AnswerReceived|ConfirmReceived) \{" crates/*/src \
+    | grep -vE "^crates/(node/src/node|proto/src/peer)\.rs:"; then
+    echo "FATAL: a second frame->event mapping under crates/*/src; drive peers through the node shell"
+    exit 1
+fi
+
 echo "==> clippy (all targets, warnings are errors, perf lints on)"
 cargo clippy --all-targets -- -D warnings -D clippy::perf -W clippy::redundant_clone
 
@@ -33,11 +40,14 @@ cargo build --release
 echo "==> tests"
 cargo test -q
 
-echo "==> sim/live differential determinism (two fixed seeds)"
+echo "==> virtual-clock/mailbox differential (two fixed seeds)"
 cargo test --release --test differential_sim_node
 
-echo "==> sim/socket differential determinism (real TCP loopback, two fixed seeds)"
+echo "==> virtual-clock/socket differential (real TCP loopback, two fixed seeds)"
 cargo test --release --test differential_sim_tcp
+
+echo "==> virtual-clock determinism (same seed twice at recmax 2, clean and under every fault class)"
+cargo test --release --test sim_determinism
 
 echo "==> batch determinism (per-query RNG streams: chunk 1/8/64 x threads 1/4 byte-identical)"
 cargo test --release --test batch_determinism

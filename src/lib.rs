@@ -11,12 +11,13 @@
 //! * [`store`] — per-peer data storage and trie indexes;
 //! * [`net`] — availability models, message accounting, event scheduling;
 //! * [`wire`] — the binary peer protocol;
-//! * [`proto`] — the sans-I/O protocol core (Fig. 2 / Fig. 3 kernels, the
-//!   event-driven [`proto::ProtocolPeer`] and its inline [`proto::SimNet`]
-//!   driver) shared by the simulator and the live node;
+//! * [`proto`] — the sans-I/O protocol core (Fig. 2 / Fig. 3 kernels and
+//!   the event-driven [`proto::ProtocolPeer`]) shared by the simulator and
+//!   the live node;
 //! * [`core`] — the P-Grid itself: construction, search, updates, analysis;
 //! * [`baselines`] — Gnutella flooding and central-server comparators;
-//! * [`node`] — the live actor deployment;
+//! * [`node`] — the live deployment: one node shell over mailboxes,
+//!   sockets, or a deterministic virtual clock ([`node::SimCluster`]);
 //! * [`sim`] — the paper's experiment suite;
 //! * [`trace`] — the deterministic flight recorder (typed events, logical
 //!   time, JSONL replay and trace diffing).
