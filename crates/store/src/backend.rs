@@ -300,7 +300,7 @@ pub enum StorageSpec {
         dir: PathBuf,
     },
     /// One log-structured segment directory per peer under `dir`
-    /// (`peer-<i>/seg-*.log`).
+    /// (`peer-<i>/seg-*.log`), created by the peer's first write.
     Log {
         /// Parent directory of the per-peer segment directories.
         dir: PathBuf,
@@ -332,7 +332,9 @@ impl StorageSpec {
         }
     }
 
-    /// Opens (creating or recovering) the backend for peer slot `slot`.
+    /// Opens (creating or recovering) the backend for peer slot `slot`. A
+    /// log store creates its `peer-<slot>` directory, and `dir` if missing,
+    /// at its first write, so a peer that never hosts an item leaves none.
     pub fn open_for(&self, slot: usize) -> Result<AnyBackend, StoreError> {
         match self {
             StorageSpec::Memory => Ok(AnyBackend::Memory(crate::MemoryBackend::new())),

@@ -64,12 +64,21 @@ struct Segment {
 /// earlier ones and tombstones keep removed items dead. A torn tail is
 /// only legal in the active segment — a crash can tear the file being
 /// appended to, never a sealed one.
+///
+/// The store touches the filesystem only once it is first written: `open`
+/// of a missing directory yields an empty store, and the first append
+/// creates the directory (and any missing ancestors) and segment 0. New
+/// segments and directories are synced by the next `flush`, not when they
+/// are created.
 #[derive(Debug)]
 pub struct LogBackend {
     dir: PathBuf,
     options: LogOptions,
     segments: BTreeMap<u64, Segment>,
-    active_id: u64,
+    /// How many directories, counting up from `dir`, gained an entry since
+    /// the last `flush`: `dir` itself once a segment is created, and one
+    /// more for each directory level the store created.
+    unsynced_levels: usize,
     index: BTreeMap<ItemId, Loc>,
     by_key: KeyIds,
     live_bytes: u64,
@@ -102,21 +111,37 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// Creates `dir` and its missing ancestors, returning how many levels were
+/// missing.
+fn create_dir_levels(dir: &Path) -> std::io::Result<usize> {
+    let missing = dir
+        .ancestors()
+        .take_while(|level| !level.as_os_str().is_empty() && !level.exists())
+        .count();
+    std::fs::create_dir_all(dir)?;
+    Ok(missing)
+}
+
 impl LogBackend {
-    /// Opens (or creates) the store in `dir` with default tuning.
+    /// Opens the store in `dir` with default tuning.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         LogBackend::open_with(dir, LogOptions::default())
     }
 
-    /// Opens (or creates) the store in `dir`: deletes stale compaction
-    /// scratch files, then replays every segment in ascending id order to
-    /// rebuild the index.
+    /// Opens the store in `dir`: deletes stale compaction scratch files,
+    /// then replays every segment in ascending id order to rebuild the
+    /// index. A missing `dir` opens as an empty store and is not created
+    /// until the first write; any other failure to list it is an error.
     pub fn open_with(dir: impl Into<PathBuf>, options: LogOptions) -> Result<Self, StoreError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        let entries = match std::fs::read_dir(&dir) {
+            Ok(entries) => Some(entries),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
 
         let mut seg_ids = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
+        for entry in entries.into_iter().flatten() {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
@@ -134,7 +159,7 @@ impl LogBackend {
             dir,
             options,
             segments: BTreeMap::new(),
-            active_id: 0,
+            unsynced_levels: 0,
             index: BTreeMap::new(),
             by_key: KeyIds::default(),
             live_bytes: 0,
@@ -142,15 +167,14 @@ impl LogBackend {
             scratch: Vec::new(),
         };
 
-        // An empty directory stays empty: segment 0 is created by the first
-        // append, so a store that never holds a record never holds a file.
+        // A missing or empty directory stays so: segment 0 is created by the
+        // first append, so a store that never holds a record holds no file.
         let Some(&last) = seg_ids.last() else {
             return Ok(backend);
         };
         for id in seg_ids {
             backend.replay_segment(id, id == last)?;
         }
-        backend.active_id = last;
         let active = backend.segments.get_mut(&last).unwrap();
         active
             .file
@@ -159,11 +183,19 @@ impl LogBackend {
         Ok(backend)
     }
 
+    /// Creates segment `id`, which becomes the active (highest-numbered)
+    /// one — and, for the first segment, the store's directory. Nothing is
+    /// synced here: `flush` syncs the new file and the directory entries
+    /// that name it.
     fn create_segment(&mut self, id: u64) -> Result<(), StoreError> {
+        let created = if self.segments.is_empty() {
+            create_dir_levels(&self.dir)?
+        } else {
+            0
+        };
         let mut file = open_rw(&self.dir.join(seg_file_name(id)))?;
         file.write_all(recfile::MAGIC)?;
-        file.sync_all()?;
-        sync_dir(&self.dir)?;
+        self.unsynced_levels = self.unsynced_levels.max(1 + created);
         self.segments.insert(
             id,
             Segment {
@@ -171,8 +203,20 @@ impl LogBackend {
                 len: recfile::MAGIC.len() as u64,
             },
         );
-        self.active_id = id;
         Ok(())
+    }
+
+    /// The directories `flush` must sync, `dir` first: each holds an entry
+    /// created since the last `flush`.
+    fn unsynced_dirs(&self) -> impl Iterator<Item = &Path> {
+        // A relative path's last ancestor is the empty path.
+        self.dir.ancestors().take(self.unsynced_levels).map(|d| {
+            if d.as_os_str().is_empty() {
+                Path::new(".")
+            } else {
+                d
+            }
+        })
     }
 
     fn replay_segment(&mut self, id: u64, is_active: bool) -> Result<(), StoreError> {
@@ -261,11 +305,18 @@ impl LogBackend {
     /// the store has never been written — and returns the location.
     fn append_scratch(&mut self) -> (u64, u64, u32) {
         if self.segments.is_empty() {
-            self.create_segment(0)
-                .unwrap_or_else(|e| panic!("creating the first segment failed: {e}"));
+            self.create_segment(0).unwrap_or_else(|e| {
+                panic!(
+                    "creating the first segment in {} failed: {e}",
+                    self.dir.display()
+                )
+            });
         }
-        let seg_id = self.active_id;
-        let seg = self.segments.get_mut(&seg_id).expect("active segment");
+        let (&seg_id, seg) = self
+            .segments
+            .iter_mut()
+            .next_back()
+            .expect("active segment");
         let offset = seg.len;
         seg.file
             .write_all(&self.scratch)
@@ -297,10 +348,9 @@ impl LogBackend {
 
     /// Rollover and compaction checks, run after every append.
     fn after_append(&mut self) {
-        let active_len = self.segments.get(&self.active_id).expect("active").len;
-        if active_len >= self.options.segment_bytes {
-            let next = self.active_id + 1;
-            self.create_segment(next)
+        let (&active_id, active) = self.segments.last_key_value().expect("active segment");
+        if active.len >= self.options.segment_bytes {
+            self.create_segment(active_id + 1)
                 .unwrap_or_else(|e| panic!("segment rollover failed: {e}"));
         }
         if self.dead_bytes >= self.options.compact_min_bytes && self.dead_bytes > self.live_bytes {
@@ -312,11 +362,11 @@ impl LogBackend {
     /// Rewrites every live record into one fresh segment (id order), then
     /// atomically publishes it and deletes the old segments.
     fn compact(&mut self) -> Result<(), StoreError> {
-        if self.segments.is_empty() {
+        let Some(&active_id) = self.segments.keys().next_back() else {
             // Never written: nothing to rewrite, and no file to leave behind.
             return Ok(());
-        }
-        let next = self.active_id + 1;
+        };
+        let next = active_id + 1;
         let tmp_path = self.dir.join(format!("{}.tmp", seg_file_name(next)));
         let final_path = self.dir.join(seg_file_name(next));
 
@@ -359,7 +409,6 @@ impl LogBackend {
         let mut file = open_rw(&final_path)?;
         file.seek(SeekFrom::Start(offset)).map_err(StoreError::Io)?;
         self.segments.insert(next, Segment { file, len: offset });
-        self.active_id = next;
         for (id, loc) in new_locs {
             self.index.insert(id, loc);
         }
@@ -465,6 +514,10 @@ impl StorageBackend for LogBackend {
         for seg in self.segments.values() {
             seg.file.sync_all()?;
         }
+        for dir in self.unsynced_dirs() {
+            sync_dir(dir)?;
+        }
+        self.unsynced_levels = 0;
         Ok(())
     }
 
@@ -617,17 +670,60 @@ mod tests {
             assert_eq!(b.remove(ItemId(1)), None);
             assert_eq!((b.len(), b.segment_count()), (0, 0));
         }
-        assert_eq!(segment_files(&dir), 0, "nothing written, nothing created");
+        assert!(!dir.exists(), "nothing written, nothing created");
         {
             let mut b = LogBackend::open(&dir).unwrap();
-            assert_eq!(segment_files(&dir), 0, "reopening creates nothing either");
+            assert!(!dir.exists(), "reopening creates nothing either");
             b.put(item(7, "0101"));
             assert_eq!((b.segment_count(), segment_files(&dir)), (1, 1));
+            let entries = std::fs::read_dir(&dir).unwrap().count();
+            assert_eq!(entries, 1, "one directory holding one segment");
             b.flush().unwrap();
         }
         let b = LogBackend::open(&dir).unwrap();
         assert_eq!(b.get(ItemId(7)), Some(item(7, "0101")));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The first write creates every missing level; `flush` syncs the
+    /// entries that name them once, and a rollover's new segment at the
+    /// next flush after it.
+    #[test]
+    fn flush_syncs_each_created_entry_once() {
+        let root = tmp("levels");
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("peer-3");
+        let unsynced =
+            |b: &LogBackend| b.unsynced_dirs().map(Path::to_path_buf).collect::<Vec<_>>();
+        let mut b = LogBackend::open_with(&dir, small_opts()).unwrap();
+        assert!(unsynced(&b).is_empty());
+        b.put(item(1, "0101"));
+        assert!(dir.is_dir());
+        assert_eq!(
+            unsynced(&b),
+            [dir.clone(), root.clone(), std::env::temp_dir()],
+            "the new segment's directory, then the parents of both created levels"
+        );
+        b.flush().unwrap();
+        assert!(unsynced(&b).is_empty());
+        b.put(item(2, "0101"));
+        assert!(unsynced(&b).is_empty(), "no new entry, no directory sync");
+        while b.segment_count() == 1 {
+            b.put(item(3, "0101"));
+        }
+        assert_eq!(unsynced(&b), [dir]);
+        b.flush().unwrap();
+        assert!(unsynced(&b).is_empty());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_store_path_that_is_a_file_fails_to_open() {
+        let path = tmp("file");
+        std::fs::write(&path, b"not a directory").unwrap();
+        assert!(LogBackend::open(&path).is_err());
+        assert!(LogBackend::open(path.join("peer-0")).is_err());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

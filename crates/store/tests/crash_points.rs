@@ -1,8 +1,8 @@
 //! Crash-point coverage for the disk backends: every simulated kill leaves
 //! files that recovery must either replay to a converged state (crash
-//! artifacts: torn tails, stale compaction scratch, undeleted
-//! pre-compaction segments) or refuse loudly (real corruption in the middle
-//! of sealed data).
+//! artifacts: torn tails, empty or part-magic new segments, stale
+//! compaction scratch, undeleted pre-compaction segments) or refuse loudly
+//! (real corruption in the middle of sealed data).
 
 use std::path::{Path, PathBuf};
 
@@ -285,4 +285,46 @@ fn log_recovered_store_accepts_new_writes() {
     assert_eq!(b.len(), 5);
     assert!(b.contains(ItemId(50)));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Power loss after a segment is created but before the first `flush`:
+/// the new segment — the first, or one started by a rollover — can be
+/// empty or hold part of its magic. It opens as an empty active segment,
+/// gets its header back, and takes writes that survive a reopen.
+#[test]
+fn log_unflushed_new_segment_opens_empty() {
+    for torn in [&b""[..], b"PGST", b"PGSTORE"] {
+        for after_rollover in [false, true] {
+            let dir = fresh_dir("log-unflushed");
+            let mut expect = Vec::new();
+            if after_rollover {
+                let mut b = LogBackend::open_with(&dir, tiny()).unwrap();
+                for i in 0..2 {
+                    expect.push(item(i, "0101", i as u8));
+                    b.put(item(i, "0101", i as u8));
+                }
+                b.flush().unwrap();
+                assert_eq!(b.segment_count(), 1);
+            }
+            let active = dir.join(if after_rollover {
+                "seg-1.log"
+            } else {
+                "seg-0.log"
+            });
+            std::fs::write(&active, torn).unwrap();
+            {
+                let mut b = LogBackend::open_with(&dir, tiny()).unwrap();
+                assert_eq!(contents(&b), expect, "header {torn:?}");
+                assert_eq!(std::fs::read(&active).unwrap(), b"PGSTORE1");
+                for i in 10..13 {
+                    expect.push(item(i, "0110", i as u8));
+                    b.put(item(i, "0110", i as u8));
+                }
+                b.flush().unwrap();
+            }
+            let b = LogBackend::open_with(&dir, tiny()).unwrap();
+            assert_eq!(contents(&b), expect, "header {torn:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
 }

@@ -86,6 +86,16 @@ cmp "${tables}" results/all_experiments.txt \
 echo "==> benchmark build (benchmark/src/probes.rs builds ProtocolPeers from engine tables)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --features node-crate
 
+echo "==> benchmark runs (engine_read and engine_mixed at smoke size report correct results)"
+for workload in engine_read engine_mixed; do
+    bash benchmark/run.sh --workload "${workload}" --smoke --seconds 1 |
+        python3 -c '
+import json, sys
+results = [json.loads(line) for line in sys.stdin if line.startswith("{")]
+assert len(results) == 1 and results[0]["correct"] is True, results
+' || { echo "FATAL: ${workload} did not report a correct run"; exit 1; }
+done
+
 if [[ "${1:-}" != "quick" ]]; then
     echo "==> chaos suite (fault injection, three fixed seeds)"
     cargo test --release --test live_chaos -- --nocapture

@@ -181,3 +181,64 @@ fn snapshot_round_trips_hosted_items_from_any_backend() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A log-backed grid touches the disk only for peers that host an item:
+/// opening it creates nothing, each hosting peer creates its own
+/// `peer-<slot>` directory, and reopening the spec recovers every item
+/// while the other peers' stores stay empty.
+#[test]
+fn log_store_directories_exist_only_for_hosting_peers() {
+    let cfg = PGridConfig {
+        maxl: 3,
+        refmax: 3,
+        ..PGridConfig::default()
+    };
+    for (peers, hosts) in [(64, 8), (2048, 256)] {
+        let base = fresh_dir(&format!("lazy-{peers}"));
+        let root = base.join("stores");
+        let spec = StorageSpec::of_kind(BackendKind::Log, &root);
+        let stride = peers / hosts;
+        let hosted = |slot: usize| -> Vec<DataItem> {
+            if !slot.is_multiple_of(stride) {
+                return Vec::new();
+            }
+            (0..3u64)
+                .map(|j| {
+                    let id = slot as u64 * 3 + j;
+                    let key = BitPath::from_value(u128::from(j), 3);
+                    DataItem::with_payload(ItemId(id), format!("it-{id}"), key, vec![j as u8; 8])
+                })
+                .collect()
+        };
+        {
+            let mut grid = PGrid::with_storage(peers, cfg, &spec).unwrap();
+            assert!(!root.exists(), "{peers} peers: opening creates nothing");
+            for slot in 0..peers {
+                let store = grid.peer_mut(PeerId::from_index(slot)).store_mut();
+                for item in hosted(slot) {
+                    store.insert(item);
+                }
+                store.flush().unwrap();
+            }
+        }
+        let dirs = std::fs::read_dir(&root)
+            .unwrap()
+            .filter(|e| {
+                let e = e.as_ref().unwrap();
+                e.file_type().unwrap().is_dir()
+                    && e.file_name().to_string_lossy().starts_with("peer-")
+            })
+            .count();
+        assert_eq!(dirs, hosts, "{peers} peers: one directory per hosting peer");
+        let grid = PGrid::with_storage(peers, cfg, &spec).unwrap();
+        for slot in 0..peers {
+            let mut got = Vec::new();
+            grid.peer(PeerId::from_index(slot))
+                .store()
+                .for_each(&mut |item| got.push(item));
+            assert_eq!(got, hosted(slot), "{peers} peers: slot {slot} after reopen");
+        }
+        drop(grid);
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+}
