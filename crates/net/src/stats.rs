@@ -96,8 +96,6 @@ pub struct NetStats {
     pub retries: u64,
     /// Frames whose retransmit budget was exhausted without an ack.
     pub timeouts: u64,
-    /// Sends refused because the target mailbox was full (backpressure).
-    pub rejected: u64,
     /// Frames that failed to decode at the receiver.
     pub malformed: u64,
     /// Routing-table references evicted after repeated timeouts.
@@ -184,7 +182,6 @@ impl NetStats {
         out.delayed = self.delayed - earlier.delayed;
         out.retries = self.retries - earlier.retries;
         out.timeouts = self.timeouts - earlier.timeouts;
-        out.rejected = self.rejected - earlier.rejected;
         out.malformed = self.malformed - earlier.malformed;
         out.evictions = self.evictions - earlier.evictions;
         out.violations_detected = self.violations_detected - earlier.violations_detected;
@@ -215,7 +212,6 @@ impl NetStats {
         self.delayed += other.delayed;
         self.retries += other.retries;
         self.timeouts += other.timeouts;
-        self.rejected += other.rejected;
         self.malformed += other.malformed;
         self.evictions += other.evictions;
         self.violations_detected += other.violations_detected;
@@ -248,7 +244,6 @@ impl NetStats {
             && self.delayed == 0
             && self.retries == 0
             && self.timeouts == 0
-            && self.rejected == 0
             && self.malformed == 0
             && self.evictions == 0
             && self.violations_detected == 0
@@ -310,14 +305,13 @@ impl fmt::Display for NetStats {
         if !self.is_fault_free() {
             write!(
                 f,
-                " [dropped={} dup={} reorder={} delayed={} retries={} timeouts={} rejected={} malformed={} evictions={} violations={} repairs={} conn_lost={} shed={}]",
+                " [dropped={} dup={} reorder={} delayed={} retries={} timeouts={} malformed={} evictions={} violations={} repairs={} conn_lost={} shed={}]",
                 self.dropped,
                 self.duplicated,
                 self.reordered,
                 self.delayed,
                 self.retries,
                 self.timeouts,
-                self.rejected,
                 self.malformed,
                 self.evictions,
                 self.violations_detected,
@@ -497,7 +491,6 @@ mod tests {
                     &mut s.delayed,
                     &mut s.retries,
                     &mut s.timeouts,
-                    &mut s.rejected,
                     &mut s.malformed,
                     &mut s.evictions,
                     &mut s.violations_detected,
@@ -520,14 +513,14 @@ mod tests {
     /// `merge` must equal interleaved serial recording: replaying one event
     /// stream into a single accumulator gives the same counters as splitting
     /// it across two shards (round-robin) and merging them — covering the
-    /// message, contact, and all twenty fault/socket/balance counters.
+    /// message, contact, and all nineteen fault/socket/balance counters.
     #[test]
     fn merge_equals_interleaved_serial_recording() {
         let events: Vec<Event> = (0..200)
             .map(|i| match i % 4 {
                 0 => Event::Msg(MsgKind::ALL[i % 5]),
                 1 => Event::Contact(i % 3 == 0),
-                _ => Event::Fault(i % 20),
+                _ => Event::Fault(i % 19),
             })
             .collect();
 
@@ -597,7 +590,6 @@ mod tests {
         b.record_contact(false);
         b.retries = 5;
         b.timeouts = 9;
-        b.rejected = 2;
         b.malformed = 6;
         b.evictions = 5;
         b.violations_detected = 4;

@@ -36,7 +36,6 @@ fn random_stats(rng: &mut StdRng) -> NetStats {
     s.delayed = counter();
     s.retries = counter();
     s.timeouts = counter();
-    s.rejected = counter();
     s.malformed = counter();
     s.evictions = counter();
     s.violations_detected = counter();

@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    lock, reseed_from_journal, FaultPlan, LocalTransport, NodeState, SimTransport, TcpTransport,
-    TcpTransportConfig, Transport, DEFAULT_MAILBOX_DEPTH,
+    lock, reseed_from_journal, FaultPlan, NodeState, SimTransport, TcpTransport,
+    TcpTransportConfig, Transport,
 };
 
 /// Shape of a live cluster.
@@ -32,12 +32,9 @@ pub struct ClusterConfig {
     pub recfanout: usize,
     /// Query hop budget.
     pub ttl: u16,
-    /// RNG seed (over threads and sockets, scheduling still makes runs
-    /// non-deterministic; on the virtual clock it fixes the run).
+    /// RNG seed (over sockets, scheduling still makes runs non-deterministic;
+    /// on the virtual clock it fixes the run).
     pub seed: u64,
-    /// Mailbox depth per node — over sockets, the per-connection write
-    /// queue depth. At least one.
-    pub mailbox_depth: usize,
     /// Client-level query attempts, each from a *different* random entry
     /// node (the paper's remedy for dead-ended randomized searches).
     pub query_attempts: usize,
@@ -57,7 +54,6 @@ impl Default for ClusterConfig {
             recfanout: 2,
             ttl: 64,
             seed: 7,
-            mailbox_depth: DEFAULT_MAILBOX_DEPTH,
             query_attempts: 4,
             query_timeout_ms: 2000,
             faults: None,
@@ -69,7 +65,7 @@ impl Default for ClusterConfig {
 /// endpoint for issuing queries: spawns the peers, drives meetings, inserts
 /// and queries with failover, crashes and restarts peers, and snapshots
 /// convergence. Everything here is deployment-independent; what differs
-/// between mailboxes and sockets lives behind [`Transport`].
+/// between sockets and the virtual clock lives behind [`Transport`].
 pub struct Community<T: Transport> {
     transport: T,
     states: Vec<Arc<Mutex<NodeState>>>,
@@ -86,10 +82,6 @@ pub struct Community<T: Transport> {
     storage: Option<StorageSpec>,
 }
 
-/// The in-process community: one actor thread per peer, frames through
-/// [`LocalTransport`] mailboxes.
-pub type Cluster = Community<LocalTransport>;
-
 /// The socket community: every frame crosses a real loopback TCP
 /// connection and the peers are multiplexed on [`TcpTransport`]'s
 /// event-loop workers, so the OS footprint is the worker pool, not `n`
@@ -100,30 +92,14 @@ pub type TcpCluster = Community<TcpTransport>;
 /// in one deterministic queue ([`SimTransport`]), so a seed fixes the run.
 pub type SimCluster = Community<SimTransport>;
 
-impl Community<LocalTransport> {
-    /// Spawns `config.n` node threads (index custody stays in RAM).
-    pub fn spawn(config: ClusterConfig) -> Self {
-        Self::over(Self::mailboxes(&config), config, None)
-    }
-
-    /// [`Cluster::spawn`] with durable per-node journals (see
-    /// [`TcpCluster::spawn_with_storage`] for the contract).
-    ///
-    /// # Panics
-    /// If a backend fails to open or refuses to load (real corruption).
-    pub fn spawn_with_storage(config: ClusterConfig, storage: StorageSpec) -> Self {
-        Self::over(Self::mailboxes(&config), config, Some(storage))
-    }
-
-    fn mailboxes(config: &ClusterConfig) -> LocalTransport {
-        LocalTransport::with_mailbox_depth(config.mailbox_depth)
-    }
-}
+/// [`SimCluster`] under its former name. It exists only because
+/// `benchmark/src/live.rs` names it (the `node.local_lookup_p50_us` probe);
+/// ROADMAP item 3(b) removes it.
+pub type Cluster = SimCluster;
 
 impl Community<SimTransport> {
     /// Hosts `config.n` shells on a fresh virtual-clock transport (index
-    /// custody stays in RAM; the queue is unbounded, so `mailbox_depth` is
-    /// not used).
+    /// custody stays in RAM; the queue is unbounded).
     pub fn spawn(config: ClusterConfig) -> Self {
         Self::over(SimTransport::new(), config, None)
     }
@@ -156,8 +132,8 @@ impl Community<TcpTransport> {
     fn loopback(config: &ClusterConfig, workers: usize) -> TcpTransport {
         TcpTransport::bind(TcpTransportConfig {
             workers,
-            write_queue_depth: config.mailbox_depth,
             seed: config.seed,
+            ..TcpTransportConfig::default()
         })
         .expect("bind loopback listener")
     }
@@ -667,7 +643,7 @@ impl<T: Transport> Community<T> {
 #[cfg(test)]
 mod tests {
     //! One body per behaviour, generic over the transport; the macro at the
-    //! bottom instantiates every body for mailboxes and for sockets.
+    //! bottom instantiates every body on the virtual clock and over sockets.
 
     use super::*;
     use pgrid_keys::BitPath;
@@ -680,10 +656,10 @@ mod tests {
         fn spawn(config: ClusterConfig, storage: Option<StorageSpec>) -> Community<Self>;
     }
 
-    impl Spawn for LocalTransport {
+    impl Spawn for SimTransport {
         const SOCKETS: bool = false;
-        fn spawn(config: ClusterConfig, storage: Option<StorageSpec>) -> Cluster {
-            Cluster::over(Cluster::mailboxes(&config), config, storage)
+        fn spawn(config: ClusterConfig, storage: Option<StorageSpec>) -> SimCluster {
+            SimCluster::over(SimTransport::new(), config, storage)
         }
     }
 
@@ -715,7 +691,7 @@ mod tests {
     fn log_spec<T: Spawn>(tag: &str) -> (std::path::PathBuf, StorageSpec) {
         let dir = std::env::temp_dir().join(format!(
             "pgrid-{tag}-{}-{}",
-            if T::SOCKETS { "sockets" } else { "mailboxes" },
+            if T::SOCKETS { "sockets" } else { "sim" },
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1038,8 +1014,8 @@ mod tests {
     /// Instantiates every generic body above once per transport.
     macro_rules! for_both_transports {
         ($($body:ident),* $(,)?) => {
-            mod mailboxes {
-                $(#[test] fn $body() { super::$body::<super::LocalTransport>(); })*
+            mod virtual_clock {
+                $(#[test] fn $body() { super::$body::<super::SimTransport>(); })*
             }
             mod sockets {
                 $(#[test] fn $body() { super::$body::<super::TcpTransport>(); })*

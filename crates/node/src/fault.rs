@@ -243,7 +243,6 @@ pub struct Counters {
     pub(crate) delayed: AtomicU64,
     pub(crate) retries: AtomicU64,
     pub(crate) timeouts: AtomicU64,
-    pub(crate) rejected: AtomicU64,
     pub(crate) malformed: AtomicU64,
     pub(crate) evictions: AtomicU64,
 }
@@ -257,7 +256,6 @@ impl Counters {
         s.delayed = self.delayed.load(Ordering::Relaxed);
         s.retries = self.retries.load(Ordering::Relaxed);
         s.timeouts = self.timeouts.load(Ordering::Relaxed);
-        s.rejected = self.rejected.load(Ordering::Relaxed);
         s.malformed = self.malformed.load(Ordering::Relaxed);
         s.evictions = self.evictions.load(Ordering::Relaxed);
         s
@@ -270,9 +268,8 @@ impl Counters {
 #[derive(Default)]
 pub struct FaultGate {
     engine: Mutex<Option<FaultEngine>>,
-    /// Held frames, earliest due on top. Crate-visible so a releaser can
-    /// wait on it with a condvar.
-    pub(crate) holdback: Mutex<BinaryHeap<Held>>,
+    /// Held frames, earliest due on top.
+    holdback: Mutex<BinaryHeap<Held>>,
     held_seq: AtomicU64,
     pub(crate) counters: Counters,
 }

@@ -5,32 +5,30 @@
 //! "it actually runs as a distributed system" counterpart to the
 //! sequential simulator in [`pgrid_core`]:
 //!
-//! * [`Transport`] — the I/O seam. [`LocalTransport`] routes encoded frames
-//!   between threads through in-process mailboxes; [`TcpTransport`] ships
-//!   the same frames over real sockets, multiplexing many peers per OS
-//!   thread with an event-loop driver; [`SimTransport`] queues them on a
-//!   virtual clock and runs every shell on the caller's thread — nothing
-//!   above the seam changes;
+//! * [`Transport`] — the I/O seam. [`TcpTransport`] ships encoded frames
+//!   over real sockets, multiplexing many peers per OS thread with an
+//!   event-loop driver; [`SimTransport`] queues them on a virtual clock and
+//!   runs every shell on the caller's thread — nothing above the seam
+//!   changes;
 //! * [`NodeState`] — the protocol state machine, an alias of
 //!   [`pgrid_proto::ProtocolPeer`]: all decision logic (Fig. 2 routing,
 //!   Fig. 3 exchange cases, dedup, anti-entropy) lives in the sans-I/O
 //!   core crate;
 //! * [`Transport::host`] — the one way a peer goes live: a pure I/O shell
 //!   decoding frames into events, encoding effects into frames, and owning
-//!   the retransmission / failover machinery, run on an actor thread
-//!   (mailboxes), an event-loop worker (sockets) or the driving thread
-//!   (virtual clock);
-//! * [`Community`] — spawns a community over any transport ([`Cluster`],
-//!   [`TcpCluster`], [`SimCluster`]), drives random meetings, issues
+//!   the retransmission / failover machinery, run on an event-loop worker
+//!   (sockets) or the driving thread (virtual clock);
+//! * [`Community`] — spawns a community over either transport
+//!   ([`TcpCluster`], [`SimCluster`]), drives random meetings, issues
 //!   queries from a client endpoint, and snapshots convergence.
 //!
-//! Over threads and sockets the community is asynchronous and therefore
-//! not bit-deterministic under concurrency; those tests assert
-//! *invariants* (structure validity, convergence, query soundness). On the
-//! virtual clock a seed fixes the whole run, recursion and faults
-//! included. Under sequential driving, a seeded mailbox or socket
-//! community reproduces the decisions of the seeded [`SimCluster`]
-//! exactly — the differential tests at the workspace root assert that.
+//! Over sockets the community is asynchronous and therefore not
+//! bit-deterministic under concurrency; those tests assert *invariants*
+//! (structure validity, convergence, query soundness). On the virtual
+//! clock a seed fixes the whole run, recursion and faults included. Under
+//! sequential driving, a seeded socket community reproduces the decisions
+//! of the seeded [`SimCluster`] exactly — the differential test at the
+//! workspace root asserts that.
 //!
 //! ## Failure model
 //!
@@ -58,10 +56,8 @@ pub use fault::FaultPlan;
 pub use node::reseed_from_journal;
 pub use sim::SimTransport;
 pub use state::NodeState;
-pub use tcp::{TcpTransport, TcpTransportConfig};
-pub use transport::{
-    Frame, LocalTransport, RegisterError, SendStatus, Transport, DEFAULT_MAILBOX_DEPTH,
-};
+pub use tcp::{TcpTransport, TcpTransportConfig, DEFAULT_WRITE_QUEUE_DEPTH};
+pub use transport::{Frame, SendStatus, Transport};
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

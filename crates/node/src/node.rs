@@ -34,7 +34,6 @@
 //! at all: pruned on the spot).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -218,10 +217,10 @@ pub fn reseed_from_journal(state: &Mutex<NodeState>, journal: &AnyBackend) -> us
 
 /// The I/O shell around one [`ProtocolPeer`](pgrid_proto::ProtocolPeer):
 /// decode, retransmission timers, failover. Generic over the transport seam
-/// so the same shell runs thread-per-peer over [`LocalTransport`] mailboxes,
-/// inside the [`crate::TcpTransport`] event loop and on the caller's thread
-/// over [`crate::SimTransport`] — they differ only in who calls
-/// [`NodeRt::handle_message`] / [`NodeRt::tick`] and with which clock.
+/// so the same shell runs inside the [`crate::TcpTransport`] event loop and
+/// on the caller's thread over [`crate::SimTransport`] — they differ only in
+/// who calls [`NodeRt::handle_message`] / [`NodeRt::tick`] and with which
+/// clock.
 pub(crate) struct NodeRt<T: Transport> {
     id: PeerId,
     state: Arc<Mutex<NodeState>>,
@@ -306,23 +305,6 @@ impl<T: Transport> NodeRt<T> {
     fn trace(&mut self, event: impl FnOnce() -> TraceEvent) {
         if self.tracer.enabled() {
             self.tracer.record(event());
-        }
-    }
-
-    /// The actor loop of a thread-hosted shell: frames from `rx` until
-    /// [`Message::Shutdown`] arrives or the mailbox disappears.
-    pub(crate) fn run(mut self, rx: Receiver<Frame>) {
-        loop {
-            match rx.recv_timeout(TICK) {
-                Ok(frame) => {
-                    if !self.handle_frame(frame) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-            self.tick(Instant::now());
         }
     }
 
@@ -665,15 +647,17 @@ impl<T: Transport> NodeRt<T> {
 #[cfg(test)]
 mod tests {
     //! The retransmission contract of the shell, driven without threads:
-    //! one [`NodeRt`] over registered-but-silent mailboxes, advanced by
-    //! synthetic `tick` instants seconds apart so every deadline set so far
-    //! has passed, and observed through the mailboxes, the transport
-    //! counters, the core's failure strikes and a recording tracer.
+    //! one [`NodeRt`] on the virtual clock whose other parties are client
+    //! endpoints that never answer, advanced by synthetic `tick` instants
+    //! seconds apart so every deadline set so far has passed, and observed
+    //! through those endpoints, the transport counters, the core's failure
+    //! strikes and a recording tracer.
 
     use super::*;
-    use crate::LocalTransport;
+    use crate::SimTransport;
     use pgrid_trace::RingTracer;
     use std::collections::HashMap;
+    use std::sync::mpsc::Receiver;
 
     const NODE: PeerId = PeerId(0);
     const A: PeerId = PeerId(1);
@@ -682,24 +666,26 @@ mod tests {
     const CLIENT: PeerId = PeerId(9);
 
     struct Rig {
-        rt: NodeRt<LocalTransport>,
-        transport: LocalTransport,
+        rt: NodeRt<SimTransport>,
+        transport: SimTransport,
         state: Arc<Mutex<NodeState>>,
-        mailboxes: HashMap<PeerId, Receiver<Frame>>,
+        endpoints: HashMap<PeerId, Receiver<(PeerId, Message)>>,
         t0: Instant,
     }
 
     /// A node on path `path` with `refs[i]` at level `i + 1`; every other
-    /// party is a mailbox nobody reads.
+    /// party is a client endpoint that never answers. The shell is not
+    /// hosted: the test calls it directly, and the virtual clock stays at
+    /// its start.
     fn rig(path: &str, refs: Vec<Vec<PeerId>>) -> Rig {
-        let transport = LocalTransport::new();
+        let transport = SimTransport::new();
         let mut peer = NodeState::new(NODE, 4, 2, 2);
         peer.path = path.parse().unwrap();
         peer.refs = refs.into_iter().collect();
         let state = Arc::new(Mutex::new(peer));
-        let mailboxes = [A, B, C, CLIENT]
+        let endpoints = [A, B, C, CLIENT]
             .into_iter()
-            .map(|p| (p, transport.register(p)))
+            .map(|p| (p, transport.open_client(p)))
             .collect();
         let rt = NodeRt::new(
             Arc::clone(&state),
@@ -708,12 +694,13 @@ mod tests {
             None,
             Box::new(RingTracer::new(4096)),
         );
+        let t0 = transport.now();
         Rig {
             rt,
             transport,
             state,
-            mailboxes,
-            t0: Instant::now(),
+            endpoints,
+            t0,
         }
     }
 
@@ -724,15 +711,11 @@ mod tests {
             self.rt.tick(self.t0 + Duration::from_secs(secs));
         }
 
-        /// Decodes and drains everything `peer`'s mailbox holds.
+        /// Delivers every queued frame without moving the clock, then
+        /// drains what `peer`'s endpoint holds.
         fn frames(&self, peer: PeerId) -> Vec<Message> {
-            self.mailboxes[&peer]
-                .try_iter()
-                .map(|f| {
-                    let mut buf = BytesMut::from(&f.bytes[..]);
-                    decode_frame(&mut buf).unwrap().unwrap()
-                })
-                .collect()
+            self.transport.advance(Duration::ZERO);
+            self.endpoints[&peer].try_iter().map(|(_, m)| m).collect()
         }
 
         /// The retransmission-relevant trace: shell retransmits and

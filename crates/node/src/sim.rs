@@ -149,8 +149,8 @@ impl SimTransport {
             return true;
         }
         let mut shells = lock(&self.inner.shells);
-        // A shell told to shut down stops; its endpoint stays, like a
-        // mailbox whose actor thread has exited.
+        // A shell told to shut down stops; its endpoint stays registered,
+        // so later frames still count as delivered but reach no shell.
         if shells
             .get_mut(&q.to)
             .is_some_and(|s| !s.handle_frame(q.frame))

@@ -1,10 +1,10 @@
 //! Real-socket TCP transport with an event-loop driver.
 //!
 //! [`TcpTransport`] implements the same [`Transport`] seam as
-//! [`LocalTransport`](crate::LocalTransport), but every frame crosses a real
+//! [`SimTransport`](crate::SimTransport), but every frame crosses a real
 //! TCP connection (loopback in tests, any address via
-//! [`TcpTransport::register_remote`]). Instead of one actor thread per peer,
-//! a small fixed pool of **event-loop workers** multiplexes thousands of
+//! [`TcpTransport::register_remote`]). Instead of one thread per peer, a
+//! small fixed pool of **event-loop workers** multiplexes thousands of
 //! [`ProtocolPeer`](pgrid_proto::ProtocolPeer) shells: each worker owns a
 //! set of shells, their inbound connections, and the outbound connections
 //! their sends create, and advances all of them in a readiness sweep
@@ -29,8 +29,7 @@
 //! reads slower than we send, the queue fills and further frames are shed
 //! **drop-newest** (counted in `writes_shed`, surfaced as
 //! [`SendStatus::Rejected`] so shells apply their usual suspicion/failover
-//! logic). Control frames bypass the bound, exactly like
-//! `LocalTransport::send_control`.
+//! logic). Control frames ([`Transport::send_control`]) bypass the bound.
 //!
 //! # Fault injection and the two-RNG rule
 //!
@@ -38,7 +37,7 @@
 //! drop/duplicate/reorder/delay decisions are taken per directed link from
 //! the plan's seeded streams before bytes are queued, so the chaos suite
 //! exercises the real socket path with the same reproducible fault schedule
-//! as the in-process transport. Reconnect backoff jitter draws from
+//! as the virtual clock. Reconnect backoff jitter draws from
 //! per-link I/O RNG streams derived from the transport seed — never from
 //! any protocol stream — so socket timing cannot perturb protocol draws
 //! (the same two-RNG rule the node shell follows).
@@ -62,7 +61,7 @@ use rand::SeedableRng;
 
 use crate::fault::{link_seed, FaultGate};
 use crate::node::{NodeRt, RetryPolicy, TICK};
-use crate::transport::{SendStatus, Transport, DEFAULT_MAILBOX_DEPTH};
+use crate::transport::{SendStatus, Transport};
 use crate::{lock, read, write, NodeState};
 
 /// Connection preamble magic.
@@ -97,6 +96,11 @@ const RECONNECT_COOLOFF: Duration = Duration::from_millis(200);
 /// idle connection (FD discipline for thousand-peer communities).
 const MAX_CONNS: usize = 8192;
 
+/// Default per-connection write-queue depth: deep enough that a healthy node
+/// never hits it, shallow enough that a flooded node sheds load instead of
+/// growing without bound.
+pub const DEFAULT_WRITE_QUEUE_DEPTH: usize = 4096;
+
 /// Shape of a [`TcpTransport`].
 #[derive(Clone, Copy, Debug)]
 pub struct TcpTransportConfig {
@@ -113,7 +117,7 @@ impl Default for TcpTransportConfig {
     fn default() -> Self {
         TcpTransportConfig {
             workers: 2,
-            write_queue_depth: DEFAULT_MAILBOX_DEPTH,
+            write_queue_depth: DEFAULT_WRITE_QUEUE_DEPTH,
             seed: 0,
         }
     }
@@ -492,9 +496,8 @@ impl TcpTransport {
     }
 
     /// Clears dead-connection latches toward a (re)registered peer so
-    /// senders reconnect immediately instead of waiting out the cooloff —
-    /// the socket counterpart of a restarted mailbox being reachable at
-    /// once.
+    /// senders reconnect immediately instead of waiting out the cooloff: a
+    /// restarted peer is reachable at once.
     fn revive_conns_toward(&self, id: PeerId) {
         let conns = lock(&self.inner.conns);
         for ((_, to), conn) in conns.iter() {
@@ -529,9 +532,8 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    /// A touch longer than a mailbox round: a frame is "in flight" until
-    /// the kernel-to-kernel hop *and* the receiving worker's decode sweep
-    /// complete.
+    /// Long enough for a frame's kernel-to-kernel hop *and* the receiving
+    /// worker's decode sweep: until both complete, it is "in flight".
     const SETTLE_POLL: Duration = Duration::from_millis(4);
 
     fn gate(&self) -> &FaultGate {
@@ -576,8 +578,7 @@ impl Transport for TcpTransport {
     }
 
     /// The endpoint and address vanish, the peer's outbound connections
-    /// are torn down, and connections toward it fail fast (the socket
-    /// counterpart of a vanished mailbox) until a later
+    /// are torn down, and connections toward it fail fast until a later
     /// [`Transport::host`] revives them.
     fn evict(&self, id: PeerId) {
         write(&self.inner.locals).remove(&id);

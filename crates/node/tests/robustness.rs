@@ -1,5 +1,7 @@
 //! Adversarial robustness of the live node: garbage frames, truncated
 //! frames, unsolicited protocol messages — none may crash or wedge a node.
+//! The node runs on the virtual clock, so every probe is answered (or not)
+//! within a fixed span of virtual time.
 
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -8,7 +10,7 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes, BytesMut};
 use pgrid_keys::BitPath;
 use pgrid_net::PeerId;
-use pgrid_node::{LocalTransport, NodeState, Transport};
+use pgrid_node::{NodeState, SimTransport, Transport};
 use pgrid_trace::NullTracer;
 use pgrid_wire::{encode_frame, Message};
 
@@ -17,29 +19,38 @@ const PROBE: PeerId = PeerId(1);
 
 /// Hosts one node plus a probe client endpoint.
 fn one_node() -> (
-    LocalTransport,
+    SimTransport,
     Arc<Mutex<NodeState>>,
     Receiver<(PeerId, Message)>,
 ) {
-    let transport = LocalTransport::new();
+    let transport = SimTransport::new();
     let state = Arc::new(Mutex::new(NodeState::new(NODE, 4, 2, 2)));
     transport.host(Arc::clone(&state), 99, None, Box::new(NullTracer));
     let probe_rx = transport.open_client(PROBE);
     (transport, state, probe_rx)
 }
 
+/// Runs the network until the probe receives a message, for at most two
+/// seconds of virtual time.
+fn recv(
+    transport: &SimTransport,
+    probe_rx: &Receiver<(PeerId, Message)>,
+) -> Option<(PeerId, Message)> {
+    let deadline = transport.now() + Duration::from_secs(2);
+    transport.recv_client(probe_rx, deadline)
+}
+
 /// The node answers a ping — proof it is still alive and processing.
-fn assert_alive(transport: &LocalTransport, probe_rx: &Receiver<(PeerId, Message)>, nonce: u64) {
+fn assert_alive(transport: &SimTransport, probe_rx: &Receiver<(PeerId, Message)>, nonce: u64) {
     assert!(transport.send(PROBE, NODE, encode_frame(&Message::Ping { nonce })));
-    let (from, msg) = probe_rx
-        .recv_timeout(Duration::from_secs(2))
-        .expect("node must answer pings");
+    let (from, msg) = recv(transport, probe_rx).expect("node must answer pings");
     assert_eq!((from, msg), (NODE, Message::Pong { nonce }));
 }
 
-/// Tells the node to shut down and joins its thread.
-fn stop(transport: &LocalTransport) {
+/// Tells the node to shut down, delivers the order, and evicts it.
+fn stop(transport: &SimTransport) {
     transport.send(PROBE, NODE, encode_frame(&Message::Shutdown));
+    transport.advance(Duration::ZERO);
     transport.evict(NODE);
 }
 
@@ -127,10 +138,7 @@ fn query_to_fresh_node_answers_locally() {
         ttl: 8,
     };
     transport.send(PROBE, NODE, encode_frame(&q));
-    match probe_rx
-        .recv_timeout(Duration::from_secs(2))
-        .expect("answer")
-    {
+    match recv(&transport, &probe_rx).expect("answer") {
         (
             _,
             Message::QueryOk {

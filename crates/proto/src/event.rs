@@ -124,7 +124,7 @@ pub enum Event {
         /// The unresponsive peer.
         peer: PeerId,
     },
-    /// The driver knows `peer` is definitively gone (no mailbox / closed
+    /// The driver knows `peer` is definitively gone (no endpoint / closed
     /// endpoint): prune it everywhere at once.
     PeerGone {
         /// The departed peer.

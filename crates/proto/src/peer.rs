@@ -808,7 +808,7 @@ impl ProtocolPeer {
     // ---- the state methods the events are built from -----------------
 
     /// Removes a reference everywhere it appears — used when a delivery
-    /// definitively fails (no mailbox: the peer is gone for good). For the
+    /// definitively fails (no endpoint: the peer is gone for good). For the
     /// softer signal of *repeated timeouts*, see
     /// [`ProtocolPeer::note_peer_failure`], which demotes gradually and
     /// calls this only once the failure budget is spent.

@@ -1,6 +1,8 @@
-//! Live deployment: every peer is an actor thread speaking the binary wire
-//! protocol. The same algorithms as the simulator, but asynchronous and
-//! message-passing — the shape a real P-Grid node would take.
+//! Live deployment: every peer is a node shell speaking the binary wire
+//! protocol over real loopback TCP sockets, 64 peers multiplexed on two
+//! event-loop worker threads. The same algorithms as the simulator, but
+//! asynchronous and message-passing — the shape a real P-Grid node would
+//! take.
 //!
 //! ```sh
 //! cargo run --release --example live_network
@@ -8,8 +10,11 @@
 
 use pgrid::keys::{BitPath, HashKeyMapper, KeyMapper};
 use pgrid::net::PeerId;
-use pgrid::node::{Cluster, ClusterConfig};
+use pgrid::node::{ClusterConfig, TcpCluster};
 use pgrid::wire::WireEntry;
+
+/// Event-loop worker threads carrying every peer's sockets.
+const WORKERS: usize = 2;
 
 fn main() {
     let config = ClusterConfig {
@@ -23,10 +28,10 @@ fn main() {
         ..ClusterConfig::default()
     };
     println!(
-        "spawning {} node threads (maxl={}, refmax={})...",
+        "spawning {} nodes on {WORKERS} socket workers (maxl={}, refmax={})...",
         config.n, config.maxl, config.refmax
     );
-    let mut cluster = Cluster::spawn(config);
+    let mut cluster = TcpCluster::spawn(config, WORKERS);
 
     // Drive waves of random meetings until the structure converges.
     let mut waves = 0;
@@ -104,5 +109,5 @@ fn main() {
     }
 
     cluster.shutdown();
-    println!("\nall node threads joined cleanly");
+    println!("\nall socket workers joined cleanly");
 }

@@ -16,8 +16,9 @@
 //!   the live node;
 //! * [`core`] — the P-Grid itself: construction, search, updates, analysis;
 //! * [`baselines`] — Gnutella flooding and central-server comparators;
-//! * [`node`] — the live deployment: one node shell over mailboxes,
-//!   sockets, or a deterministic virtual clock ([`node::SimCluster`]);
+//! * [`node`] — the live deployment: one node shell over loopback sockets
+//!   ([`node::TcpCluster`]) or a deterministic virtual clock
+//!   ([`node::SimCluster`]);
 //! * [`sim`] — the paper's experiment suite;
 //! * [`trace`] — the deterministic flight recorder (typed events, logical
 //!   time, JSONL replay and trace diffing).

@@ -1,4 +1,4 @@
-//! The chaos scenario shared by `live_chaos.rs` (mailboxes) and
+//! The chaos scenario shared by `live_chaos.rs` (virtual clock) and
 //! `tcp_chaos.rs` (sockets): the transport drops, duplicates, reorders, and
 //! delays frames while a peer crashes and restarts — and the community
 //! must still construct itself, keep its invariants, and answer queries at

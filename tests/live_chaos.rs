@@ -1,4 +1,4 @@
-//! Chaos testing of the live node stack over in-process mailboxes: the
+//! Chaos testing of the live node stack on the virtual clock: the
 //! shared scenario of `common/chaos.rs` (fault plan, §4 envelope, one
 //! crash/restart cycle) for three fixed seeds, plus the clean-run flip side.
 
@@ -8,22 +8,22 @@ mod chaos;
 use chaos::chaos_run;
 use pgrid::keys::BitPath;
 use pgrid::net::PeerId;
-use pgrid::node::{Cluster, ClusterConfig};
+use pgrid::node::{ClusterConfig, SimCluster};
 use pgrid::wire::WireEntry;
 
 #[test]
 fn chaos_seed_1() {
-    chaos_run(0xC0A1, Cluster::spawn).shutdown();
+    chaos_run(0xC0A1, SimCluster::spawn).shutdown();
 }
 
 #[test]
 fn chaos_seed_2() {
-    chaos_run(0xC0A2, Cluster::spawn).shutdown();
+    chaos_run(0xC0A2, SimCluster::spawn).shutdown();
 }
 
 #[test]
 fn chaos_seed_3() {
-    chaos_run(0xC0A3, Cluster::spawn).shutdown();
+    chaos_run(0xC0A3, SimCluster::spawn).shutdown();
 }
 
 /// The flip side of the envelope: with no fault plan installed, the whole
@@ -31,7 +31,7 @@ fn chaos_seed_3() {
 /// zero timeouts (no phantom retransmissions on a healthy network).
 #[test]
 fn clean_run_has_all_zero_fault_counters() {
-    let mut cluster = Cluster::spawn(ClusterConfig {
+    let mut cluster = SimCluster::spawn(ClusterConfig {
         n: 16,
         maxl: 3,
         refmax: 3,

@@ -3,11 +3,11 @@
 
 use pgrid::keys::BitPath;
 use pgrid::net::PeerId;
-use pgrid::node::{Cluster, ClusterConfig};
+use pgrid::node::{ClusterConfig, SimCluster};
 use pgrid::wire::WireEntry;
 
-fn converged_cluster(n: usize, seed: u64) -> Cluster {
-    let mut cluster = Cluster::spawn(ClusterConfig {
+fn converged_cluster(n: usize, seed: u64) -> SimCluster {
+    let mut cluster = SimCluster::spawn(ClusterConfig {
         n,
         maxl: 4,
         refmax: 3,
@@ -35,8 +35,8 @@ fn queries_survive_node_deaths() {
     cluster.seed_index(key, entry);
 
     // Kill a quarter of the community, but never the *last* node of an
-    // exact-path group: path assignment varies run to run (thread
-    // scheduling), and wiping out every replica of the queried subtree
+    // exact-path group: path assignment varies with the seed, and wiping
+    // out every replica of the queried subtree
     // would make failure the *correct* outcome rather than a protocol
     // weakness.
     let mut remaining: std::collections::HashMap<String, usize> = std::collections::HashMap::new();

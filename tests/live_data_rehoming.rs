@@ -4,12 +4,12 @@
 
 use pgrid::keys::BitPath;
 use pgrid::net::PeerId;
-use pgrid::node::{Cluster, ClusterConfig};
+use pgrid::node::{ClusterConfig, SimCluster};
 use pgrid::wire::WireEntry;
 
 #[test]
 fn early_inserts_survive_construction() {
-    let mut cluster = Cluster::spawn(ClusterConfig {
+    let mut cluster = SimCluster::spawn(ClusterConfig {
         n: 40,
         maxl: 4,
         refmax: 3,

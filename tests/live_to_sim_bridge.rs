@@ -1,18 +1,18 @@
-//! The live→sim bridge: a community built by real actor threads snapshots
-//! into the deterministic tooling — metrics, invariants, simulator search —
-//! and survives a JSON round trip.
+//! The live→sim bridge: a community built by the node shells on the
+//! virtual clock snapshots into the analysis tooling — metrics,
+//! invariants, simulator search — and survives a JSON round trip.
 
 use pgrid::core::{Ctx, GridMetrics, GridSnapshot};
 use pgrid::keys::BitPath;
 use pgrid::net::{AlwaysOnline, NetStats, PeerId};
-use pgrid::node::{Cluster, ClusterConfig};
+use pgrid::node::{ClusterConfig, SimCluster};
 use pgrid::wire::WireEntry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
 fn live_cluster_snapshot_analyzes_in_the_simulator() {
-    let mut cluster = Cluster::spawn(ClusterConfig {
+    let mut cluster = SimCluster::spawn(ClusterConfig {
         n: 48,
         maxl: 4,
         refmax: 3,
@@ -35,7 +35,7 @@ fn live_cluster_snapshot_analyzes_in_the_simulator() {
         },
     );
 
-    // Snapshot the live community and shut the threads down.
+    // Snapshot the live community and shut it down.
     let snapshot = cluster.to_snapshot();
     let live_avg = cluster.avg_path_len();
     cluster.shutdown();

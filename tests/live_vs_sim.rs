@@ -1,11 +1,12 @@
-//! The live actor deployment and the sequential simulator implement the
-//! same access structure: both must converge to structurally equivalent
-//! grids and answer the same queries soundly.
+//! The live deployment (node shells on the virtual clock) and the
+//! sequential simulator implement the same access structure: both must
+//! converge to structurally equivalent grids and answer the same queries
+//! soundly.
 
 use pgrid::core::{BuildOptions, Ctx, PGrid, PGridConfig};
 use pgrid::keys::BitPath;
 use pgrid::net::{AlwaysOnline, NetStats, PeerId};
-use pgrid::node::{Cluster, ClusterConfig};
+use pgrid::node::{ClusterConfig, SimCluster};
 use pgrid::wire::WireEntry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,8 +32,8 @@ fn sim_grid(seed: u64) -> PGrid {
     grid
 }
 
-fn live_cluster(seed: u64) -> Cluster {
-    let mut cluster = Cluster::spawn(ClusterConfig {
+fn live_cluster(seed: u64) -> SimCluster {
+    let mut cluster = SimCluster::spawn(ClusterConfig {
         n: N,
         maxl: MAXL,
         refmax: REFMAX,
