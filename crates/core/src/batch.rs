@@ -1,4 +1,5 @@
-//! Batched execution of Fig. 2 descents over the frozen routing table.
+//! Batched execution of Fig. 2 descents, over the live peers or over a
+//! [`CompactRoutingTable`] snapshot the caller holds.
 //!
 //! # Determinism contract
 //!

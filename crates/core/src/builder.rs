@@ -50,8 +50,7 @@ fn default_meeting_cap(n: u64, maxl: u64) -> u64 {
 impl PGrid {
     /// Runs random pairwise meetings until the average path length reaches
     /// `threshold_fraction * maxl` or the meeting cap is exhausted, then
-    /// freezes the routing table [`PGrid::search`] descends until the next
-    /// path or reference write.
+    /// trims every routing buffer to the references it holds.
     pub fn build(&mut self, opts: &BuildOptions, ctx: &mut Ctx<'_>) -> BuildReport {
         let threshold = opts.threshold_fraction * self.config().maxl as f64;
         let cap = opts
@@ -67,7 +66,7 @@ impl PGrid {
             meetings += 1;
             reached = self.avg_path_len() >= threshold;
         }
-        self.freeze_routing();
+        self.trim_routing();
         BuildReport {
             exchange_calls,
             meetings,

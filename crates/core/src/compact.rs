@@ -1,24 +1,24 @@
-//! Frozen, succinct snapshot of the whole community's routing state.
+//! Succinct snapshot of the whole community's routing state, built and held
+//! by a caller.
 //!
 //! In the live access structure every peer owns a `RoutingTable`: one heap
 //! buffer holding its depth, level ends and references, so one Fig. 2 hop
-//! touches the peer struct and then that buffer — two dependent misses before
-//! the first reference is read. [`CompactRoutingTable`] flattens the whole
-//! community into four contiguous arrays (the FM-index layout, cf.
-//! DESIGN.md §13):
+//! touches the peer struct and then that buffer. [`CompactRoutingTable`]
+//! flattens the whole community into four contiguous arrays (the FM-index
+//! layout, cf. DESIGN.md §9):
 //!
 //! * every path, bit-packed back to back in a [`PathArena`];
 //! * a [`RankBits`] occupancy bitvector over `(peer, level)` slots;
 //! * one flat `refs: Vec<PeerId>` holding every reference slice, addressed
 //!   by `rank1(slot)` through a compacted `slice_ends` table.
 //!
-//! The snapshot is *frozen*: it answers reads only, and it answers them
-//! **identically** to the live walk (same slices, same order — the descent
-//! RNG consumes slice contents, so order equality is part of the contract).
-//! Mutations go to the live structures as before. [`PGrid::build`] freezes
-//! one table that the grid owns and drops at its next routing write; a
-//! table a caller builds and holds compares its epoch against
-//! [`PGrid::epoch`] instead.
+//! The snapshot answers reads only, and it answers them **identically** to
+//! the live walk (same slices, same order — the descent RNG consumes slice
+//! contents, so order equality is part of the contract). Mutations go to
+//! the live structures, and [`PGrid::search`] reads only those: the grid
+//! keeps no copy of its own. A caller that builds a table and holds it
+//! (`PGrid::search_batch`, `pgrid_sim::run_query_plan_batched`) compares
+//! its epoch against [`PGrid::epoch`] to tell whether it still applies.
 
 use pgrid_keys::{BitPath, PathArena, RankBits};
 use pgrid_net::PeerId;

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::{draw, PeerId};
 
-use crate::{CompactRoutingTable, Ctx, IndexEntry, PGridConfig, Peer, RoutingTable};
+use crate::{Ctx, IndexEntry, PGridConfig, Peer, RoutingTable};
 
 /// The whole peer community and its access structure.
 ///
@@ -24,13 +24,9 @@ pub struct PGrid {
     /// Routing epoch: bumped whenever a path or a reference set may have
     /// changed (conservatively — a routing borrow counts as a write).
     /// Index, buddy and store writes leave it alone. A
-    /// [`CompactRoutingTable`] a caller holds compares against it to detect
-    /// staleness without hashing any state.
+    /// [`CompactRoutingTable`](crate::CompactRoutingTable) a caller holds
+    /// compares against it to detect staleness without hashing any state.
     epoch: u64,
-    /// The routing table [`PGrid::build`] froze. Every routing chokepoint
-    /// drops it and nothing rebuilds it, so it is either fresh or gone;
-    /// [`PGrid::search`] descends it while it is there.
-    table: Option<CompactRoutingTable>,
     /// [`PGrid::replica_groups`], computed on first use and dropped whenever
     /// a path changes — at the same three chokepoints that keep
     /// `path_len_sum` honest. Independent of `epoch`, which also moves on
@@ -51,7 +47,6 @@ impl PGrid {
             peers: PeerId::all(n).map(Peer::new).collect(),
             path_len_sum: 0,
             epoch: 0,
-            table: None,
             by_path: OnceLock::new(),
         }
     }
@@ -83,7 +78,6 @@ impl PGrid {
             peers,
             path_len_sum: 0,
             epoch: 0,
-            table: None,
             by_path: OnceLock::new(),
         })
     }
@@ -96,26 +90,17 @@ impl PGrid {
         self.epoch
     }
 
-    /// Records a (potential) routing write: moves the epoch and drops the
-    /// frozen table.
+    /// Records a (potential) routing write: moves the epoch.
     fn mark_routing(&mut self) {
         self.epoch += 1;
-        self.table = None;
     }
 
-    /// Trims every peer's routing buffer to its length and freezes the
-    /// routing state into the table [`PGrid::search`] descends, until the
-    /// next routing write drops it.
-    pub(crate) fn freeze_routing(&mut self) {
+    /// Trims every peer's routing buffer to its length. Leaves the epoch
+    /// alone: the references themselves do not change.
+    pub(crate) fn trim_routing(&mut self) {
         self.peers
             .iter_mut()
             .for_each(|p| p.routing_mut().shrink_to_fit());
-        self.table = Some(CompactRoutingTable::build(self));
-    }
-
-    /// The frozen routing table, while no routing write has dropped it.
-    pub(crate) fn frozen_routing(&self) -> Option<&CompactRoutingTable> {
-        self.table.as_ref()
     }
 
     /// The configuration.
@@ -139,9 +124,9 @@ impl PGrid {
     }
 
     /// Mutable access to a peer's index, buddies and store. [`Peer`] has
-    /// no public routing write, so this leaves [`PGrid::epoch`] and the
-    /// frozen table alone; crate code that writes a path or a reference
-    /// set goes through `PGrid::routing_mut` or the path chokepoints.
+    /// no public routing write, so this leaves [`PGrid::epoch`] alone;
+    /// crate code that writes a path or a reference set goes through
+    /// `PGrid::routing_mut` or the path chokepoints.
     pub fn peer_mut(&mut self, id: PeerId) -> &mut Peer {
         &mut self.peers[id.index()]
     }
@@ -294,27 +279,8 @@ impl PGrid {
     ///    `i` differ;
     /// 5. reference levels never exceed the peer's own path length;
     /// 6. the running path-length sum matches reality;
-    /// 7. the cached by-path grouping, when present, matches reality;
-    /// 8. the frozen routing table, when present, mirrors every peer's path
-    ///    and every level slice, in order.
-    ///
-    /// Rule 8 is checked first, so a write that skipped the routing mark is
-    /// reported even on a grid whose other rules a corruption broke.
+    /// 7. the cached by-path grouping, when present, matches reality.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Some(table) = &self.table {
-            for a in &self.peers {
-                let id = a.id();
-                if table.path(id) != a.path()
-                    || a.routing()
-                        .iter()
-                        .any(|(level, refs)| table.level_refs(id, level) != refs.as_slice())
-                {
-                    return Err(format!(
-                        "{id}: the frozen routing table is stale: a routing write skipped the mark"
-                    ));
-                }
-            }
-        }
         let mut sum = 0u64;
         for a in &self.peers {
             let path = a.path();
@@ -619,7 +585,7 @@ pub(crate) mod tests {
         assert!(err.contains("same side"), "{err}");
     }
 
-    /// A 32-peer grid after a full `build`, so the routing table is frozen.
+    /// A 32-peer grid after a full `build`.
     fn built_grid(ctx: &mut Ctx<'_>) -> PGrid {
         let mut g = PGrid::new(
             32,
@@ -670,7 +636,6 @@ pub(crate) mod tests {
         let mut stats = NetStats::new();
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
         let mut g = built_grid(&mut ctx);
-        assert!(g.frozen_routing().is_some(), "build freezes the table");
 
         // Reads, index writes and buddy writes leave the routing alone.
         let epoch = g.epoch();
@@ -685,16 +650,13 @@ pub(crate) mod tests {
         g.peer_mut(PeerId(0)).index_insert(key, entry);
         g.peer_mut(PeerId(0)).add_buddy(PeerId(1));
         assert_eq!(g.epoch(), epoch);
-        assert!(g.frozen_routing().is_some(), "no routing write happened");
         g.check_invariants().unwrap();
 
-        // Every routing chokepoint moves the epoch and drops the table.
+        // Every routing chokepoint moves the epoch.
         fn assert_marks(g: &mut PGrid, what: &str, write: impl FnOnce(&mut PGrid)) {
-            g.freeze_routing();
             let before = g.epoch();
             write(g);
             assert!(g.epoch() > before, "{what} must move the epoch");
-            assert!(g.frozen_routing().is_none(), "{what} must drop the table");
         }
         assert_marks(&mut g, "exchange", |g| {
             g.exchange(PeerId(0), PeerId(1), &mut ctx);
@@ -711,20 +673,6 @@ pub(crate) mod tests {
         assert_marks(&mut g, "routing_mut", |g| {
             let _ = g.routing_mut(PeerId(4));
         });
-    }
-
-    #[test]
-    fn invariant_checker_catches_a_stale_frozen_table() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut online = AlwaysOnline;
-        let mut stats = NetStats::new();
-        let mut g = built_grid(&mut Ctx::new(&mut rng, &mut online, &mut stats));
-        g.check_invariants().unwrap();
-        let r = g.peer(PeerId(0)).routing().level(1).as_slice()[0];
-        // A reference write that bypasses `PGrid::routing_mut`.
-        g.peer_mut(PeerId(0)).routing_mut().level_mut(1).remove(r);
-        let err = g.check_invariants().unwrap_err();
-        assert!(err.contains("frozen routing table is stale"), "{err}");
     }
 
     #[test]

@@ -44,7 +44,10 @@ pub struct Peer {
     /// Items this peer physically hosts (independent of responsibility).
     /// The backend decides where they physically live — RAM by default, or
     /// one of the disk formats when constructed via [`Peer::with_storage`].
-    store: LocalStore<AnyBackend>,
+    /// Boxed: the backend is larger than the rest of the peer together and
+    /// a search never reads it, so the peer array a search walks stays half
+    /// as large.
+    store: Box<LocalStore<AnyBackend>>,
     /// Set when the index may contain entries this peer is no longer
     /// responsible for (a construction-time hand-off found no responsible
     /// partner). Cleared by the anti-entropy step of later exchanges.
@@ -69,7 +72,7 @@ impl Peer {
             routing: RoutingTable::new(),
             index: LeafIndex::new(),
             buddies: BTreeSet::new(),
-            store: LocalStore::with_backend(backend),
+            store: Box::new(LocalStore::with_backend(backend)),
             misplaced: false,
         }
     }

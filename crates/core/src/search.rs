@@ -34,8 +34,8 @@ pub struct SearchOutcome {
 }
 
 /// Where the descent reads routing state from: the live peers (a hop reads
-/// the peer, then its one routing buffer) or the frozen
-/// [`CompactRoutingTable`]. Both answer with the same slices in the same
+/// the peer, then its one routing buffer) or a [`CompactRoutingTable`] a
+/// caller built and holds. Both answer with the same slices in the same
 /// order (the descent's RNG consumes slice contents), so the source only
 /// decides how many cache lines a hop touches.
 pub(crate) trait RoutingSource {
@@ -253,17 +253,10 @@ impl Descent {
 
 impl PGrid {
     /// Searches for a peer responsible for `key`, starting at `start`
-    /// (paper: `query(a, p, 0)`): the Fig. 2 descent over the routing table
-    /// [`PGrid::build`] froze while no routing write has dropped it, and
-    /// over the live grid otherwise. Both answer identically.
+    /// (paper: `query(a, p, 0)`): the Fig. 2 descent over the live peers'
+    /// routing tables.
     pub fn search(&self, start: PeerId, key: &Key, ctx: &mut Ctx<'_>) -> SearchOutcome {
-        match self.frozen_routing() {
-            Some(table) => {
-                debug_assert!(table.is_fresh(self));
-                descend(table, start, key, ctx)
-            }
-            None => descend(self, start, key, ctx),
-        }
+        descend(self, start, key, ctx)
     }
 
     /// Searches for `key` and reads the index entries at the responsible
@@ -566,10 +559,10 @@ pub(crate) mod tests {
         assert_eq!(out.messages, owned.stats.count(pgrid_net::MsgKind::Query));
     }
 
-    /// Pins that the owned table changes nothing but speed: on a built grid,
-    /// `search` through the frozen table and `descend` over the live peers
-    /// give equal outcomes, counters, trace events and RNG positions, with
-    /// every peer online and under churn.
+    /// Pins that a table the caller holds changes nothing but speed: on a
+    /// built grid, `descend` through a [`CompactRoutingTable`] and `search`
+    /// over the live peers give equal outcomes, counters, trace events and
+    /// RNG positions, with every peer online and under churn.
     #[test]
     fn owned_table_search_matches_the_live_descent() {
         use pgrid_net::{BernoulliOnline, OnlineModel};
@@ -588,7 +581,7 @@ pub(crate) mod tests {
             &crate::BuildOptions::default(),
             &mut Ctx::fork_for_task(5, 0, Box::new(AlwaysOnline)).ctx(),
         );
-        assert!(g.frozen_routing().is_some(), "build freezes the table");
+        let table = CompactRoutingTable::build(&g);
         let mut rng = StdRng::seed_from_u64(6);
         let queries: Vec<(PeerId, Key)> = (0..512)
             .map(|_| (PeerId(rng.gen_range(0..1024)), BitPath::random(&mut rng, 6)))
@@ -601,23 +594,23 @@ pub(crate) mod tests {
             }
         };
         for p in [1.0, 0.3] {
-            let mut frozen = Ctx::fork_for_task(7, 0, online(p));
+            let mut held = Ctx::fork_for_task(7, 0, online(p));
             let mut live = Ctx::fork_for_task(7, 0, online(p));
-            frozen.set_tracer(Box::new(RingTracer::new(1 << 16)));
+            held.set_tracer(Box::new(RingTracer::new(1 << 16)));
             live.set_tracer(Box::new(RingTracer::new(1 << 16)));
             let mut found = 0;
             for (start, key) in &queries {
-                let a = g.search(*start, key, &mut frozen.ctx());
-                let b = descend(&g, *start, key, &mut live.ctx());
+                let a = descend(&table, *start, key, &mut held.ctx());
+                let b = g.search(*start, key, &mut live.ctx());
                 assert_eq!(a, b, "online share {p}, key {key}");
                 found += usize::from(a.responsible.is_some());
             }
             assert!(found > 0, "online share {p}: some search must succeed");
-            assert_eq!(frozen.stats, live.stats, "online share {p}");
-            let events = frozen.take_trace_events();
+            assert_eq!(held.stats, live.stats, "online share {p}");
+            let events = held.take_trace_events();
             assert!(!events.is_empty());
             assert_eq!(events, live.take_trace_events(), "online share {p}");
-            assert_eq!(frozen.rng.gen::<u64>(), live.rng.gen::<u64>());
+            assert_eq!(held.rng.gen::<u64>(), live.rng.gen::<u64>());
         }
     }
 }

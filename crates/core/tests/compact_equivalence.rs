@@ -1,13 +1,12 @@
 //! Property tests of the succinct routing snapshot: every scenario starts
-//! from a built grid, which owns a frozen table. Across *arbitrary*
-//! mutation sequences — exchanges, repair and stabilization rounds, and raw
-//! corruption writes — the owned table never lags the grid (rule 8 of
-//! `check_invariants`, after every op); a [`CompactRoutingTable`] rebuilt
-//! after any op answers every path lookup, every level slice, and
-//! therefore every `route_step` decision identically to the live level
-//! walk; and a snapshot left *stale* never changes batched search results,
-//! because readers fall back to the live structures. Seeded loops: case `c`
-//! draws its scenario from `StdRng::seed_from_u64(c)`.
+//! from a built grid. Across *arbitrary* mutation sequences — exchanges,
+//! repair and stabilization rounds, and raw corruption writes — a
+//! [`CompactRoutingTable`] rebuilt after any op answers every path lookup,
+//! every level slice, and therefore every `route_step` decision
+//! identically to the live level walk; and a snapshot left *stale* never
+//! changes batched search results, because readers fall back to the live
+//! structures. Seeded loops: case `c` draws its scenario from
+//! `StdRng::seed_from_u64(c)`.
 
 use pgrid_core::{
     BatchQuery, BuildOptions, CompactRoutingTable, Ctx, PGrid, PGridConfig, SearchOutcome,
@@ -69,8 +68,7 @@ fn for_each_scenario(check: impl Fn(u64, Scenario)) {
     }
 }
 
-/// A grid of the scenario's shape after a capped `build`, so it owns a
-/// frozen routing table.
+/// A grid of the scenario's shape after a capped `build`.
 fn built_grid(s: &Scenario) -> PGrid {
     let mut grid = PGrid::new(
         s.n,
@@ -88,15 +86,6 @@ fn built_grid(s: &Scenario) -> PGrid {
     grid.build(&opts, &mut owned.ctx());
     grid.check_invariants().expect("a built grid is valid");
     grid
-}
-
-/// Applies `op`, then checks rule 8 of `check_invariants`: whatever else a
-/// corruption broke, the table the grid owns (if any) still mirrors it.
-fn apply_checked(grid: &mut PGrid, op: Op, n: usize, maxl: usize, ctx: &mut Ctx<'_>) {
-    apply(grid, op, n, maxl, ctx);
-    if let Err(e) = grid.check_invariants() {
-        assert!(!e.contains("frozen routing table"), "after {op:?}: {e}");
-    }
 }
 
 fn apply(grid: &mut PGrid, op: Op, n: usize, maxl: usize, ctx: &mut Ctx<'_>) {
@@ -130,7 +119,7 @@ fn apply(grid: &mut PGrid, op: Op, n: usize, maxl: usize, ctx: &mut Ctx<'_>) {
     }
 }
 
-/// The frozen table must agree with the live walk on every lookup the
+/// The snapshot must agree with the live walk on every lookup the
 /// descent can make: the path, every level slice (in order), and the
 /// resulting `route_step` verdict.
 fn assert_equivalent(table: &CompactRoutingTable, grid: &PGrid, probe_seed: u64) {
@@ -147,7 +136,7 @@ fn assert_equivalent(table: &CompactRoutingTable, grid: &PGrid, probe_seed: u64)
                 "{id} level {level}"
             );
         }
-        // route_step over the frozen path must reach the same verdict (and
+        // route_step over the snapshot path must reach the same verdict (and
         // hence pick the same slice) as over the live path.
         for _ in 0..4 {
             let key = BitPath::random(&mut rng, grid.config().maxl as u8);
@@ -175,9 +164,8 @@ fn run_batched(
     (out, owned.stats)
 }
 
-/// After every op of any mutation sequence the owned table has not gone
-/// stale, and rebuilding from scratch reproduces the live structures
-/// exactly.
+/// After every op of any mutation sequence, rebuilding the snapshot from
+/// scratch reproduces the live structures exactly.
 #[test]
 fn rebuilt_snapshot_mirrors_any_mutated_grid() {
     for_each_scenario(|_, s| {
@@ -187,7 +175,7 @@ fn rebuilt_snapshot_mirrors_any_mutated_grid() {
         let mut stats = NetStats::new();
         let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
         for (i, &op) in s.ops.iter().enumerate() {
-            apply_checked(&mut grid, op, s.n, s.maxl, &mut ctx);
+            apply(&mut grid, op, s.n, s.maxl, &mut ctx);
             let table = CompactRoutingTable::build(&grid);
             assert_equivalent(&table, &grid, s.seed ^ i as u64);
         }
@@ -209,7 +197,7 @@ fn stale_snapshot_never_changes_batched_results() {
             let mut stats = NetStats::new();
             let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
             for &op in &s.ops {
-                apply_checked(&mut grid, op, s.n, s.maxl, &mut ctx);
+                apply(&mut grid, op, s.n, s.maxl, &mut ctx);
             }
         }
         // A repair or stabilization round may find nothing to change; an

@@ -434,22 +434,26 @@ impl Ord for BitPath {
 impl BitPath {
     /// The path as an owned `'0'`/`'1'` string. This is the flight
     /// recorder's key representation: one sized allocation per traced
-    /// query, instead of one formatter invocation per bit via `Display`.
+    /// query.
     pub fn to_bit_string(&self) -> String {
-        let mut s = String::with_capacity(self.len());
-        for b in self.bits() {
-            s.push(if b == 0 { '0' } else { '1' });
+        String::from(self.render(&mut [0; MAX_PATH_LEN]))
+    }
+
+    /// Writes the path's `'0'`/`'1'` digits into `buf`, returning them.
+    fn render<'b>(&self, buf: &'b mut [u8; MAX_PATH_LEN]) -> &'b str {
+        let digits = &mut buf[..self.len()];
+        for (digit, b) in digits.iter_mut().zip(self.bits()) {
+            *digit = b'0' + b;
         }
-        s
+        std::str::from_utf8(digits).expect("'0'/'1' digits are ASCII")
     }
 }
 
+/// The `'0'`/`'1'` digits, padded and aligned like a string by the
+/// formatter's width, fill and alignment.
 impl fmt::Display for BitPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in self.bits() {
-            write!(f, "{}", b)?;
-        }
-        Ok(())
+        f.pad(self.render(&mut [0; MAX_PATH_LEN]))
     }
 }
 
@@ -506,6 +510,17 @@ mod tests {
         assert_eq!(e.val(), 0.0);
         assert!(e.is_prefix_of(&p("0110")));
         assert!(e.is_prefix_of(&e));
+    }
+
+    #[test]
+    fn display_honours_width_fill_and_alignment() {
+        let path = p("0110");
+        assert_eq!(format!("{path:<6}"), "0110  ");
+        assert_eq!(format!("{path:>6}"), "  0110");
+        assert_eq!(format!("{path:^6}"), " 0110 ");
+        assert_eq!(format!("{path:*<6}"), "0110**");
+        assert_eq!(format!("{path:<2}"), "0110", "a width never truncates");
+        assert_eq!(format!("{:>3}", BitPath::EMPTY), "   ");
     }
 
     #[test]

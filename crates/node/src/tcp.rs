@@ -422,8 +422,9 @@ impl TcpInner {
     }
 }
 
-/// A socket transport driven by a fixed pool of event-loop workers. See
-/// DESIGN.md §14 for the connection/backpressure/fault model.
+/// A socket transport driven by a fixed pool of event-loop workers. The
+/// module docs give the connection, backpressure and fault model; DESIGN.md
+/// §7 gives the failure model it serves.
 ///
 /// Cloning shares the transport. **Call [`TcpTransport::shutdown`] when
 /// done** — the worker threads hold the transport alive until told to stop.

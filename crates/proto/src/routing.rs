@@ -139,7 +139,7 @@ pub struct RoutingTable {
 // in the buffer to keep `Peer` one `Vec` wide here; nothing else does, so
 // derived equality is level equality. A same-length write copies in place;
 // a length change splices and shifts the later ends. Growth takes a small
-// bounded step (`grow`), never a doubling; `build` trims when it freezes.
+// bounded step (`grow`), never a doubling; `build` trims every buffer.
 impl RoutingTable {
     /// Empty table (peer with the empty path).
     pub fn new() -> Self {

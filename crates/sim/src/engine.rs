@@ -217,7 +217,7 @@ pub fn run_query_plan_traced(
 /// **all** batch sizes and thread counts. (The per-query streams
 /// intentionally differ from [`run_query_plan`]'s shared shard stream — the
 /// two families are each self-consistent, not cross-identical; see
-/// DESIGN.md §13.)
+/// DESIGN.md §8.)
 pub fn run_query_plan_batched(
     grid: &PGrid,
     plan: &QueryPlan,

@@ -4,7 +4,7 @@
 //! The engine's contract is *determinism first*: every threaded row below
 //! answers the identical queries with the identical RNG streams, so the
 //! thread count only moves wall-clock time. The compact-table row belongs
-//! to the batched family (per-query RNG streams, DESIGN.md §13), which must
+//! to the batched family (per-query RNG streams, DESIGN.md §8), which must
 //! reproduce itself bit for bit at every chunk size and thread count. `run`
 //! verifies both (the `identical` column) while measuring queries/second.
 

@@ -36,6 +36,12 @@ if grep -rnE "LocalTransport|RegisterError" crates tests examples \
     exit 1
 fi
 
+echo "==> one routing copy (search walks the live tables; the grid keeps no frozen CompactRoutingTable)"
+if grep -rnE "freeze_routing|frozen_routing|Option<CompactRoutingTable>" crates/core/src; then
+    echo "FATAL: a grid-owned routing copy under crates/core/src; callers build and hold a CompactRoutingTable"
+    exit 1
+fi
+
 echo "==> clippy (all targets, warnings are errors, perf lints on)"
 cargo clippy --all-targets -- -D warnings -D clippy::perf -W clippy::redundant_clone
 

@@ -5,7 +5,7 @@
 //! count where it was. `exchange` rewrites reference sets, which is peer
 //! state rather than scratch, so it gets a per-call ceiling instead. The
 //! allocator also tracks live heap bytes, which gate what a peer keeps per
-//! leaf-index entry.
+//! leaf-index entry and what a converged grid keeps besides its peers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -81,21 +81,32 @@ fn steady_state_allocs(warm: usize, measure: usize, mut op: impl FnMut()) -> u64
     ALLOCS.with(Cell::get) - before
 }
 
-fn converged_grid(seed: u64) -> PGrid {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stats = NetStats::new();
-    let mut online = AlwaysOnline;
-    let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
-    let mut grid = PGrid::new(
+/// The 256-peer fixture before construction: every peer at the root.
+fn fresh_grid() -> PGrid {
+    PGrid::new(
         256,
         PGridConfig {
             maxl: 4,
             refmax: 4,
             ..PGridConfig::default()
         },
-    );
+    )
+}
+
+/// Builds `grid` to convergence under `seed`, dropping the context (and
+/// its scratch arena) before returning.
+fn converge(grid: &mut PGrid, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut stats = NetStats::new();
+    let mut online = AlwaysOnline;
+    let mut ctx = Ctx::new(&mut rng, &mut online, &mut stats);
     let report = grid.build(&BuildOptions::default(), &mut ctx);
     assert!(report.reached_threshold, "fixture failed to converge");
+}
+
+fn converged_grid(seed: u64) -> PGrid {
+    let mut grid = fresh_grid();
+    converge(&mut grid, seed);
     grid
 }
 
@@ -114,8 +125,9 @@ fn search_and_batched_query_do_not_allocate_when_warm() {
     });
     assert_eq!(search, 0, "search allocated on a warm arena");
 
-    // Through the frozen snapshot, like the engine's hot path; the batch
-    // and outcome buffers belong to the caller and are likewise reused.
+    // Through a snapshot the caller holds, like the batched plan runner;
+    // the batch and outcome buffers belong to the caller and are likewise
+    // reused.
     const BATCH: usize = 64;
     let table = CompactRoutingTable::build(&grid);
     let mut batch = Vec::with_capacity(BATCH);
@@ -237,14 +249,47 @@ fn an_index_entry_holds_at_most_112_heap_bytes() {
     }
 }
 
-/// The sizes DESIGN §9 budgets on 64-bit targets: a `Peer` (ROADMAP keeps
-/// it at 272 B) and the leaf index's slot value, one entry inline.
+/// The sizes DESIGN §9 budgets on 64-bit targets: a `Peer`, whose hosted
+/// store sits behind a box, and the leaf index's slot value, one entry
+/// inline.
 #[test]
 #[cfg(target_pointer_width = "64")]
 fn peer_and_index_slot_sizes_hold() {
-    assert_eq!(std::mem::size_of::<Peer>(), 272);
+    assert_eq!(std::mem::size_of::<Peer>(), 128);
     assert!(std::mem::size_of::<KeyEntries<IndexEntry>>() <= 32);
     assert!(std::mem::size_of::<KeyEntries<WireEntry>>() <= 32);
+}
+
+/// Live heap bytes of the peer `make` returns.
+fn heap_of(make: impl FnOnce() -> Peer) -> i64 {
+    let mut peer = None;
+    measured(|| peer = Some(make())).1
+}
+
+/// Heap bytes `peer` holds beyond a fresh peer's: a clone copies its
+/// routing buffer at its length and its buddy set node for node.
+fn grown_heap(peer: &Peer) -> i64 {
+    heap_of(|| peer.clone()) - heap_of(|| Peer::new(peer.id()))
+}
+
+/// One routing copy (DESIGN §9): the heap `build` leaves on the fixture
+/// is what the peers hold (routing buffers, trimmed to their length, and
+/// buddy sets), within 10 %. It measures 54 652 B, all of it in the peers
+/// (routing buffers 21 212 B, buddy sets the rest). A grid that also kept
+/// a frozen `CompactRoutingTable` left 76 192 B (1.39×).
+#[test]
+fn build_leaves_one_copy_of_the_routing_state() {
+    let mut grid = fresh_grid();
+    let (_, left) = measured(|| converge(&mut grid, 42));
+    let routing: usize = grid
+        .peers()
+        .map(|p| p.routing().capacity() * std::mem::size_of::<PeerId>())
+        .sum();
+    let in_peers: i64 = grid.peers().map(grown_heap).sum();
+    assert!(
+        left as f64 <= 1.1 * in_peers as f64,
+        "build left {left} heap bytes; the peers hold {in_peers} (routing {routing})"
+    );
 }
 
 /// Exchange allocation gate (DESIGN §9): 1 000 meetings on the converged
