@@ -1,5 +1,5 @@
-//! Dynamic load balancing under key skew — the corrective half of
-//! ROADMAP item 5.
+//! Dynamic load balancing under key skew — the corrective half of the
+//! skew study (DESIGN.md §16).
 //!
 //! The paper concedes (§6) that the access structure assumes *uniform*
 //! data distributions; `experiments/skew.rs` measures how badly a Zipf

@@ -1,10 +1,11 @@
 //! Per-peer state.
 
 use std::collections::BTreeSet;
+use std::sync::LazyLock;
 
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::PeerId;
-use pgrid_store::{AnyBackend, ItemId, LocalStore, Version};
+use pgrid_store::{AnyBackend, ItemId, LocalStore, StorageBackend, Version};
 
 use crate::{LeafEntry, LeafIndex, RoutingTable};
 
@@ -46,8 +47,10 @@ pub struct Peer {
     /// one of the disk formats when constructed via [`Peer::with_storage`].
     /// Boxed: the backend is larger than the rest of the peer together and
     /// a search never reads it, so the peer array a search walks stays half
-    /// as large.
-    store: Box<LocalStore<AnyBackend>>,
+    /// as large. `None` until a peer on the memory backend first hosts an
+    /// item, so a peer that hosts nothing pays nothing for it; a disk
+    /// backend is always kept, since it carries its directory.
+    store: Option<Box<LocalStore<AnyBackend>>>,
     /// Set when the index may contain entries this peer is no longer
     /// responsible for (a construction-time hand-off found no responsible
     /// partner). Cleared by the anti-entropy step of later exchanges.
@@ -56,24 +59,29 @@ pub struct Peer {
 
 impl Peer {
     /// A fresh peer at the root: responsible for the whole key space,
-    /// hosting items in RAM.
+    /// hosting items in RAM. Allocates nothing.
     pub fn new(id: PeerId) -> Self {
-        Peer::with_storage(id, AnyBackend::default())
-    }
-
-    /// A fresh peer whose hosted items live in `backend`. A backend
-    /// recovered from disk may already hold items; they become this peer's
-    /// hosted set (see [`Peer::index_hosted_under`] for re-deriving index
-    /// entries from them).
-    pub fn with_storage(id: PeerId, backend: AnyBackend) -> Self {
         Peer {
             id,
             path: BitPath::EMPTY,
             routing: RoutingTable::new(),
             index: LeafIndex::new(),
             buddies: BTreeSet::new(),
-            store: Box::new(LocalStore::with_backend(backend)),
+            store: None,
             misplaced: false,
+        }
+    }
+
+    /// A fresh peer whose hosted items live in `backend`. A backend
+    /// recovered from disk may already hold items; they become this peer's
+    /// hosted set (see [`Peer::index_hosted_under`] for re-deriving index
+    /// entries from them). An empty memory backend is dropped: the peer
+    /// makes its own at the first write, as [`Peer::new`]'s does.
+    pub fn with_storage(id: PeerId, backend: AnyBackend) -> Self {
+        let empty = matches!(&backend, AnyBackend::Memory(m) if m.is_empty());
+        Peer {
+            store: (!empty).then(|| Box::new(LocalStore::with_backend(backend))),
+            ..Peer::new(id)
         }
     }
 
@@ -167,14 +175,17 @@ impl Peer {
         self.buddies.len()
     }
 
-    /// The locally hosted items.
+    /// The locally hosted items. A peer that never hosted anything reads
+    /// as one shared empty memory store.
     pub fn store(&self) -> &LocalStore<AnyBackend> {
-        &self.store
+        static EMPTY: LazyLock<LocalStore<AnyBackend>> = LazyLock::new(LocalStore::default);
+        self.store.as_deref().unwrap_or(&EMPTY)
     }
 
-    /// Mutable access to the hosted items.
+    /// Mutable access to the hosted items; a peer without a store gets an
+    /// empty memory store here.
     pub fn store_mut(&mut self) -> &mut LocalStore<AnyBackend> {
-        &mut self.store
+        self.store.get_or_insert_default()
     }
 
     /// Re-derives leaf-level index entries for the hosted items that fall
@@ -184,7 +195,10 @@ impl Peer {
     /// Returns how many entries were inserted (or version-upgraded).
     pub fn index_hosted_under(&mut self) -> usize {
         let (holder, index, mut count) = (self.id, &mut self.index, 0);
-        self.store.for_each_under(&self.path, &mut |item| {
+        let Some(store) = &self.store else {
+            return 0;
+        };
+        store.for_each_under(&self.path, &mut |item| {
             count += 1;
             let entry = IndexEntry {
                 item: item.id,

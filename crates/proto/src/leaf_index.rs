@@ -2,19 +2,24 @@
 //! which keys — for the engine's `Peer` (`pgrid-core` re-exports it) and
 //! the live [`crate::ProtocolPeer`] alike.
 //!
-//! An ordered map keyed by [`Key`]: under [`BitPath`]'s lexicographic
-//! order a trie subtree is one contiguous key range, so prefix scans and
-//! the hand-off on specialization are range operations. A key's only
-//! entry sits inline in its slot and a second entry spills the slot to a
-//! `Vec`, so a key with one holder — nearly every key — costs no heap
-//! allocation beyond its share of a B-tree node.
+//! Keys are kept in [`Key`] order: under [`BitPath`]'s lexicographic order
+//! a trie subtree is one contiguous key range, so prefix scans and the
+//! hand-off on specialization are range operations. An index costs what
+//! it holds, at both levels. Up to eleven keys — one B-tree leaf's worth,
+//! and what most peers of a large grid hold — sit in one sorted `Vec`
+//! grown no further than that; the twelfth key moves them into a
+//! `BTreeMap`, which keeps inserts into a large index cheap. Under a key,
+//! its only entry sits inline in its slot and a second entry spills the
+//! slot to a `Vec`, so a key with one holder — nearly every key —
+//! allocates nothing of its own.
 
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::ops::{Deref, DerefMut};
+use std::collections::btree_map::{self, BTreeMap, Entry};
+use std::fmt;
+use std::ops::{Bound, Deref, DerefMut};
 
 use pgrid_keys::{BitPath, Key};
 use pgrid_net::PeerId;
-use pgrid_store::{prefix_range, subtree_upper};
+use pgrid_store::subtree_upper;
 use pgrid_wire::WireEntry;
 
 /// One index entry: which peer hosts which item, at which version.
@@ -63,6 +68,27 @@ impl<E> DerefMut for KeyEntries<E> {
     }
 }
 
+impl<E: LeafEntry> KeyEntries<E> {
+    /// Adds `entry`: a newer version of a held `(item, holder)` pair
+    /// overwrites the older one, anything else is appended.
+    fn add(&mut self, mut entry: E) {
+        let version = *entry.version_mut();
+        match self.iter_mut().find(|e| e.id() == entry.id()) {
+            Some(existing) => {
+                let v = existing.version_mut();
+                *v = version.max(*v);
+            }
+            None => match self {
+                KeyEntries::One(first) => *self = KeyEntries::Many(vec![*first, entry]),
+                KeyEntries::Many(all) => all.push(entry),
+            },
+        }
+    }
+}
+
+/// Keys a small index holds at most: the capacity of one B-tree leaf.
+const SMALL_MAX: usize = 11;
+
 /// A peer's leaf index: key → the entries under it, in key order.
 ///
 /// ```
@@ -77,15 +103,92 @@ impl<E> DerefMut for KeyEntries<E> {
 /// index.insert("0110".parse().unwrap(), entry(2, 0)); // second entry
 /// assert_eq!(index.lookup(&"0110".parse().unwrap()), &[entry(1, 2), entry(2, 0)]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality and `Debug` go by content, whichever form each side is in.
+#[derive(Clone)]
 pub struct LeafIndex<E> {
-    map: BTreeMap<Key, KeyEntries<E>>,
+    slots: Slots<E>,
+}
+
+/// The two forms of an index. Twelve inserted keys move a small index to
+/// the large form; an extraction that leaves at most eleven moves it back.
+/// A single `remove` never does, so an index at the boundary does not
+/// churn.
+#[derive(Clone)]
+enum Slots<E> {
+    /// At most [`SMALL_MAX`] keys, sorted.
+    Small(Vec<(Key, KeyEntries<E>)>),
+    /// Any number of keys.
+    Large(BTreeMap<Key, KeyEntries<E>>),
+}
+
+/// The slots of one key range, in key order, from either form.
+enum Range<'a, E> {
+    Small(std::slice::Iter<'a, (Key, KeyEntries<E>)>),
+    Large(btree_map::Range<'a, Key, KeyEntries<E>>),
+}
+
+impl<'a, E> Iterator for Range<'a, E> {
+    type Item = (&'a Key, &'a KeyEntries<E>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Range::Small(slots) => slots.next().map(|(k, entries)| (k, entries)),
+            Range::Large(slots) => slots.next(),
+        }
+    }
 }
 
 impl<E> Default for LeafIndex<E> {
     fn default() -> Self {
         LeafIndex {
-            map: BTreeMap::new(),
+            slots: Slots::Small(Vec::new()),
+        }
+    }
+}
+
+impl<E: PartialEq> PartialEq for LeafIndex<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self
+                .slots_under(&BitPath::EMPTY)
+                .eq(other.slots_under(&BitPath::EMPTY))
+    }
+}
+
+impl<E: Eq> Eq for LeafIndex<E> {}
+
+impl<E: fmt::Debug> fmt::Debug for LeafIndex<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.slots_under(&BitPath::EMPTY))
+            .finish()
+    }
+}
+
+impl<E> LeafIndex<E> {
+    /// Number of distinct keys.
+    pub fn len(&self) -> usize {
+        match &self.slots {
+            Slots::Small(slots) => slots.len(),
+            Slots::Large(map) => map.len(),
+        }
+    }
+
+    /// `true` when no key is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slots of every key that has `path` as a prefix, in key order:
+    /// the contiguous range `[path, subtree_upper(path))`.
+    fn slots_under(&self, path: &BitPath) -> Range<'_, E> {
+        match &self.slots {
+            Slots::Small(slots) => Range::Small(slots[small_range(slots, path)].iter()),
+            Slots::Large(map) => {
+                let upper = subtree_upper(path).map_or(Bound::Unbounded, Bound::Excluded);
+                Range::Large(map.range((Bound::Included(*path), upper)))
+            }
         }
     }
 }
@@ -96,43 +199,62 @@ impl<E: LeafEntry> LeafIndex<E> {
         LeafIndex::default()
     }
 
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// The slot under `key`, if there is one; otherwise files `fresh()`
+    /// there, moving a full small index to the large form first.
+    fn slot_or_insert(
+        &mut self,
+        key: Key,
+        fresh: impl FnOnce() -> KeyEntries<E>,
+    ) -> Option<&mut KeyEntries<E>> {
+        if let Slots::Small(slots) = &mut self.slots {
+            if slots.len() == SMALL_MAX && search(slots, &key).is_err() {
+                self.slots = Slots::Large(std::mem::take(slots).into_iter().collect());
+            }
+        }
+        match &mut self.slots {
+            Slots::Small(slots) => match search(slots, &key) {
+                Ok(i) => Some(&mut slots[i].1),
+                Err(i) => {
+                    if slots.len() == slots.capacity() {
+                        // Grow by doubling from four, but never past a full
+                        // small index.
+                        let want = (2 * slots.len()).clamp(4, SMALL_MAX);
+                        slots.reserve_exact(want - slots.len());
+                    }
+                    slots.insert(i, (key, fresh()));
+                    None
+                }
+            },
+            Slots::Large(map) => match map.entry(key) {
+                Entry::Occupied(slot) => Some(slot.into_mut()),
+                Entry::Vacant(slot) => {
+                    slot.insert(fresh());
+                    None
+                }
+            },
+        }
     }
 
-    /// `true` when no key is stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// The slot under exactly `key`.
+    fn slot_mut(&mut self, key: &Key) -> Option<&mut KeyEntries<E>> {
+        match &mut self.slots {
+            Slots::Small(slots) => search(slots, key).ok().map(|i| &mut slots[i].1),
+            Slots::Large(map) => map.get_mut(key),
+        }
     }
 
     /// Adds `entry` under `key`: idempotent per `(item, holder)`, and a
     /// newer version overwrites an older one.
-    pub fn insert(&mut self, key: Key, mut entry: E) {
-        let entries = match self.map.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(KeyEntries::One(entry));
-                return;
-            }
-            Entry::Occupied(slot) => slot.into_mut(),
-        };
-        let version = *entry.version_mut();
-        match entries.iter_mut().find(|e| e.id() == entry.id()) {
-            Some(existing) => {
-                let v = existing.version_mut();
-                *v = version.max(*v);
-            }
-            None => match entries {
-                KeyEntries::One(first) => *entries = KeyEntries::Many(vec![*first, entry]),
-                KeyEntries::Many(all) => all.push(entry),
-            },
+    pub fn insert(&mut self, key: Key, entry: E) {
+        if let Some(entries) = self.slot_or_insert(key, || KeyEntries::One(entry)) {
+            entries.add(entry);
         }
     }
 
     /// Raises every entry of `item` under `key` to `version` where that is
     /// newer. Returns whether anything changed.
     pub fn apply_update(&mut self, key: &Key, item: u64, version: u64) -> bool {
-        let Some(entries) = self.map.get_mut(key) else {
+        let Some(entries) = self.slot_mut(key) else {
             return false;
         };
         let mut changed = false;
@@ -146,30 +268,39 @@ impl<E: LeafEntry> LeafIndex<E> {
 
     /// The entries stored under exactly `key`.
     pub fn lookup(&self, key: &Key) -> &[E] {
-        self.map.get(key).map_or(&[], |entries| entries)
+        let entries = match &self.slots {
+            Slots::Small(slots) => search(slots, key).ok().map(|i| &slots[i].1),
+            Slots::Large(map) => map.get(key),
+        };
+        entries.map_or(&[], |entries| entries)
     }
 
-    /// Removes and returns the entries under `key`.
+    /// Removes and returns the entries under `key`. The index keeps its
+    /// form.
     pub fn remove(&mut self, key: &Key) -> Option<KeyEntries<E>> {
-        self.map.remove(key)
+        match &mut self.slots {
+            Slots::Small(slots) => search(slots, key).ok().map(|i| slots.remove(i).1),
+            Slots::Large(map) => map.remove(key),
+        }
     }
 
     /// Every key with its entries, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &[E])> + '_ {
-        self.map.iter().map(|(k, entries)| (k, &**entries))
+        self.slots_under(&BitPath::EMPTY)
+            .map(|(k, entries)| (k, &**entries))
     }
 
     /// Visits every key that has `path` as a prefix with its entries, in
     /// key order.
     pub fn for_each_under<'a>(&'a self, path: &BitPath, mut f: impl FnMut(Key, &'a [E])) {
-        for (k, entries) in prefix_range(&self.map, path) {
+        for (k, entries) in self.slots_under(path) {
             f(*k, entries);
         }
     }
 
     /// Number of keys under `path`.
     pub fn count_under(&self, path: &BitPath) -> usize {
-        prefix_range(&self.map, path).count()
+        self.slots_under(path).count()
     }
 
     /// Removes and returns, in key order, every key that does **not** have
@@ -178,13 +309,26 @@ impl<E: LeafEntry> LeafIndex<E> {
     /// too: the specialized peer no longer covers the coarser subtree.
     pub fn extract_not_under(&mut self, path: &BitPath) -> Vec<(Key, KeyEntries<E>)> {
         // What stays is the contiguous range `[path, subtree_upper(path))`.
-        let mut kept = self.map.split_off(path);
-        let after = match subtree_upper(path) {
-            Some(upper) => kept.split_off(&upper),
-            None => BTreeMap::new(),
-        };
-        let before = std::mem::replace(&mut self.map, kept);
-        before.into_iter().chain(after).collect()
+        match &mut self.slots {
+            Slots::Small(slots) => {
+                let kept = small_range(slots, path);
+                let mut moved: Vec<_> = slots.drain(..kept.start).collect();
+                moved.extend(slots.drain(kept.len()..));
+                moved
+            }
+            Slots::Large(map) => {
+                let mut kept = map.split_off(path);
+                let after = match subtree_upper(path) {
+                    Some(upper) => kept.split_off(&upper),
+                    None => BTreeMap::new(),
+                };
+                let before = std::mem::replace(map, kept);
+                if map.len() <= SMALL_MAX {
+                    self.slots = Slots::Small(std::mem::take(map).into_iter().collect());
+                }
+                before.into_iter().chain(after).collect()
+            }
+        }
     }
 
     /// Removes and returns, in key order, every key a peer at `path` is
@@ -195,9 +339,27 @@ impl<E: LeafEntry> LeafIndex<E> {
             .extract_not_under(path)
             .into_iter()
             .partition(|(k, _)| k.is_prefix_of(path));
-        self.map.extend(coarser);
+        for (key, entries) in coarser {
+            self.slot_or_insert(key, || entries);
+        }
         foreign
     }
+}
+
+/// The positions of a small index's slots whose keys have `path` as a
+/// prefix.
+fn small_range<E>(slots: &[(Key, KeyEntries<E>)], path: &BitPath) -> std::ops::Range<usize> {
+    let start = slots.partition_point(|(k, _)| k < path);
+    let end = match subtree_upper(path) {
+        Some(upper) => slots.partition_point(|(k, _)| *k < upper),
+        None => slots.len(),
+    };
+    start..end
+}
+
+/// Where `key` sits in a small index's sorted slots.
+fn search<E>(slots: &[(Key, KeyEntries<E>)], key: &Key) -> Result<usize, usize> {
+    slots.binary_search_by(|(k, _)| k.cmp(key))
 }
 
 #[cfg(test)]
@@ -277,6 +439,59 @@ mod tests {
         }
         let all: Vec<String> = t.iter().map(|(key, _)| key.to_string()).collect();
         assert_eq!(all, vec!["0", "000", "011", "10", "11"]);
+    }
+
+    /// The six-bit key spelling `i`.
+    fn six(i: u64) -> Key {
+        BitPath::from_raw(u128::from(i) << 122, 6)
+    }
+
+    /// Keys `six(0..n)`, one entry each.
+    fn filled(n: u64) -> LeafIndex<WireEntry> {
+        let mut t = LeafIndex::new();
+        for i in 0..n {
+            t.insert(six(i), e(i, 0, 0));
+        }
+        t
+    }
+
+    fn is_small<E>(t: &LeafIndex<E>) -> bool {
+        matches!(t.slots, Slots::Small(_))
+    }
+
+    #[test]
+    fn the_twelfth_key_moves_the_index_to_the_large_form() {
+        let mut t = LeafIndex::new();
+        let mut capacities = Vec::new();
+        for i in 0..SMALL_MAX as u64 {
+            t.insert(six(i), e(i, 0, 0));
+            if let Slots::Small(slots) = &t.slots {
+                capacities.push(slots.capacity());
+            }
+        }
+        assert_eq!(capacities, [4, 4, 4, 4, 8, 8, 8, 8, 11, 11, 11]);
+        t.insert(k("1"), e(99, 0, 0));
+        assert!(!is_small(&t));
+        t.remove(&k("1"));
+        assert!(!is_small(&t), "a remove keeps the form");
+        // The kept half of a hand-off is at most eleven keys: small again.
+        assert_eq!(t.extract_not_under(&k("0000")).len(), 7);
+        assert!(is_small(&t));
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn the_two_forms_agree_on_equality_and_debug() {
+        let small = filled(SMALL_MAX as u64);
+        let mut large = filled(SMALL_MAX as u64 + 1);
+        large.remove(&six(SMALL_MAX as u64));
+        assert!(is_small(&small) && !is_small(&large));
+        assert_eq!(small, large);
+        assert_eq!(format!("{small:?}"), format!("{large:?}"));
+        assert!(small.iter().eq(large.iter()));
+        let mut other = large.clone();
+        other.insert(k("000000"), e(0, 1, 0));
+        assert_ne!(small, other, "same keys, other entries");
     }
 
     #[test]

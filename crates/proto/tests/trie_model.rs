@@ -2,6 +2,8 @@
 //! exactly like the `BTreeMap<Key, Vec<E>>` both peer types used to hold,
 //! with its insert rule, update loop and two extractions kept below as the
 //! reference, and its prefix operations must agree with the naive filter.
+//! The seeded cases run the index in both of its forms (a sorted `Vec` of
+//! at most eleven keys, a `BTreeMap` beyond) and move it between them.
 //! Seeded loops: case `c` draws from `StdRng::seed_from_u64(c)`.
 
 use std::collections::BTreeMap;
@@ -117,6 +119,27 @@ struct Coverage {
     all_ones_extractions: usize,
     coarser_moved: usize,
     coarser_kept: usize,
+    /// Operations run on an index in its small and in its large form.
+    small_ops: usize,
+    large_ops: usize,
+    /// Moves from the small form to the large one and back.
+    promotions: usize,
+    demotions: usize,
+}
+
+/// Keys the small form holds at most.
+const SMALL_MAX: usize = 11;
+
+/// The form rule, with `large` the form before an operation and `len` the
+/// key count after it: an insert past eleven keys moves the index to the
+/// large form, an extraction leaving at most eleven moves it back, and
+/// nothing else moves it.
+fn large_after(large: bool, extraction: bool, len: usize) -> bool {
+    if extraction {
+        len > SMALL_MAX
+    } else {
+        large || len > SMALL_MAX
+    }
 }
 
 impl Coverage {
@@ -150,10 +173,19 @@ fn trie_matches_btreemap_model() {
         let mut rng = StdRng::seed_from_u64(case);
         let mut index = LeafIndex::new();
         let mut reference = Reference::default();
+        let mut large = false;
         for _ in 0..rng.gen_range(0..160) {
             let key = path(&mut rng);
-            match rng.gen_range(0..10) {
-                0..=4 => {
+            // Odd cases insert three times as often, so their indexes grow
+            // past the small form and every operation meets the large one.
+            let op: u32 = rng.gen_range(0..if case % 2 == 0 { 10 } else { 20 });
+            if large {
+                cov.large_ops += 1;
+            } else {
+                cov.small_ops += 1;
+            }
+            match op {
+                0..=4 | 10.. => {
                     let e = entry(&mut rng);
                     cov.classify(&reference, &key, &e);
                     index.insert(key, e);
@@ -180,7 +212,7 @@ fn trie_matches_btreemap_model() {
                     cov.coarser_moved += want.iter().filter(|(k, _)| k.is_prefix_of(&key)).count();
                     assert_eq!(owned(index.extract_not_under(&key)), want, "case {case}");
                 }
-                _ => {
+                9 => {
                     cov.extraction(&key);
                     cov.coarser_kept += reference
                         .0
@@ -192,6 +224,10 @@ fn trie_matches_btreemap_model() {
                 }
             }
             assert_eq!(index.len(), reference.0.len(), "case {case}");
+            let now_large = large_after(large, (7..=9).contains(&op), reference.0.len());
+            cov.promotions += usize::from(now_large && !large);
+            cov.demotions += usize::from(large && !now_large);
+            large = now_large;
             assert_eq!(
                 index.lookup(&key),
                 reference.0.get(&key).map_or(&[][..], Vec::as_slice),
@@ -218,6 +254,10 @@ fn trie_matches_btreemap_model() {
         c.all_ones_extractions,
         c.coarser_moved,
         c.coarser_kept,
+        c.small_ops,
+        c.large_ops,
+        c.promotions,
+        c.demotions,
     ];
     assert!(counts.iter().all(|&n| n > 0), "{cov:?}");
 }

@@ -16,8 +16,9 @@ if grep -rn "SliceRandom" crates/*/src; then
     exit 1
 fi
 
-echo "==> one leaf index (peers hold pgrid_proto::LeafIndex)"
-if grep -rnE "TrieIndex<|index: BTreeMap<Key" crates/*/src; then
+echo "==> one leaf index (peers hold pgrid_proto::LeafIndex; a snapshot keeps a plain list)"
+if grep -rnE "TrieIndex<|index: (BTreeMap<Key|Vec<\(Key)" crates/*/src \
+    | grep -vE "^crates/proto/src/leaf_index\.rs:|^crates/core/src/snapshot\.rs:[0-9]+: +pub index: Vec<\(Key, Vec<IndexEntry>\)>,$"; then
     echo "FATAL: a second per-peer index shape under crates/*/src; use pgrid_proto::LeafIndex"
     exit 1
 fi

@@ -176,33 +176,36 @@ fn seeding_keys() -> Vec<(BitPath, IndexEntry)> {
         .collect()
 }
 
-/// Seeds the fixture into the converged grid; returns allocation events
-/// and live heap bytes, each per resulting index entry.
-fn engine_seeding_cost() -> (f64, f64) {
+/// Seeds the fixture's first `keys` keys into the converged grid; returns
+/// the grid with the allocation events and live heap bytes, each per
+/// resulting index entry.
+fn engine_seeding_cost(keys: usize) -> (PGrid, f64, f64) {
     let mut grid = converged_grid(42);
-    let keys = seeding_keys();
+    let fixture = seeding_keys();
     let (allocs, bytes) = measured(|| {
-        for &(key, entry) in &keys {
+        for &(key, entry) in &fixture[..keys] {
             grid.seed_index(key, entry);
         }
     });
     let entries: usize = grid.peers().map(|p| p.index().len()).sum();
-    assert!(entries >= 1000, "every key lands on at least one peer");
+    assert!(entries >= keys, "every key lands on at least one peer");
     (
+        grid,
         allocs as f64 / entries as f64,
         bytes as f64 / entries as f64,
     )
 }
 
 /// Footprint gate (DESIGN §9): what a peer keeps per index entry. Seeding
-/// 1 000 random 64-bit keys (17 158 entries over the replicas) costs 0.249
-/// allocation events per resulting index entry: B-tree nodes and
-/// `replicas_of`'s scratch list, since a key's only entry sits inline in
-/// its slot. A `Vec` per key took 1.25, and the node-per-bit trie before
-/// it 56.2.
+/// 1 000 random 64-bit keys (17 158 entries over the replicas) costs 0.294
+/// allocation events per resulting index entry: B-tree nodes,
+/// `replicas_of`'s scratch list, and the small form's three growth steps
+/// before a peer's twelfth key moves it to the B-tree; a key's only entry
+/// sits inline in its slot. A B-tree from the first key took 0.249, a
+/// `Vec` per key 1.25, and the node-per-bit trie before it 56.2.
 #[test]
 fn seeding_an_index_entry_costs_at_most_two_allocations() {
-    let (per_entry, _) = engine_seeding_cost();
+    let (_, per_entry, _) = engine_seeding_cost(1000);
     assert!(
         per_entry <= 0.3,
         "{per_entry:.3} allocations per index entry"
@@ -216,7 +219,7 @@ fn seeding_an_index_entry_costs_at_most_two_allocations() {
 /// 185.2.
 #[test]
 fn an_index_entry_holds_at_most_112_heap_bytes() {
-    let (_, engine) = engine_seeding_cost();
+    let (_, _, engine) = engine_seeding_cost(1000);
     let grid = converged_grid(42);
     let keys = seeding_keys();
     let mut peers: Vec<ProtocolPeer> = grid
@@ -249,6 +252,22 @@ fn an_index_entry_holds_at_most_112_heap_bytes() {
     }
 }
 
+/// Footprint gate (DESIGN §9) where peers hold few keys, as on a large
+/// grid: the fixture's first 40 keys give 682 entries, at most 22 on a
+/// peer. An entry keeps 116.4 live heap bytes in a sorted `Vec` of at
+/// most eleven keys per peer; a B-tree leaf per peer kept 263.8.
+#[test]
+fn a_sparse_index_entry_holds_at_most_128_heap_bytes() {
+    let (grid, _, per_entry) = engine_seeding_cost(40);
+    let held: Vec<usize> = grid.peers().map(|p| p.index().len()).collect();
+    assert_eq!(held.iter().sum::<usize>(), 682, "fixture moved");
+    assert_eq!(held.iter().max(), Some(&22), "fixture moved");
+    assert!(
+        per_entry <= 128.0,
+        "{per_entry:.1} heap bytes per index entry"
+    );
+}
+
 /// The sizes DESIGN §9 budgets on 64-bit targets: a `Peer`, whose hosted
 /// store sits behind a box, and the leaf index's slot value, one entry
 /// inline.
@@ -264,6 +283,14 @@ fn peer_and_index_slot_sizes_hold() {
 fn heap_of(make: impl FnOnce() -> Peer) -> i64 {
     let mut peer = None;
     measured(|| peer = Some(make())).1
+}
+
+/// A fresh peer allocates nothing: its index, buddy set and routing
+/// buffer start empty, and its hosted store is made at the first write. A
+/// boxed store from the start cost 160 B per peer.
+#[test]
+fn a_fresh_peer_holds_no_heap() {
+    assert_eq!(heap_of(|| Peer::new(PeerId(7))), 0);
 }
 
 /// Heap bytes `peer` holds beyond a fresh peer's: a clone copies its
