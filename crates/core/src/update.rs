@@ -64,8 +64,6 @@ pub struct UpdateOutcome {
     pub updated: BTreeSet<PeerId>,
     /// Messages spent locating and updating them.
     pub messages: u64,
-    /// Ground-truth replica count at update time (for recall computations).
-    pub total_replicas: usize,
 }
 
 /// How a repeated-query read decides on an answer.
@@ -235,7 +233,6 @@ impl PGrid {
         ctx: &mut Ctx<'_>,
     ) -> UpdateOutcome {
         let located = self.find_replicas(key, strategy, ctx);
-        let total_replicas = self.replicas_of(key).len();
         let mut updated = BTreeSet::new();
         for &peer in &located.found {
             if self.peer_mut(peer).index_apply_update(key, item, version) {
@@ -249,7 +246,6 @@ impl PGrid {
         UpdateOutcome {
             updated,
             messages: located.messages,
-            total_replicas,
         }
     }
 
@@ -263,7 +259,6 @@ impl PGrid {
         ctx: &mut Ctx<'_>,
     ) -> UpdateOutcome {
         let located = self.find_replicas(key, strategy, ctx);
-        let total_replicas = self.replicas_of(key).len();
         for &peer in &located.found {
             self.peer_mut(peer).index_insert(*key, entry);
             ctx.trace(|| TraceEvent::ReplicaFanout {
@@ -274,7 +269,6 @@ impl PGrid {
         UpdateOutcome {
             updated: located.found,
             messages: located.messages,
-            total_replicas,
         }
     }
 
@@ -490,7 +484,7 @@ mod tests {
             &mut ctx,
         );
         assert!(!up.updated.is_empty());
-        assert!(up.total_replicas >= up.updated.len());
+        assert!(g.replicas_of(&key).len() >= up.updated.len());
         // A majority read should find the new version.
         let read = g.query_repeated(&key, ItemId(1), &QueryPolicy::default(), &mut ctx);
         assert!(read.version == Some(Version(1)) || read.version == Some(Version(0)));

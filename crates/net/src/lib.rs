@@ -16,8 +16,10 @@
 //! * [`NetStats`] / [`Histogram`] — message and hop accounting (the paper
 //!   counts "successful calls of the query operation to another peer");
 //! * [`EventQueue`] — a discrete-event scheduler for time-driven simulations;
-//! * [`BoundedSet`] / [`BoundedMap`] — insertion-ordered dedup collections
-//!   with oldest-first eviction, shared by the protocol core and drivers;
+//! * [`DedupWindow`] — a two-generation dedup map whose entries expire
+//!   when its owner rotates it, so dedup state is bounded by time rather
+//!   than by a count (the node shell rotates once per resend horizon plus
+//!   margin, 1 s; DESIGN.md §7);
 //! * [`LatencyModel`] — per-message delay models for the event-driven mode;
 //! * [`task_seed`] / [`splitmix64`] — deterministic per-task RNG stream
 //!   derivation for the parallel experiment engine ([`NetStats`] shards merge
@@ -37,7 +39,7 @@ mod online;
 mod seed;
 mod stats;
 
-pub use bounded::{BoundedMap, BoundedSet};
+pub use bounded::DedupWindow;
 pub use events::EventQueue;
 pub use id::PeerId;
 pub use latency::LatencyModel;

@@ -491,12 +491,13 @@ impl<T: Transport> Community<T> {
         lock(&self.states[id.index()]).maxl = 0;
     }
 
-    /// Crashes a node: endpoint and shell die (all volatile protocol state
-    /// — pending retransmits, dedup caches — is lost), but the node's
-    /// durable state (path, references, index) survives for a later
-    /// [`Community::restart_node`]. Peers that contact it meanwhile see a
-    /// departed peer and prune their references; the restarted node re-
-    /// integrates through ordinary meetings.
+    /// Crashes a node: endpoint and shell die (the shell's pending
+    /// retransmits are lost), but the node's protocol state (path,
+    /// references, index, and the dedup windows the restarted shell goes on
+    /// rotating) survives for a later [`Community::restart_node`]. Peers
+    /// that contact it meanwhile see a departed peer and prune their
+    /// references; the restarted node re-integrates through ordinary
+    /// meetings.
     ///
     /// # Panics
     /// If the node is already crashed or was killed.

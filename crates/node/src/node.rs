@@ -27,7 +27,12 @@
 //!   immediately.
 //! * **Idempotent receipt** — handled *inside the core*: retransmitted
 //!   queries, inserts, and exchange offers are deduplicated there, so replay
-//!   never re-applies a non-idempotent transition.
+//!   never re-applies a non-idempotent transition. The core's dedup windows
+//!   expire by time, not count: this shell rotates them every
+//!   `DEDUP_GENERATION` ticks (1 s), derived from the resend horizon of
+//!   `OFFER_RETRY` and `ACK_RETRY` plus the largest injected link delay, so
+//!   every retransmit of a frame finds its first receipt. A duplicate
+//!   offer is re-answered from the cached frame of the first answer.
 //!
 //! Delivery failures surface to the core as [`Event::PeerSuspected`] (soft
 //! strike; eviction after repeated ones) or [`Event::PeerGone`] (no mailbox
@@ -37,13 +42,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use pgrid_keys::BitPath;
 use pgrid_net::PeerId;
 use pgrid_proto::{Effect, Event, ProtoCtx, TimerToken};
 use pgrid_store::{AnyBackend, DataItem, ItemId, StorageBackend, Version};
 use pgrid_trace::{OpTag, TraceEvent, Tracer};
-use pgrid_wire::{decode_frame, encode_frame, Message, WireEntry};
+use pgrid_wire::{decode_frame_slice, encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -102,6 +107,15 @@ pub(crate) const TICK: Duration = Duration::from_millis(5);
 /// the 5 ms tick). The pass is a strict no-op — zero effects, zero RNG
 /// draws — on a valid peer, so the cadence is free to be arbitrary.
 const STABILIZE_EVERY: u64 = 64;
+/// Ticks per dedup generation, G: the core's dedup windows rotate every G
+/// ticks, so a receipt is remembered for G to 2G ticks. G·[`TICK`] must
+/// cover the latest resend of any frame after its first transmission (an
+/// offer's third try leaves at most (120+40) + (240+40) = 440 ms after its
+/// first, a hop-acked frame's at most 220 ms), plus the delay a faulty link
+/// adds (the suites inject up to 30 ms). G is that 470 ms rounded up to a
+/// whole second; socket workers tick at least [`TICK`] apart, so real
+/// lifetimes only get longer.
+const DEDUP_GENERATION: u64 = 200;
 /// Stream separator between the protocol RNG and the I/O (jitter) RNG
 /// derived from one node seed.
 const IO_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -408,10 +422,9 @@ impl<T: Transport> NodeRt<T> {
 
     /// Returns `false` when the node must shut down.
     pub(crate) fn handle_frame(&mut self, frame: Frame) -> bool {
-        let mut buf = BytesMut::from(&frame.bytes[..]);
-        let message = match decode_frame(&mut buf) {
-            Ok(Some(m)) => m,
-            Ok(None) | Err(_) => {
+        let message = match decode_frame_slice(&frame.bytes) {
+            Ok(m) => m,
+            Err(_) => {
                 // Malformed frame: count it and (in debug builds) say so
                 // instead of dropping invisibly.
                 self.transport.record_malformed();
@@ -575,6 +588,11 @@ impl<T: Transport> NodeRt<T> {
     pub(crate) fn tick(&mut self, now: Instant) {
         self.retransmit(now);
         self.ticks += 1;
+        if self.ticks.is_multiple_of(DEDUP_GENERATION) {
+            // Outside `handle`: a rotation draws nothing and emits nothing,
+            // so its alignment with traffic cannot move a protocol draw.
+            lock(&self.state).rotate_dedup();
+        }
         if self.ticks.is_multiple_of(STABILIZE_EVERY) {
             // Periodic self-audit. Skipped while the peer holds flagged
             // custody: re-homing those entries belongs to the anti-entropy
@@ -945,6 +963,58 @@ mod tests {
                 retransmit(A, OpTag::Forward, 2),
             ]
         );
+    }
+
+    /// A dedup generation must outlast the latest resend of any frame
+    /// after its first transmission — every backoff but the last, each at
+    /// its full jitter — plus the 30 ms the suites' faulty links may hold
+    /// the resend back.
+    #[test]
+    fn a_dedup_generation_outlasts_the_resend_horizon() {
+        let horizon_ms = |p: RetryPolicy| -> u64 {
+            (1..p.max_attempts)
+                .map(|attempt| (p.base_ms << (attempt - 1).min(6)) + p.jitter_ms)
+                .sum()
+        };
+        let needed = horizon_ms(OFFER_RETRY).max(horizon_ms(ACK_RETRY)) + 30;
+        let generation = TICK * u32::try_from(DEDUP_GENERATION).unwrap();
+        assert!(
+            generation >= Duration::from_millis(needed),
+            "G·TICK = {generation:?} < {needed} ms"
+        );
+    }
+
+    #[test]
+    fn a_shell_holds_no_dedup_entries_after_two_idle_generations() {
+        let mut rig = rig("0", vec![vec![A]]);
+        rig.query(1, "0100");
+        let entry = WireEntry {
+            item: 1,
+            holder: CLIENT,
+            version: 1,
+        };
+        let key = "0110".parse().unwrap();
+        rig.rt
+            .handle_message(A, Message::IndexInsert { seq: 2, key, entry });
+        rig.rt.handle_message(
+            A,
+            Message::ExchangeOffer {
+                id: 3,
+                depth: 0,
+                path: "1".parse().unwrap(),
+                level_refs: Vec::new(),
+            },
+        );
+        let state = Arc::clone(&rig.state);
+        let held = || lock(&state).dedup_len();
+        assert_eq!(held(), 3, "one query, one insert, one cached answer");
+        for tick in 1..=2 * DEDUP_GENERATION {
+            rig.rt.tick(rig.t0 + TICK * u32::try_from(tick).unwrap());
+            if tick == DEDUP_GENERATION {
+                assert_eq!(held(), 3, "remembered for at least one generation");
+            }
+        }
+        assert_eq!(held(), 0, "gone after two");
     }
 
     #[test]

@@ -6,11 +6,11 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use pgrid_net::{NetStats, PeerId};
 use pgrid_store::AnyBackend;
 use pgrid_trace::Tracer;
-use pgrid_wire::{decode_frame, Message};
+use pgrid_wire::{decode_frame_slice, Message};
 
 use crate::fault::{self, FaultGate, FaultPlan};
 use crate::NodeState;
@@ -218,12 +218,11 @@ pub(crate) fn hand_to_client(
     bytes: &[u8],
     gate: &FaultGate,
 ) {
-    let mut buf = BytesMut::from(bytes);
-    match decode_frame(&mut buf) {
-        Ok(Some(msg)) => {
+    match decode_frame_slice(bytes) {
+        Ok(msg) => {
             let _ = tx.send((from, msg));
         }
-        Ok(None) | Err(_) => {
+        Err(_) => {
             gate.counters.malformed.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -39,8 +39,5 @@ pub use event::{Effect, Event, TimerToken};
 pub use fig2::{route_step, RouteStep};
 pub use fig3::{classify, split_bits, ExchangeCase, SplitBitPolicy};
 pub use leaf_index::{KeyEntries, LeafEntry, LeafIndex};
-pub use peer::{
-    ProtoCtx, ProtocolPeer, RouteDecision, ANSWER_CACHE_CAP, DEFAULT_RECMAX, DEFAULT_SUSPECT_AFTER,
-    SEEN_CAP,
-};
+pub use peer::{ProtoCtx, ProtocolPeer, RouteDecision, DEFAULT_RECMAX, DEFAULT_SUSPECT_AFTER};
 pub use routing::{random_select, union_into, LevelRefs, LevelRefsMut, RoutingTable};

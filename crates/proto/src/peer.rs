@@ -13,9 +13,9 @@
 use std::collections::{HashMap, HashSet};
 
 use pgrid_keys::{BitPath, Key};
-use pgrid_net::{BoundedMap, BoundedSet, PeerId};
+use pgrid_net::{DedupWindow, PeerId};
 use pgrid_trace::{TraceEvent, Tracer, ViolationTag};
-use pgrid_wire::{Message, WireEntry};
+use pgrid_wire::{decode_frame_slice, encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
 
 use crate::event::{Effect, Event, TimerToken};
@@ -88,10 +88,6 @@ pub enum RouteDecision {
 pub const DEFAULT_SUSPECT_AFTER: u32 = 3;
 /// Default exchange recursion bound.
 pub const DEFAULT_RECMAX: u8 = 2;
-/// Bound on the query/insert dedup windows.
-pub const SEEN_CAP: usize = 512;
-/// Bound on the duplicate-offer answer cache.
-pub const ANSWER_CACHE_CAP: usize = 256;
 
 /// An exchange this peer initiated, awaiting its answer. Protocol state,
 /// not I/O state: the *frame bytes, deadlines and attempt counts* of the
@@ -150,13 +146,17 @@ pub struct ProtocolPeer {
     /// Exchanges we initiated, awaiting answers, by correlation id.
     pending_exchanges: HashMap<u64, PendingExchange>,
     /// Queries already accepted (`true`) or refused (`false`), so
-    /// retransmits are re-acked without reprocessing.
-    seen_queries: BoundedMap<(PeerId, u64), bool>,
+    /// retransmits are re-acked without reprocessing. This and the next
+    /// two windows expire as the driver calls
+    /// [`ProtocolPeer::rotate_dedup`].
+    seen_queries: DedupWindow<(PeerId, u64), bool>,
     /// Inserts already accepted, by `(sender, seq)`.
-    seen_inserts: BoundedSet<(PeerId, u64)>,
-    /// Answers by `(initiator, xid)`: duplicate offers are re-answered
-    /// from here because [`ProtocolPeer::handle_offer`] is not idempotent.
-    answer_cache: BoundedMap<(PeerId, u64), Message>,
+    seen_inserts: DedupWindow<(PeerId, u64)>,
+    /// Answer frames by `(initiator, xid)`: duplicate offers are
+    /// re-answered from here because [`ProtocolPeer::handle_offer`] is not
+    /// idempotent. Kept encoded (one allocation each) and decoded only on
+    /// a replay.
+    answer_cache: DedupWindow<(PeerId, u64), Box<[u8]>>,
 }
 
 impl ProtocolPeer {
@@ -179,9 +179,9 @@ impl ProtocolPeer {
             balance_hot_threshold: usize::MAX,
             next_id: 1 << 63,
             pending_exchanges: HashMap::new(),
-            seen_queries: BoundedMap::new(SEEN_CAP),
-            seen_inserts: BoundedSet::new(SEEN_CAP),
-            answer_cache: BoundedMap::new(ANSWER_CACHE_CAP),
+            seen_queries: DedupWindow::new(),
+            seen_inserts: DedupWindow::new(),
+            answer_cache: DedupWindow::new(),
         }
     }
 
@@ -197,6 +197,23 @@ impl ProtocolPeer {
         let id = self.next_id;
         self.next_id += 1;
         id
+    }
+
+    /// Ends one generation of the dedup windows (seen queries, seen
+    /// inserts, cached answers): a receipt is remembered from one to two
+    /// generations, so a driver that rotates once per resend horizon
+    /// catches every retransmit. Not a protocol transition: it raises no
+    /// event, draws nothing, emits nothing and records nothing, so the
+    /// moment a driver calls it cannot reorder any draw.
+    pub fn rotate_dedup(&mut self) {
+        self.seen_queries.rotate();
+        self.seen_inserts.rotate();
+        self.answer_cache.rotate();
+    }
+
+    /// Receipts held across the dedup windows.
+    pub fn dedup_len(&self) -> usize {
+        self.seen_queries.len() + self.seen_inserts.len() + self.answer_cache.len()
     }
 
     // ---- the event interface -----------------------------------------
@@ -433,14 +450,12 @@ impl ProtocolPeer {
         ctx: &mut ProtoCtx<'_>,
         out: &mut Vec<Effect>,
     ) {
-        if let Some(cached) = self.answer_cache.get(&(from, xid)) {
+        if let Some(frame) = self.answer_cache.get(&(from, xid)) {
             // Retransmitted offer: the initiator lost our answer. Repeat
             // it verbatim; re-running handle_offer would split us again.
-            let cached = cached.clone();
-            out.push(Effect::Send {
-                to: from,
-                msg: cached,
-            });
+            let msg =
+                decode_frame_slice(frame).expect("a cached answer is a frame this peer encoded");
+            out.push(Effect::Send { to: from, msg });
             return;
         }
         let before = self.path;
@@ -470,7 +485,8 @@ impl ProtocolPeer {
             adopt_refs: outcome.adopt_refs,
             recurse_with: outcome.recurse_initiator,
         };
-        self.answer_cache.insert((from, xid), answer.clone());
+        self.answer_cache
+            .insert((from, xid), Box::from(&*encode_frame(&answer)));
         out.push(Effect::Send {
             to: from,
             msg: answer,
@@ -573,7 +589,7 @@ impl ProtocolPeer {
             to: from,
             msg: Message::Ack { seq },
         });
-        if !self.seen_inserts.insert((from, seq)) {
+        if !self.seen_inserts.insert((from, seq), ()) {
             return; // retransmit of an insert we already own
         }
         if self.responsible_for(&key) {
@@ -1703,6 +1719,73 @@ mod tests {
         let second = drive(&mut b, &mut rb, offer);
         assert_eq!(b.path, path_after, "re-running the case would split again");
         assert_eq!(first, second, "cached answer repeats verbatim");
+    }
+
+    /// The answer cache is a time window, not a count: the first answer
+    /// outlives any number of offers answered in between (the count-capped
+    /// cache it replaced held 256).
+    #[test]
+    fn a_resent_offer_after_257_others_replays_its_first_answer() {
+        let mut b = ProtocolPeer::new(PeerId(1), 4, 2, 2);
+        let mut rb = rng();
+        // Case 3 first (the responder specializes), then Case 4 for every
+        // later offer: each one leaves the initiator in our level-1 refs,
+        // where a re-run would draw recursion candidates from.
+        let offer = |from: u32, id: u64| Event::OfferReceived {
+            from: PeerId(from),
+            id,
+            depth: 0,
+            path: path("01"),
+            level_refs: Vec::new(),
+        };
+        let frames = |effects: &[Effect]| -> Vec<Vec<u8>> {
+            effects
+                .iter()
+                .map(|e| match e {
+                    Effect::Send { to: PeerId(0), msg } => encode_frame(msg).to_vec(),
+                    other => panic!("expected the answer to the initiator, got {other:?}"),
+                })
+                .collect()
+        };
+        let first = drive(&mut b, &mut rb, offer(0, 77));
+        for other in 0..257 {
+            drive(&mut b, &mut rb, offer(100 + other, 1000 + u64::from(other)));
+        }
+        let path_before = b.path;
+        let replay = drive(&mut b, &mut rb, offer(0, 77));
+        assert_eq!(b.path, path_before, "the replay does not specialize again");
+        assert_eq!(frames(&replay), frames(&first), "byte for byte");
+    }
+
+    /// Likewise for the query window (the count-capped one held 512 ids).
+    #[test]
+    fn a_duplicate_query_after_513_others_repeats_its_verdict() {
+        let mut p = ProtocolPeer::new(PeerId(0), 4, 2, 2);
+        p.path = path("0");
+        p.refs = table(&[&[PeerId(1)]]);
+        let mut r = rng();
+        let query = |id: u64, key: &str| Event::QueryReceived {
+            from: PeerId(9),
+            id,
+            origin: PeerId(100),
+            key: path(key),
+            matched: 0,
+            ttl: 8,
+        };
+        let first = drive(&mut p, &mut r, query(1, "1000"));
+        assert!(matches!(first.last(), Some(Effect::ForwardQuery { .. })));
+        for id in 2..=514 {
+            drive(&mut p, &mut r, query(id, "0000"));
+        }
+        let ack = Effect::Send {
+            to: PeerId(9),
+            msg: Message::Ack { seq: 1 },
+        };
+        assert_eq!(
+            drive(&mut p, &mut r, query(1, "1000")),
+            vec![ack],
+            "the verdict again, and no second forward"
+        );
     }
 
     #[test]

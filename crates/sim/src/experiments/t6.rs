@@ -177,7 +177,8 @@ pub fn run(cfg: &Config) -> (Vec<Row>, Table) {
                             ctx,
                         );
                         insert_msgs += up.messages;
-                        recall_sum += up.updated.len() as f64 / up.total_replicas.max(1) as f64;
+                        let replicas = grid.replicas_of(&key).len();
+                        recall_sum += up.updated.len() as f64 / replicas.max(1) as f64;
                         for _ in 0..cfg.queries_per_update {
                             let read = if repetitive {
                                 grid.query_repeated(&key, item, &cfg.policy, ctx)

@@ -194,6 +194,18 @@ pub fn decode_frame(buf: &mut BytesMut) -> Result<Option<Message>, CodecError> {
     Ok(Some(message))
 }
 
+/// Decodes `frame`, which must hold exactly one complete frame as
+/// [`encode_frame`] writes it; a short buffer or trailing bytes are
+/// [`CodecError::Truncated`]. For callers that hold a frame in a plain
+/// slice rather than a streaming accumulator.
+pub fn decode_frame_slice(frame: &[u8]) -> Result<Message, CodecError> {
+    let mut buf = BytesMut::from(frame);
+    match decode_frame(&mut buf)? {
+        Some(message) if buf.is_empty() => Ok(message),
+        _ => Err(CodecError::Truncated),
+    }
+}
+
 fn decode_payload(buf: &mut Bytes) -> Result<Message, CodecError> {
     if !buf.has_remaining() {
         return Err(CodecError::Truncated);
@@ -400,6 +412,7 @@ mod tests {
         let decoded = decode_frame(&mut buf).unwrap().unwrap();
         assert_eq!(decoded, msg);
         assert!(buf.is_empty());
+        assert_eq!(decode_frame_slice(&frame), Ok(msg));
     }
 
     fn path(s: &str) -> BitPath {
@@ -523,6 +536,24 @@ mod tests {
         );
         assert_eq!(decode_frame(&mut buf).unwrap(), Some(Message::Shutdown));
         assert_eq!(decode_frame(&mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn slice_decode_takes_exactly_one_frame() {
+        let frame = encode_frame(&Message::Ping { nonce: 1 });
+        assert_eq!(
+            decode_frame_slice(&frame[..frame.len() - 1]),
+            Err(CodecError::Truncated),
+            "a short frame"
+        );
+        let mut two = frame.to_vec();
+        two.extend_from_slice(&frame);
+        assert_eq!(
+            decode_frame_slice(&two),
+            Err(CodecError::Truncated),
+            "bytes after the frame"
+        );
+        assert_eq!(decode_frame_slice(&[]), Err(CodecError::Truncated));
     }
 
     #[test]

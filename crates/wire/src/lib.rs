@@ -18,6 +18,6 @@ mod codec;
 mod message;
 mod varint;
 
-pub use codec::{decode_frame, encode_frame, CodecError, MAX_FRAME_LEN};
+pub use codec::{decode_frame, decode_frame_slice, encode_frame, CodecError, MAX_FRAME_LEN};
 pub use message::{Message, WireEntry};
 pub use varint::{read_varint, write_varint};

@@ -64,7 +64,7 @@ fn main() {
         println!(
             "insert {name:10} key={key} reached {}/{} replicas with {} messages",
             outcome.updated.len(),
-            outcome.total_replicas,
+            grid.replicas_of(&key).len(),
             outcome.messages
         );
     }

@@ -91,7 +91,7 @@ fn main() {
     println!(
         "update reached {}/{} replicas with {} messages",
         up.updated.len(),
-        up.total_replicas,
+        grid.replicas_of(&key).len(),
         up.messages
     );
 

@@ -43,6 +43,12 @@ if grep -rnE "freeze_routing|frozen_routing|Option<CompactRoutingTable>" crates/
     exit 1
 fi
 
+echo "==> time-bounded dedup (dedup windows expire with the resend horizon; no count caps)"
+if grep -rnE "BoundedMap|BoundedSet|SEEN_CAP|ANSWER_CACHE_CAP" crates/*/src; then
+    echo "FATAL: a count-capped dedup collection under crates/*/src; use pgrid_net::DedupWindow"
+    exit 1
+fi
+
 echo "==> clippy (all targets, warnings are errors, perf lints on)"
 cargo clippy --all-targets -- -D warnings -D clippy::perf -W clippy::redundant_clone
 
