@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use pgrid_keys::Key;
 use pgrid_net::{draw, NetStats, PeerId};
-use pgrid_store::StorageSpec;
+use pgrid_store::{AppendLog, StorageSpec};
 use pgrid_trace::NullTracer;
 use pgrid_wire::{encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
@@ -77,8 +77,9 @@ pub struct Community<T: Transport> {
     next_query_id: u64,
     rng: StdRng,
     config: ClusterConfig,
-    /// When set, every node journals its index custody into a per-slot
-    /// backend of this spec, and restarts reseed from it.
+    /// When set, every node journals its index custody into its slot's
+    /// directory under this spec (see [`TcpCluster::spawn_with_storage`]),
+    /// and restarts reseed from it.
     storage: Option<StorageSpec>,
 }
 
@@ -103,6 +104,15 @@ impl Community<SimTransport> {
     pub fn spawn(config: ClusterConfig) -> Self {
         Self::over(SimTransport::new(), config, None)
     }
+
+    /// [`SimCluster::spawn`] with durable per-node journals, as
+    /// [`TcpCluster::spawn_with_storage`] describes.
+    ///
+    /// # Panics
+    /// As [`TcpCluster::spawn_with_storage`], binding aside.
+    pub fn spawn_with_storage(config: ClusterConfig, storage: StorageSpec) -> Self {
+        Self::over(SimTransport::new(), config, Some(storage))
+    }
 }
 
 impl Community<TcpTransport> {
@@ -115,16 +125,24 @@ impl Community<TcpTransport> {
         Self::over(Self::loopback(&config, workers), config, None)
     }
 
-    /// [`TcpCluster::spawn`] with durable per-node journals: slot `i`
-    /// opens `storage.open_for(i)`, and every index entry a node takes
-    /// custody of is appended. Backends that already hold records — a
-    /// previous run's journals — are reseeded into the fresh protocol
-    /// states before the shells start, so a cold-started community
-    /// re-announces everything it durably owned.
+    /// [`TcpCluster::spawn`] with durable per-node journals. What each
+    /// spec means for a cluster:
+    ///
+    /// * [`StorageSpec::Log`] `{ dir, options }` — slot `i` journals to an
+    ///   [`AppendLog`] in `dir/peer-<i>/` ([`StorageSpec::log_slot`]),
+    ///   created at the node's first custody record and compacted by
+    ///   `options.compact_min_bytes`. Every index entry a node takes
+    ///   custody of is appended. A journal that already holds records — a
+    ///   previous run's — is replayed into the fresh protocol state before
+    ///   the shell starts, so a cold-started community re-announces
+    ///   everything it durably owned.
+    /// * [`StorageSpec::Memory`] — no journal: [`TcpCluster::spawn`].
+    /// * [`StorageSpec::HashFile`] — rejected: custody is journaled only
+    ///   to log directories.
     ///
     /// # Panics
-    /// If the listener cannot bind, a backend fails to open, or a backend
-    /// refuses to load (real corruption).
+    /// If the listener cannot bind, the spec is a hash file, or a journal
+    /// fails to open or refuses to load (real corruption).
     pub fn spawn_with_storage(config: ClusterConfig, workers: usize, storage: StorageSpec) -> Self {
         Self::over(Self::loopback(&config, workers), config, Some(storage))
     }
@@ -144,6 +162,11 @@ impl<T: Transport> Community<T> {
     /// endpoint — in that order, which fixes socket worker placement.
     fn over(transport: T, config: ClusterConfig, storage: Option<StorageSpec>) -> Self {
         assert!(config.n >= 2, "a cluster needs at least two nodes");
+        assert!(
+            !matches!(storage, Some(StorageSpec::HashFile { .. })),
+            "a cluster journals custody to log directories: spawn it with \
+             StorageSpec::Log (or StorageSpec::Memory for none), not StorageSpec::HashFile"
+        );
         if let Some(plan) = config.faults {
             transport.inject_faults(plan);
         }
@@ -167,7 +190,7 @@ impl<T: Transport> Community<T> {
         }
     }
 
-    /// Hosts a shell for `state` seeded with `seed`. With storage, the
+    /// Hosts a shell for `state` seeded with `seed`. With a log spec, the
     /// peer's journal is (re)opened first and whatever it holds is reseeded
     /// into `state` — idempotent on state that survived a crash. The
     /// previous shell, if any, was evicted, so its journal handle is
@@ -178,12 +201,13 @@ impl<T: Transport> Community<T> {
         state: &Arc<Mutex<NodeState>>,
         seed: u64,
     ) {
-        let journal = storage.map(|spec| {
-            let slot = lock(state).id.index();
-            let journal = spec.open_for(slot).expect("open storage backend");
-            reseed_from_journal(state, &journal);
-            journal
-        });
+        let journal = storage
+            .and_then(|spec| spec.log_slot(lock(state).id.index()))
+            .map(|(dir, options)| {
+                let journal = AppendLog::open(dir, options).expect("open the custody journal");
+                reseed_from_journal(state, &journal).expect("replay the custody journal");
+                journal
+            });
         transport.host(Arc::clone(state), seed, journal, Box::new(NullTracer));
     }
 
@@ -1012,6 +1036,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    impl<T: Transport> Community<T> {
+        /// The first node responsible for `key`: an insert entering there
+        /// is stored there.
+        fn responsible_node(&self, key: &Key) -> PeerId {
+            self.states
+                .iter()
+                .map(|s| lock(s))
+                .find(|s| s.responsible_for(key))
+                .map(|s| s.id)
+                .expect("a built community covers every key")
+        }
+    }
+
+    /// Two holders of one item under one key are two custody entries, and
+    /// a cold restart keeps both: the journal folds no record into
+    /// another.
+    fn two_holders_of_one_item_survive_a_cold_restart<T: Spawn>() {
+        let (dir, spec) = log_spec::<T>("cluster-holders");
+        let config = ClusterConfig {
+            n: 8,
+            maxl: 3,
+            refmax: 3,
+            seed: 17,
+            ..ClusterConfig::default()
+        };
+        let key = BitPath::from_str_lossy("011");
+        let entries = [PeerId(2), PeerId(5)].map(|holder| WireEntry {
+            item: 4,
+            holder,
+            version: 1,
+        });
+        let holding_both = |cluster: &Community<T>| -> Vec<PeerId> {
+            cluster
+                .states
+                .iter()
+                .map(|s| lock(s))
+                .filter(|s| entries.iter().all(|e| s.index_lookup(&key).contains(e)))
+                .map(|s| s.id)
+                .collect()
+        };
+        let before = {
+            let mut cluster = T::spawn(config, Some(spec.clone()));
+            build_until(&mut cluster, 10, 60, 2.5);
+            let responsible = cluster.responsible_node(&key);
+            for entry in entries {
+                cluster.insert_at(key, entry, responsible);
+                cluster.settle();
+            }
+            let before = holding_both(&cluster);
+            cluster.shutdown();
+            before
+        };
+        assert!(!before.is_empty(), "some node holds both entries");
+        let cluster = T::spawn(config, Some(spec));
+        assert_eq!(holding_both(&cluster), before);
+        cluster.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Instantiates every generic body above once per transport.
     macro_rules! for_both_transports {
         ($($body:ident),* $(,)?) => {
@@ -1032,5 +1115,134 @@ mod tests {
         crash_and_restart_cycle,
         storage_journal_survives_cold_restart,
         reseeded_misplaced_custody_agrees_with_replica_ground_truth,
+        two_holders_of_one_item_survive_a_cold_restart,
     );
+
+    fn sixteen_nodes(seed: u64) -> ClusterConfig {
+        ClusterConfig {
+            n: 16,
+            maxl: 3,
+            refmax: 3,
+            seed,
+            ..ClusterConfig::default()
+        }
+    }
+
+    fn converged_with_storage(spec: &StorageSpec, seed: u64) -> SimCluster {
+        let mut cluster = SimCluster::spawn_with_storage(sixteen_nodes(seed), spec.clone());
+        build_until(&mut cluster, 10, 80, 2.8);
+        cluster
+    }
+
+    fn indexes(cluster: &SimCluster) -> Vec<pgrid_proto::LeafIndex<WireEntry>> {
+        cluster
+            .states
+            .iter()
+            .map(|s| lock(s).index.clone())
+            .collect()
+    }
+
+    /// A cold restart rebuilds every node's leaf index exactly, the order
+    /// of the entries under a key included: the journal replays in append
+    /// order, not in item order.
+    #[test]
+    fn a_cold_restart_rebuilds_every_index_exactly() {
+        let (dir, spec) = log_spec::<SimTransport>("cluster-exact");
+        let key = BitPath::from_str_lossy("0110");
+        let entries = [(9, 1), (3, 2)].map(|(item, holder)| WireEntry {
+            item,
+            holder: PeerId(holder),
+            version: 1,
+        });
+        let before = {
+            let mut cluster = converged_with_storage(&spec, 37);
+            let responsible = cluster.responsible_node(&key);
+            for entry in entries {
+                cluster.insert_at(key, entry, responsible);
+                cluster.settle();
+            }
+            let before = indexes(&cluster);
+            cluster.shutdown();
+            before
+        };
+        assert!(
+            before.iter().any(|index| index.lookup(&key) == entries),
+            "some node holds both entries, the higher item id first"
+        );
+        let cluster = SimCluster::spawn_with_storage(sixteen_nodes(37), spec);
+        assert_eq!(indexes(&cluster), before);
+        cluster.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A journal that compacted is still a `LogBackend` directory: opened
+    /// as one, it holds exactly the node's custody entries (one holder per
+    /// item here, since a `LogBackend` keeps one record per item id).
+    #[test]
+    fn a_compacted_journal_opens_as_a_log_backend_of_the_nodes_custody() {
+        use pgrid_store::{LogBackend, LogOptions, StorageBackend};
+
+        let (dir, _) = log_spec::<SimTransport>("cluster-compacted");
+        let spec = StorageSpec::Log {
+            dir: dir.clone(),
+            options: LogOptions {
+                compact_min_bytes: 128,
+                ..LogOptions::default()
+            },
+        };
+        let mut cluster = converged_with_storage(&spec, 43);
+        // Every round journals each entry again: the repeats are dead
+        // records, which soon outnumber the live ones.
+        for _ in 0..3 {
+            for item in 0..24u64 {
+                let key = BitPath::from_str_lossy(&format!("{item:05b}"));
+                let holder = PeerId((item % 16) as u32);
+                cluster.insert(
+                    key,
+                    WireEntry {
+                        item,
+                        holder,
+                        version: 1,
+                    },
+                );
+            }
+            cluster.settle();
+        }
+        let custody: Vec<Vec<(u64, String, u32)>> = cluster
+            .states
+            .iter()
+            .map(|s| {
+                let s = lock(s);
+                let mut held: Vec<_> = s
+                    .index
+                    .iter()
+                    .flat_map(|(key, entries)| {
+                        entries
+                            .iter()
+                            .map(|e| (e.item, key.to_bit_string(), e.holder.0))
+                    })
+                    .collect();
+                held.sort_unstable();
+                held
+            })
+            .collect();
+        cluster.shutdown();
+        let mut compacted = 0;
+        for (slot, held) in custody.iter().enumerate() {
+            let (peer_dir, _) = spec.log_slot(slot).unwrap();
+            if peer_dir.join("seg-0.log").exists() || !peer_dir.exists() {
+                continue;
+            }
+            compacted += 1;
+            let backend = LogBackend::open(&peer_dir).unwrap();
+            let mut read = Vec::new();
+            backend.for_each(&mut |item| {
+                let entry = crate::node::journal_entry(&item);
+                read.push((entry.item, item.key.to_bit_string(), entry.holder.0));
+            });
+            assert_eq!(&read, held, "peer {slot}");
+        }
+        assert!(compacted > 0, "some journal compacted");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

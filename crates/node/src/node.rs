@@ -46,7 +46,7 @@ use bytes::Bytes;
 use pgrid_keys::BitPath;
 use pgrid_net::PeerId;
 use pgrid_proto::{Effect, Event, ProtoCtx, TimerToken};
-use pgrid_store::{AnyBackend, DataItem, ItemId, StorageBackend, Version};
+use pgrid_store::{AppendLog, DataItem, ItemId, StoreError, Version};
 use pgrid_trace::{OpTag, TraceEvent, Tracer};
 use pgrid_wire::{decode_frame_slice, encode_frame, Message, WireEntry};
 use rand::rngs::StdRng;
@@ -179,11 +179,10 @@ struct Pending {
     deadline: Instant,
 }
 
-/// How one leaf-index entry is journaled as a [`DataItem`]: the item id
-/// keys the record (so a newer version of the same item overwrites in
-/// place), the holder rides in the payload as 4 LE bytes, and the entry's
-/// version is the item's. Stable across backends — the journal formats on
-/// disk are the backends' own.
+/// How one leaf-index entry is journaled as a [`DataItem`]: the record
+/// carries the item id, the key and the entry's version, and the holder
+/// rides in the payload as 4 LE bytes. Every record is one entry; the
+/// journal folds nothing, so two holders of one item are two records.
 pub(crate) fn journal_item(key: BitPath, entry: WireEntry) -> DataItem {
     DataItem {
         id: ItemId(entry.item),
@@ -195,7 +194,7 @@ pub(crate) fn journal_item(key: BitPath, entry: WireEntry) -> DataItem {
 }
 
 /// Inverse of [`journal_item`] (a payload too short to carry a holder —
-/// foreign data in the backend — maps to an unroutable holder id).
+/// foreign data in the journal — maps to an unroutable holder id).
 pub(crate) fn journal_entry(item: &DataItem) -> WireEntry {
     let holder = item
         .payload
@@ -209,24 +208,47 @@ pub(crate) fn journal_entry(item: &DataItem) -> WireEntry {
     }
 }
 
-/// Re-derives leaf-index entries from a recovered journal backend into a
-/// node's protocol state — the live-deployment counterpart of
-/// `pgrid_core::Peer::index_hosted_under`. Entries whose key falls outside
-/// the node's current path are flagged misplaced so anti-entropy re-homes
-/// them on later traffic. Returns how many entries were reseeded;
+/// Re-derives leaf-index entries from a recovered journal into a node's
+/// protocol state — the live-deployment counterpart of
+/// `pgrid_core::Peer::index_hosted_under`. Records replay in append order
+/// through `index_insert`, which keeps the newest version per
+/// `(item, holder)`, so the journal a node wrote rebuilds the index it
+/// held, entry order within a key included. Entries whose key falls
+/// outside the node's current path are flagged misplaced so anti-entropy
+/// re-homes them on later traffic. Returns how many records were replayed;
 /// idempotent because `index_insert` dedups per `(item, holder)`.
-pub fn reseed_from_journal(state: &Mutex<NodeState>, journal: &AnyBackend) -> usize {
+pub fn reseed_from_journal(
+    state: &Mutex<NodeState>,
+    journal: &AppendLog,
+) -> Result<usize, StoreError> {
     let mut guard = lock(state);
     let mut count = 0usize;
-    journal.for_each(&mut |item| {
+    journal.replay(&mut |item| {
         let entry = journal_entry(&item);
         if !guard.responsible_for(&item.key) {
             guard.misplaced = true;
         }
         guard.index_insert(item.key, entry);
         count += 1;
-    });
-    count
+    })?;
+    Ok(count)
+}
+
+/// Rewrites `journal` from the leaf index of `state` — the authoritative
+/// copy — when its dead records meet the compaction trigger.
+fn compact_journal(state: &Mutex<NodeState>, journal: &mut AppendLog) -> Result<bool, StoreError> {
+    let guard = lock(state);
+    let live = guard
+        .index
+        .iter()
+        .map(|(_, entries)| entries.len() as u64)
+        .sum();
+    journal.compact_if_due(live, || {
+        guard
+            .index
+            .iter()
+            .flat_map(|(&key, entries)| entries.iter().map(move |&entry| journal_item(key, entry)))
+    })
 }
 
 /// The I/O shell around one [`ProtocolPeer`](pgrid_proto::ProtocolPeer):
@@ -261,17 +283,19 @@ pub(crate) struct NodeRt<T: Transport> {
     /// Flight recorder shared between the protocol core (via [`ProtoCtx`])
     /// and the shell's own retransmit/timeout events. Observation only.
     tracer: Box<dyn Tracer>,
-    /// Optional durable journal: [`Effect::StoreWrite`] appends here,
-    /// flushed when the shell is dropped. `None` keeps the index purely in
-    /// memory. Journaling is observation of the core's effect stream — it
-    /// never changes a protocol decision or an RNG draw.
-    journal: Option<AnyBackend>,
+    /// Optional durable journal: every [`Effect::StoreWrite`] appends one
+    /// record here, flushed when the shell is dropped. It keeps nothing per
+    /// record in RAM: a restart replays it into the leaf index, and
+    /// compaction rewrites it from that index. `None` keeps the index
+    /// purely in memory. Journaling is observation of the core's effect
+    /// stream — it never changes a protocol decision or an RNG draw.
+    journal: Option<AppendLog>,
 }
 
 impl<T: Transport> Drop for NodeRt<T> {
     /// Flushes the journal on any exit path — clean shutdown, channel
     /// disconnect, or a worker dropping the shell. A flush failure cannot
-    /// propagate out of drop; the backends' torn-tail recovery covers
+    /// propagate out of drop; the journal's torn-tail recovery covers
     /// whatever an unflushed crash leaves behind.
     fn drop(&mut self) {
         if let Some(journal) = &mut self.journal {
@@ -289,7 +313,7 @@ impl<T: Transport> NodeRt<T> {
         state: Arc<Mutex<NodeState>>,
         transport: T,
         seed: u64,
-        journal: Option<AnyBackend>,
+        journal: Option<AppendLog>,
         tracer: Box<dyn Tracer>,
     ) -> Self {
         let id = {
@@ -402,10 +426,14 @@ impl<T: Transport> NodeRt<T> {
             }
             // The core's index is authoritative in RAM; with a journal
             // attached, custody of an entry is also made durable so a
-            // restart can reseed it (see `reseed_from_journal`).
+            // restart can reseed it (see `reseed_from_journal`). Failures
+            // panic, as every mutation-path storage failure does.
             Effect::StoreWrite { key, entry } => {
                 if let Some(journal) = &mut self.journal {
-                    journal.put(journal_item(key, entry));
+                    if journal.append(&journal_item(key, entry)) {
+                        compact_journal(&self.state, journal)
+                            .unwrap_or_else(|e| panic!("journal compaction failed: {e}"));
+                    }
                 }
             }
             // Timers are subsumed by the per-frame anti-entropy pass in

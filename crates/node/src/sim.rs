@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use pgrid_net::{EventQueue, PeerId};
-use pgrid_store::AnyBackend;
+use pgrid_store::AppendLog;
 use pgrid_trace::Tracer;
 use pgrid_wire::Message;
 
@@ -233,7 +233,7 @@ impl Transport for SimTransport {
         &self,
         state: Arc<Mutex<NodeState>>,
         seed: u64,
-        journal: Option<AnyBackend>,
+        journal: Option<AppendLog>,
         tracer: Box<dyn Tracer>,
     ) {
         let rt = NodeRt::new(state, self.clone(), seed, journal, tracer);

@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use pgrid_net::{NetStats, PeerId};
-use pgrid_store::AnyBackend;
+use pgrid_store::AppendLog;
 use pgrid_trace::Tracer;
 use pgrid_wire::{decode_frame, Message};
 use rand::rngs::StdRng;
@@ -567,7 +567,7 @@ impl Transport for TcpTransport {
         &self,
         state: Arc<Mutex<NodeState>>,
         seed: u64,
-        journal: Option<AnyBackend>,
+        journal: Option<AppendLog>,
         tracer: Box<dyn Tracer>,
     ) {
         let rt = NodeRt::new(state, self.clone(), seed, journal, tracer);

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use pgrid_net::{NetStats, PeerId};
-use pgrid_store::AnyBackend;
+use pgrid_store::AppendLog;
 use pgrid_trace::Tracer;
 use pgrid_wire::{decode_frame_slice, Message};
 
@@ -102,7 +102,7 @@ pub trait Transport: Clone + Send + Sync + 'static {
         &self,
         state: Arc<Mutex<NodeState>>,
         seed: u64,
-        journal: Option<AnyBackend>,
+        journal: Option<AppendLog>,
         tracer: Box<dyn Tracer>,
     );
 

@@ -22,7 +22,7 @@
 //! backend never perturbs a deterministic simulation — the suites pin this.
 
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use pgrid_keys::BitPath;
 
@@ -343,14 +343,28 @@ impl StorageSpec {
                 let path = dir.join(format!("peer-{slot}.store"));
                 Ok(AnyBackend::HashFile(crate::HashFileBackend::open(path)?))
             }
-            StorageSpec::Log { dir, options } => {
-                let peer_dir = dir.join(format!("peer-{slot}"));
-                Ok(AnyBackend::Log(crate::LogBackend::open_with(
-                    peer_dir, *options,
-                )?))
-            }
+            StorageSpec::Log { dir, options } => Ok(AnyBackend::Log(crate::LogBackend::open_with(
+                peer_log_dir(dir, slot),
+                *options,
+            )?)),
         }
     }
+
+    /// The segment directory of peer slot `slot` under a log spec,
+    /// `dir/peer-<slot>`, with the spec's tuning; `None` for other kinds.
+    /// [`StorageSpec::open_for`] opens a [`LogBackend`](crate::LogBackend)
+    /// there, and a live node's [`AppendLog`](crate::AppendLog) journals
+    /// there.
+    pub fn log_slot(&self, slot: usize) -> Option<(PathBuf, crate::LogOptions)> {
+        match self {
+            StorageSpec::Log { dir, options } => Some((peer_log_dir(dir, slot), *options)),
+            _ => None,
+        }
+    }
+}
+
+fn peer_log_dir(dir: &Path, slot: usize) -> PathBuf {
+    dir.join(format!("peer-{slot}"))
 }
 
 #[cfg(test)]

@@ -14,6 +14,10 @@
 //!   [`HashFileBackend`], [`LogBackend`] — where those items physically
 //!   live (RAM, one record file, or a compacting segment log), selected per
 //!   deployment via [`StorageSpec`] without touching any protocol code;
+//! * [`AppendLog`] — a journal of put records replayed in append order,
+//!   for state whose authoritative copy lives elsewhere (a live node's
+//!   leaf index): it shares [`LogBackend`]'s files and rules but keeps
+//!   nothing per record in RAM, and compacts by rewriting that copy;
 //! * [`prefix_range`] / [`subtree_upper`] — a trie subtree as one range of
 //!   an ordered key map, which the backends' key scans and the peers' leaf
 //!   index (`pgrid_proto::LeafIndex`) are built on.
@@ -21,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod append;
 mod backend;
 mod hashfile;
 mod item;
@@ -28,8 +33,10 @@ mod local;
 mod log;
 mod memory;
 mod recfile;
+mod segdir;
 mod trie;
 
+pub use append::AppendLog;
 pub use backend::{AnyBackend, BackendKind, StorageBackend, StorageSpec, StoreError};
 pub use hashfile::HashFileBackend;
 pub use item::{DataItem, ItemId, Version};

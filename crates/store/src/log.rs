@@ -1,14 +1,14 @@
 //! The log-structured backend: segment files, tombstones, compaction.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::PathBuf;
 
 use pgrid_keys::{BitPath, Key};
 
 use crate::backend::{BackendKind, StorageBackend, StoreError};
 use crate::recfile::{self, Record};
+use crate::segdir::{SegDir, Segment};
 use crate::trie::KeyIds;
 use crate::{DataItem, ItemId, Version};
 
@@ -43,12 +43,6 @@ struct Loc {
     version: Version,
 }
 
-#[derive(Debug)]
-struct Segment {
-    file: File,
-    len: u64,
-}
-
 /// Items spread over append-only segment files (`seg-<n>.log`), with only
 /// the offset index and ordered key index resident.
 ///
@@ -72,54 +66,14 @@ struct Segment {
 /// are created.
 #[derive(Debug)]
 pub struct LogBackend {
-    dir: PathBuf,
+    dir: SegDir,
     options: LogOptions,
     segments: BTreeMap<u64, Segment>,
-    /// How many directories, counting up from `dir`, gained an entry since
-    /// the last `flush`: `dir` itself once a segment is created, and one
-    /// more for each directory level the store created.
-    unsynced_levels: usize,
     index: BTreeMap<ItemId, Loc>,
     by_key: KeyIds,
     live_bytes: u64,
     dead_bytes: u64,
     scratch: Vec<u8>,
-}
-
-fn seg_file_name(id: u64) -> String {
-    format!("seg-{id}.log")
-}
-
-fn parse_seg_id(name: &str) -> Option<u64> {
-    name.strip_prefix("seg-")?
-        .strip_suffix(".log")?
-        .parse()
-        .ok()
-}
-
-fn open_rw(path: &Path) -> Result<File, StoreError> {
-    Ok(OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?)
-}
-
-fn sync_dir(dir: &Path) -> Result<(), StoreError> {
-    File::open(dir)?.sync_all()?;
-    Ok(())
-}
-
-/// Creates `dir` and its missing ancestors, returning how many levels were
-/// missing.
-fn create_dir_levels(dir: &Path) -> std::io::Result<usize> {
-    let missing = dir
-        .ancestors()
-        .take_while(|level| !level.as_os_str().is_empty() && !level.exists())
-        .count();
-    std::fs::create_dir_all(dir)?;
-    Ok(missing)
 }
 
 impl LogBackend {
@@ -133,151 +87,68 @@ impl LogBackend {
     /// index. A missing `dir` opens as an empty store and is not created
     /// until the first write; any other failure to list it is an error.
     pub fn open_with(dir: impl Into<PathBuf>, options: LogOptions) -> Result<Self, StoreError> {
-        let dir = dir.into();
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(entries) => Some(entries),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e.into()),
-        };
-
-        let mut seg_ids = Vec::new();
-        for entry in entries.into_iter().flatten() {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".log.tmp") {
-                // A compaction that crashed before its rename; the old
-                // segments are all still intact, so just discard it.
-                std::fs::remove_file(entry.path())?;
-            } else if let Some(id) = parse_seg_id(&name) {
-                seg_ids.push(id);
-            }
-        }
-        seg_ids.sort_unstable();
-
+        let dir = SegDir::new(dir.into());
+        let seg_ids = dir.recover_ids()?;
         let mut backend = LogBackend {
             dir,
             options,
             segments: BTreeMap::new(),
-            unsynced_levels: 0,
             index: BTreeMap::new(),
             by_key: KeyIds::default(),
             live_bytes: 0,
             dead_bytes: 0,
             scratch: Vec::new(),
         };
-
         // A missing or empty directory stays so: segment 0 is created by the
         // first append, so a store that never holds a record holds no file.
-        let Some(&last) = seg_ids.last() else {
-            return Ok(backend);
-        };
+        let last = seg_ids.last().copied();
         for id in seg_ids {
-            backend.replay_segment(id, id == last)?;
+            backend.replay_segment(id, Some(id) == last)?;
         }
-        let active = backend.segments.get_mut(&last).unwrap();
-        active
-            .file
-            .seek(SeekFrom::Start(active.len))
-            .map_err(StoreError::Io)?;
         Ok(backend)
     }
 
     /// Creates segment `id`, which becomes the active (highest-numbered)
-    /// one — and, for the first segment, the store's directory. Nothing is
-    /// synced here: `flush` syncs the new file and the directory entries
-    /// that name it.
+    /// one — and, for the first segment, the store's directory.
     fn create_segment(&mut self, id: u64) -> Result<(), StoreError> {
-        let created = if self.segments.is_empty() {
-            create_dir_levels(&self.dir)?
-        } else {
-            0
-        };
-        let mut file = open_rw(&self.dir.join(seg_file_name(id)))?;
-        file.write_all(recfile::MAGIC)?;
-        self.unsynced_levels = self.unsynced_levels.max(1 + created);
-        self.segments.insert(
-            id,
-            Segment {
-                file,
-                len: recfile::MAGIC.len() as u64,
-            },
-        );
+        let segment = self.dir.create(id, self.segments.is_empty())?;
+        self.segments.insert(id, segment);
         Ok(())
     }
 
-    /// The directories `flush` must sync, `dir` first: each holds an entry
-    /// created since the last `flush`.
-    fn unsynced_dirs(&self) -> impl Iterator<Item = &Path> {
-        // A relative path's last ancestor is the empty path.
-        self.dir.ancestors().take(self.unsynced_levels).map(|d| {
-            if d.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                d
-            }
-        })
-    }
-
     fn replay_segment(&mut self, id: u64, is_active: bool) -> Result<(), StoreError> {
-        let path = self.dir.join(seg_file_name(id));
-        let file = open_rw(&path)?;
         let index = &mut self.index;
         let by_key = &mut self.by_key;
         let (live, dead) = (&mut self.live_bytes, &mut self.dead_bytes);
-        let outcome = recfile::scan_file(&path, &file, |scanned| match scanned.record {
-            Record::Put(item) => {
-                let loc = Loc {
-                    seg: id,
-                    offset: scanned.offset,
-                    frame_len: scanned.frame_len,
-                    key: item.key,
-                    version: item.version,
-                };
-                *live += u64::from(loc.frame_len);
-                let prev = index.insert(item.id, loc);
-                if let Some(prev) = prev {
-                    *live -= u64::from(prev.frame_len);
-                    *dead += u64::from(prev.frame_len);
+        let segment = self
+            .dir
+            .replay(id, is_active, |scanned| match scanned.record {
+                Record::Put(item) => {
+                    let loc = Loc {
+                        seg: id,
+                        offset: scanned.offset,
+                        frame_len: scanned.frame_len,
+                        key: item.key,
+                        version: item.version,
+                    };
+                    *live += u64::from(loc.frame_len);
+                    let prev = index.insert(item.id, loc);
+                    if let Some(prev) = prev {
+                        *live -= u64::from(prev.frame_len);
+                        *dead += u64::from(prev.frame_len);
+                    }
+                    by_key.link(prev.map(|p| p.key), item.key, item.id);
                 }
-                by_key.link(prev.map(|p| p.key), item.key, item.id);
-            }
-            Record::Remove(rid) => {
-                *dead += u64::from(scanned.frame_len);
-                if let Some(prev) = index.remove(&rid) {
-                    *live -= u64::from(prev.frame_len);
-                    *dead += u64::from(prev.frame_len);
-                    by_key.unlink(prev.key, rid);
+                Record::Remove(rid) => {
+                    *dead += u64::from(scanned.frame_len);
+                    if let Some(prev) = index.remove(&rid) {
+                        *live -= u64::from(prev.frame_len);
+                        *dead += u64::from(prev.frame_len);
+                        by_key.unlink(prev.key, rid);
+                    }
                 }
-            }
-        })?;
-        let len = match outcome {
-            recfile::ScanOutcome::Clean { end } => end,
-            recfile::ScanOutcome::TornTail { valid_end } if is_active => {
-                // Crash mid-append: keep the valid prefix. An empty or
-                // sub-magic active segment gets its header rewritten.
-                file.set_len(valid_end)?;
-                if valid_end == 0 {
-                    let mut f = &file;
-                    f.seek(SeekFrom::Start(0))?;
-                    f.write_all(recfile::MAGIC)?;
-                    f.sync_all()?;
-                    recfile::MAGIC.len() as u64
-                } else {
-                    valid_end
-                }
-            }
-            recfile::ScanOutcome::TornTail { valid_end } => {
-                // Sealed segments are never appended to; a torn record here
-                // is real damage, not a crash artifact.
-                return Err(StoreError::Corrupt {
-                    file: path,
-                    offset: valid_end,
-                    reason: "torn record in sealed segment".into(),
-                });
-            }
-        };
-        self.segments.insert(id, Segment { file, len });
+            })?;
+        self.segments.insert(id, segment);
         Ok(())
     }
 
@@ -287,7 +158,7 @@ impl LogBackend {
             .get(&loc.seg)
             .unwrap_or_else(|| panic!("indexed segment {} is gone", loc.seg));
         // Only the failure branches name the file.
-        let path = || self.dir.join(seg_file_name(loc.seg));
+        let path = || self.dir.seg_path(loc.seg);
         let mut buf = vec![0u8; loc.frame_len as usize];
         recfile::read_exact_at(&seg.file, path, &mut buf, loc.offset)
             .unwrap_or_else(|e| panic!("storage read failed in {}: {e}", path().display()));
@@ -308,7 +179,7 @@ impl LogBackend {
             self.create_segment(0).unwrap_or_else(|e| {
                 panic!(
                     "creating the first segment in {} failed: {e}",
-                    self.dir.display()
+                    self.dir.path().display()
                 )
             });
         }
@@ -367,53 +238,37 @@ impl LogBackend {
             return Ok(());
         };
         let next = active_id + 1;
-        let tmp_path = self.dir.join(format!("{}.tmp", seg_file_name(next)));
-        let final_path = self.dir.join(seg_file_name(next));
-
-        let mut out = File::create(&tmp_path)?;
-        out.write_all(recfile::MAGIC)?;
-        let mut offset = recfile::MAGIC.len() as u64;
-        let mut new_locs: Vec<(ItemId, Loc)> = Vec::with_capacity(self.index.len());
-        let mut frame = Vec::new();
-        for (&id, loc) in &self.index {
-            let item = self.read_loc(*loc);
-            frame.clear();
-            recfile::encode_put_frame(&item, &mut frame);
-            out.write_all(&frame)?;
-            new_locs.push((
-                id,
-                Loc {
-                    seg: next,
-                    offset,
-                    frame_len: frame.len() as u32,
-                    key: loc.key,
-                    version: loc.version,
-                },
-            ));
-            offset += frame.len() as u64;
-        }
-        out.sync_all()?;
-        drop(out);
-        // The rename is the commit point: before it, recovery sees the old
-        // segments plus a stale .tmp to discard; after it, replay order
-        // (ascending ids) makes the compacted segment override whatever old
-        // segments survive.
-        std::fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.dir)?;
-
-        let old_ids: Vec<u64> = self.segments.keys().copied().collect();
+        let (segment, new_locs) = self.dir.publish(next, |out| {
+            let mut offset = recfile::MAGIC.len() as u64;
+            let mut new_locs: Vec<(ItemId, Loc)> = Vec::with_capacity(self.index.len());
+            let mut frame = Vec::new();
+            for (&id, loc) in &self.index {
+                let item = self.read_loc(*loc);
+                frame.clear();
+                recfile::encode_put_frame(&item, &mut frame);
+                out.write_all(&frame)?;
+                new_locs.push((
+                    id,
+                    Loc {
+                        seg: next,
+                        offset,
+                        frame_len: frame.len() as u32,
+                        key: loc.key,
+                        version: loc.version,
+                    },
+                ));
+                offset += frame.len() as u64;
+            }
+            Ok(new_locs)
+        })?;
         self.segments.clear();
-        for id in old_ids {
-            std::fs::remove_file(self.dir.join(seg_file_name(id)))?;
-        }
-        let mut file = open_rw(&final_path)?;
-        file.seek(SeekFrom::Start(offset)).map_err(StoreError::Io)?;
-        self.segments.insert(next, Segment { file, len: offset });
+        self.dir.remove_below(next)?;
+        self.live_bytes = segment.len - recfile::MAGIC.len() as u64;
+        self.dead_bytes = 0;
+        self.segments.insert(next, segment);
         for (id, loc) in new_locs {
             self.index.insert(id, loc);
         }
-        self.live_bytes = offset - recfile::MAGIC.len() as u64;
-        self.dead_bytes = 0;
         Ok(())
     }
 
@@ -514,11 +369,7 @@ impl StorageBackend for LogBackend {
         for seg in self.segments.values() {
             seg.file.sync_all()?;
         }
-        for dir in self.unsynced_dirs() {
-            sync_dir(dir)?;
-        }
-        self.unsynced_levels = 0;
-        Ok(())
+        self.dir.sync_created()
     }
 
     fn resident_items(&self) -> usize {
@@ -529,6 +380,8 @@ impl StorageBackend for LogBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segdir::parse_seg_id;
+    use std::path::Path;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pgrid-log-{}-{name}", std::process::id()))
@@ -693,8 +546,12 @@ mod tests {
         let root = tmp("levels");
         let _ = std::fs::remove_dir_all(&root);
         let dir = root.join("peer-3");
-        let unsynced =
-            |b: &LogBackend| b.unsynced_dirs().map(Path::to_path_buf).collect::<Vec<_>>();
+        let unsynced = |b: &LogBackend| {
+            b.dir
+                .unsynced_dirs()
+                .map(Path::to_path_buf)
+                .collect::<Vec<_>>()
+        };
         let mut b = LogBackend::open_with(&dir, small_opts()).unwrap();
         assert!(unsynced(&b).is_empty());
         b.put(item(1, "0101"));

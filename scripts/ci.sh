@@ -49,6 +49,13 @@ if grep -rnE "BoundedMap|BoundedSet|SEEN_CAP|ANSWER_CACHE_CAP" crates/*/src; the
     exit 1
 fi
 
+echo "==> no key-value store in the node (a live node journals custody to pgrid_store::AppendLog)"
+if awk '/^#\[cfg\(test\)\]/ { nextfile } /AnyBackend|StorageBackend/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/node/src/*.rs | grep .; then
+    echo "FATAL: a key-value store in the non-test lines of crates/node/src; journal custody to pgrid_store::AppendLog"
+    exit 1
+fi
+
 echo "==> clippy (all targets, warnings are errors, perf lints on)"
 cargo clippy --all-targets -- -D warnings -D clippy::perf -W clippy::redundant_clone
 

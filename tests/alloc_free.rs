@@ -5,7 +5,8 @@
 //! count where it was. `exchange` rewrites reference sets, which is peer
 //! state rather than scratch, so it gets a per-call ceiling instead. The
 //! allocator also tracks live heap bytes, which gate what a peer keeps per
-//! leaf-index entry and what a converged grid keeps besides its peers.
+//! leaf-index entry, what a converged grid keeps besides its peers, and
+//! what a live node's custody journal keeps per record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,8 +17,9 @@ use pgrid::core::{
 };
 use pgrid::keys::BitPath;
 use pgrid::net::{AlwaysOnline, NetStats, PeerId};
+use pgrid::node::{ClusterConfig, SimCluster};
 use pgrid::proto::ProtocolPeer;
-use pgrid::store::{ItemId, Version};
+use pgrid::store::{AppendLog, ItemId, LogOptions, StorageSpec, Version};
 use pgrid::wire::WireEntry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -338,5 +340,88 @@ fn exchange_allocates_at_most_one_event_per_fifty_calls() {
     assert!(
         per_call <= 0.0186,
         "{per_call:.4} allocations per exchange call ({allocs} over {calls})"
+    );
+}
+
+/// The shape of `live_mixed`'s cluster at a quarter of its meetings, on
+/// the virtual clock so that every shell runs on this thread.
+fn custody_cluster(storage: Option<&StorageSpec>) -> SimCluster {
+    let config = ClusterConfig {
+        n: 64,
+        maxl: 4,
+        refmax: 2,
+        seed: 5,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = match storage {
+        Some(spec) => SimCluster::spawn_with_storage(config, spec.clone()),
+        None => SimCluster::spawn(config),
+    };
+    for _ in 0..8 {
+        cluster.build(128);
+    }
+    assert!(cluster.avg_path_len() >= 3.5, "fixture failed to converge");
+    cluster
+}
+
+/// Routes `count` inserts from item `first` on, each entering at a node
+/// the cluster draws, and waits each batch of 64 out.
+fn insert_custody(cluster: &mut SimCluster, first: u64, count: u64) {
+    let mut rng = StdRng::seed_from_u64(first);
+    for item in first..first + count {
+        let entry = WireEntry {
+            item,
+            holder: PeerId((item % 64) as u32),
+            version: 1,
+        };
+        cluster.insert(BitPath::random(&mut rng, 32), entry);
+        if item % 64 == 63 {
+            cluster.settle();
+        }
+    }
+    cluster.settle();
+}
+
+/// Records in the 64 journals of `spec`.
+fn journaled(spec: &StorageSpec) -> u64 {
+    (0..64)
+        .map(|slot| {
+            let (dir, options) = spec.log_slot(slot).unwrap();
+            AppendLog::open(dir, options).unwrap().records()
+        })
+        .sum()
+}
+
+/// Footprint gate on a live node's custody journal: the same seeded
+/// inserts, with and without a log spec, differ in live heap by at most
+/// 16 B per journaled record. The journal keeps a file handle and a few
+/// counters, nothing per record: its leaf index is the resident copy.
+/// A `LogBackend` journal, with an id map and a key set, kept ≈187 B.
+#[test]
+fn journaled_custody_holds_at_most_16_heap_bytes_per_record() {
+    let dir = std::env::temp_dir().join(format!("pgrid-alloc-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = StorageSpec::Log {
+        dir: dir.clone(),
+        options: LogOptions::default(),
+    };
+    let heap = |storage: Option<&StorageSpec>| {
+        let mut cluster = custody_cluster(storage);
+        // Warm-up: every node's first record opens its segment.
+        insert_custody(&mut cluster, 0, 512);
+        let before = storage.map_or(0, journaled);
+        let (_, bytes) = measured(|| insert_custody(&mut cluster, 512, 2048));
+        let records = storage.map_or(0, journaled) - before;
+        cluster.shutdown();
+        (bytes, records)
+    };
+    let (plain, _) = heap(None);
+    let (journaling, records) = heap(Some(&spec));
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(records >= 2048, "each insert is journaled: {records}");
+    let per_record = (journaling - plain) as f64 / records as f64;
+    assert!(
+        per_record <= 16.0,
+        "{per_record:.1} heap bytes per journaled record ({records} records)"
     );
 }
